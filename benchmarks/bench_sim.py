@@ -5,7 +5,9 @@ kernels.
 The dispatch decision is taken at import, so each arm runs in its own
 subprocess with ``LLCKIT_JIT`` set accordingly.  Both arms integrate the
 same full-load transient on the nominal design and must produce identical
-results; the parent checks that before printing the timing table.
+results; the parent checks that before printing the timing table.  When
+numba is not importable only the pure-Python arm runs, the numba arm is
+reported as unavailable and no speedup is printed.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -69,10 +71,13 @@ def main() -> int:
         worker(args.t_end, args.repeat)
         return 0
 
+    from llckit._accel import NUMBA_AVAILABLE
     from llckit.sim import STEPS_PER_PERIOD
 
+    arms = (("numpy", "0"), ("numba", "1")) if NUMBA_AVAILABLE else (
+        ("numpy", "0"),)
     results = {}
-    for label, flag in (("numpy", "0"), ("numba", "1")):
+    for label, flag in arms:
         env = dict(os.environ, LLCKIT_JIT=flag)
         r = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--worker",
@@ -83,7 +88,8 @@ def main() -> int:
             return 1
         results[label] = json.loads(r.stdout)
 
-    if results["numpy"]["checksum"] != results["numba"]["checksum"]:
+    if (NUMBA_AVAILABLE
+            and results["numpy"]["checksum"] != results["numba"]["checksum"]):
         print("warning: the two paths disagree, timings are not comparable",
               file=sys.stderr)
         return 1
@@ -91,9 +97,12 @@ def main() -> int:
     steps = args.t_end * 110e3 * STEPS_PER_PERIOD
     print(f"transient: {args.t_end * 1e3:g} ms at 110 kHz, "
           f"~{steps:.0f} integration steps, best of {args.repeat}")
-    for label in ("numpy", "numba"):
-        e = results[label]["elapsed"]
+    for label, res in results.items():
+        e = res["elapsed"]
         print(f"  {label:6s} {e:8.3f} s   {steps / e / 1e6:7.2f} Msteps/s")
+    if not NUMBA_AVAILABLE:
+        print(f"  {'numba':6s} unavailable (not installed)")
+        return 0
     speedup = results["numpy"]["elapsed"] / results["numba"]["elapsed"]
     print(f"  speedup {speedup:.1f}x")
     return 0

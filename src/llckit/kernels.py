@@ -14,6 +14,9 @@ RK4.  Mode boundaries are located by bisection on the event functions:
   * dead-time node swap: iLr changing sign while both switches are off
     (the body diodes re-clamp the node to the other rail).
 
+When several fire inside one step the earliest located one is applied; a
+tie goes to the one listed first.
+
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state.  Everything here is scalar
 float64 arithmetic in a fixed order so the numba and plain-Python paths
@@ -44,6 +47,7 @@ ERR_EVENT_LOC = 1
 ERR_CHATTER = 2
 ERR_MODE_VIOLATION = 3
 ERR_RECORD_FULL = 4
+ERR_EVENT_FULL = 5
 # event codes (written into the event log)
 EV_D1_ON = 1
 EV_D2_ON = 2
@@ -182,6 +186,59 @@ def _bisect_event(iLr, vCr, iLm, vOut, h_full, vsw, rect, slot, direction, g_a,
     return 1, hi
 
 
+def _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf):
+    """Close a diode the open rectifier already sits past.
+
+    A gate edge, the caller's clamp choice or a transition can leave the
+    open-rectifier magnetizing voltage beyond a clamp threshold.  Returns
+    (rect, code): the new phase and its turn-on event code, or the phase
+    unchanged and 0.
+    """
+    if rect == RECT_OFF:
+        e0, e1, _ = _event_values(iLr, vCr, iLm, vOut, vsw, rect, False,
+                                  Lr, Lm, n, Vf)
+        if e0 > 0.0:
+            return RECT_D1, EV_D1_ON
+        if e1 > 0.0:
+            return RECT_D2, EV_D2_ON
+    return rect, 0
+
+
+def _put_event(ev, ev_n, t, code):
+    """Append (t, code) to the event log; the new count, or -1 when full."""
+    if ev_n >= ev.shape[0]:
+        return -1
+    ev[ev_n, 0] = t
+    ev[ev_n, 1] = code
+    return ev_n + 1
+
+
+def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
+             load_kind, load_val):
+    """Record the state at t; the new row count, or -1 when full.
+
+    A row already holding the same instant is overwritten, so the row
+    written last (post-transition mode) wins.
+    """
+    if rec_n > 0 and rec[rec_n - 1, 0] == t:
+        r = rec_n - 1
+    elif rec_n >= rec.shape[0]:
+        return -1
+    else:
+        r = rec_n
+        rec_n += 1
+    rec[r, 0] = t
+    rec[r, 1] = iLr
+    rec[r, 2] = vCr
+    rec[r, 3] = iLm
+    rec[r, 4] = vOut
+    rec[r, 5] = vsw
+    rec[r, 6] = _iload(vOut, load_kind, load_val)
+    rec[r, 7] = rect
+    rec[r, 8] = seg_kind
+    return rec_n
+
+
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
                       dt_max, tol_t, stride, rec, rec_n, ev, ev_n, acc):
@@ -195,8 +252,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut)
 
     with err one of the ERR_* codes; on err != 0 the state is whatever was
-    reached and the caller is expected to abort.
+    reached and the caller is expected to abort, or to grow the full buffer
+    (ERR_RECORD_FULL, ERR_EVENT_FULL) and run the span again.
     """
+    err = ERR_OK
     is_dead = seg_kind == SEG_DEAD_TO_LOW or seg_kind == SEG_DEAD_TO_HIGH
     if seg_kind == SEG_HIGH:
         vsw = vin
@@ -213,56 +272,31 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_ilm = abs(iLm)
     max_vout = abs(vOut)
 
-    # entry settle: a gate edge (or the caller's clamp choice) may push the
-    # open rectifier straight past a clamp threshold
-    if rect == RECT_OFF:
-        e0, e1, e2 = _event_values(iLr, vCr, iLm, vOut, vsw, rect, is_dead,
-                                   Lr, Lm, n, Vf)
-        if e0 > 0.0:
-            rect = RECT_D1
-            if ev_n >= ev.shape[0]:
-                return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                        iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-            ev[ev_n, 0] = t0
-            ev[ev_n, 1] = EV_D1_ON
-            ev_n += 1
-        elif e1 > 0.0:
-            rect = RECT_D2
-            if ev_n >= ev.shape[0]:
-                return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                        iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-            ev[ev_n, 0] = t0
-            ev[ev_n, 1] = EV_D2_ON
-            ev_n += 1
-
-    # record the segment entry (overwrites a sample left at the same t)
-    il0 = _iload(vOut, load_kind, load_val)
-    if rec_n > 0 and rec[rec_n - 1, 0] == t0:
-        r = rec_n - 1
-    else:
-        if rec_n >= rec.shape[0]:
-            return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                    iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-        r = rec_n
-        rec_n += 1
-    rec[r, 0] = t0
-    rec[r, 1] = iLr
-    rec[r, 2] = vCr
-    rec[r, 3] = iLm
-    rec[r, 4] = vOut
-    rec[r, 5] = vsw
-    rec[r, 6] = il0
-    rec[r, 7] = rect
-    rec[r, 8] = seg_kind
+    # entry settle, then the segment entry row (overwrites a sample left at
+    # the same t)
+    rect, code = _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf)
+    if code != 0:
+        j = _put_event(ev, ev_n, t0, code)
+        if j < 0:
+            err = ERR_EVENT_FULL
+        else:
+            ev_n = j
+    if err == ERR_OK:
+        j = _put_row(rec, rec_n, t0, iLr, vCr, iLm, vOut, vsw, rect,
+                     seg_kind, load_kind, load_val)
+        if j < 0:
+            err = ERR_RECORD_FULL
+        else:
+            rec_n = j
 
     span = t1 - t0
-    if span <= 0.0:
-        return (ERR_OK, rec_n, ev_n, rect, clamp_hi,
-                iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-    n_steps = int(math.ceil(span / dt_max))
-    if n_steps < 1:
-        n_steps = 1
-    dt = span / n_steps
+    n_steps = 0
+    dt = 0.0
+    if err == ERR_OK and span > 0.0:
+        n_steps = int(math.ceil(span / dt_max))
+        if n_steps < 1:
+            n_steps = 1
+        dt = span / n_steps
 
     for k in range(n_steps):
         t_b = t1 if k == n_steps - 1 else t0 + dt * (k + 1)
@@ -308,66 +342,47 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 if vOut < -V_TOL:
                     bad = True
                 if bad:
-                    return (ERR_MODE_VIOLATION, rec_n, ev_n, rect, clamp_hi,
-                            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                            max_vout)
+                    err = ERR_MODE_VIOLATION
+                    break
                 if k % stride == 0 or k == n_steps - 1:
-                    if rec_n > 0 and rec[rec_n - 1, 0] == t_b:
-                        r = rec_n - 1
-                    else:
-                        if rec_n >= rec.shape[0]:
-                            return (ERR_RECORD_FULL, rec_n, ev_n, rect,
-                                    clamp_hi, iLr, vCr, iLm, vOut, max_ilr,
-                                    max_vcr, max_ilm, max_vout)
-                        r = rec_n
-                        rec_n += 1
-                    rec[r, 0] = t_b
-                    rec[r, 1] = iLr
-                    rec[r, 2] = vCr
-                    rec[r, 3] = iLm
-                    rec[r, 4] = vOut
-                    rec[r, 5] = vsw
-                    rec[r, 6] = _iload(vOut, load_kind, load_val)
-                    rec[r, 7] = rect
-                    rec[r, 8] = seg_kind
+                    j = _put_row(rec, rec_n, t_b, iLr, vCr, iLm, vOut, vsw,
+                                 rect, seg_kind, load_kind, load_val)
+                    if j < 0:
+                        err = ERR_RECORD_FULL
+                        break
+                    rec_n = j
                 continue
 
-            # localize the earliest fired event
+            # localize the earliest fired event; a tie goes to the lower slot
             h_star = h
             slot_star = -1
-            if fired0:
-                ok, hs = _bisect_event(iLr, vCr, iLm, vOut, h, vsw, rect, 0,
-                                       dir0, a0, is_dead, Lr, Cr, Lm, n, Vf,
-                                       Cout, load_kind, load_val, tol_t)
+            for slot in range(3):
+                if slot == 0:
+                    fired = fired0
+                    direction = dir0
+                    g_a = a0
+                elif slot == 1:
+                    fired = fired1
+                    direction = 0
+                    g_a = a1_
+                else:
+                    fired = fired2
+                    direction = 2
+                    g_a = a2_
+                if not fired:
+                    continue
+                ok, hs = _bisect_event(iLr, vCr, iLm, vOut, h, vsw, rect,
+                                       slot, direction, g_a, is_dead,
+                                       Lr, Cr, Lm, n, Vf, Cout, load_kind,
+                                       load_val, tol_t)
                 if ok == 0:
-                    return (ERR_EVENT_LOC, rec_n, ev_n, rect, clamp_hi,
-                            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                            max_vout)
-                if hs <= h_star:
+                    err = ERR_EVENT_LOC
+                    break
+                if slot_star < 0 or hs < h_star:
                     h_star = hs
-                    slot_star = 0
-            if fired1:
-                ok, hs = _bisect_event(iLr, vCr, iLm, vOut, h, vsw, rect, 1,
-                                       0, a1_, is_dead, Lr, Cr, Lm, n, Vf,
-                                       Cout, load_kind, load_val, tol_t)
-                if ok == 0:
-                    return (ERR_EVENT_LOC, rec_n, ev_n, rect, clamp_hi,
-                            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                            max_vout)
-                if hs < h_star:
-                    h_star = hs
-                    slot_star = 1
-            if fired2:
-                ok, hs = _bisect_event(iLr, vCr, iLm, vOut, h, vsw, rect, 2,
-                                       2, a2_, is_dead, Lr, Cr, Lm, n, Vf,
-                                       Cout, load_kind, load_val, tol_t)
-                if ok == 0:
-                    return (ERR_EVENT_LOC, rec_n, ev_n, rect, clamp_hi,
-                            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                            max_vout)
-                if hs < h_star:
-                    h_star = hs
-                    slot_star = 2
+                    slot_star = slot
+            if err != ERR_OK:
+                break
 
             ei, ec, em, eo = _rk4(iLr, vCr, iLm, vOut, h_star, vsw, rect,
                                   Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
@@ -416,63 +431,38 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     code = EV_CLAMP_LOW
                 node_hi = clamp_hi
                 vsw = vin if clamp_hi == 1 else 0.0
-            if ev_n >= ev.shape[0]:
-                return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                        iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                        max_vout)
-            ev[ev_n, 0] = t_ev
-            ev[ev_n, 1] = code
-            ev_n += 1
+            j = _put_event(ev, ev_n, t_ev, code)
+            if j < 0:
+                err = ERR_EVENT_FULL
+                break
+            ev_n = j
 
             # settle: the new Off state may sit past the other clamp already
-            if rect == RECT_OFF:
-                s0, s1, s2 = _event_values(iLr, vCr, iLm, vOut, vsw, rect,
-                                           is_dead, Lr, Lm, n, Vf)
-                if s0 > 0.0 or s1 > 0.0:
-                    rect = RECT_D1 if s0 > 0.0 else RECT_D2
-                    if ev_n >= ev.shape[0]:
-                        return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                                iLr, vCr, iLm, vOut, max_ilr, max_vcr,
-                                max_ilm, max_vout)
-                    ev[ev_n, 0] = t_ev
-                    ev[ev_n, 1] = EV_D1_ON if s0 > 0.0 else EV_D2_ON
-                    ev_n += 1
+            rect, code = _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf)
+            if code != 0:
+                j = _put_event(ev, ev_n, t_ev, code)
+                if j < 0:
+                    err = ERR_EVENT_FULL
+                    break
+                ev_n = j
 
             # record the instant with the post-transition mode
-            if rec_n > 0 and rec[rec_n - 1, 0] == t_ev:
-                r = rec_n - 1
-            else:
-                if rec_n >= rec.shape[0]:
-                    return (ERR_RECORD_FULL, rec_n, ev_n, rect, clamp_hi,
-                            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                            max_vout)
-                r = rec_n
-                rec_n += 1
-            rec[r, 0] = t_ev
-            rec[r, 1] = iLr
-            rec[r, 2] = vCr
-            rec[r, 3] = iLm
-            rec[r, 4] = vOut
-            rec[r, 5] = vsw
-            rec[r, 6] = _iload(vOut, load_kind, load_val)
-            rec[r, 7] = rect
-            rec[r, 8] = seg_kind
+            j = _put_row(rec, rec_n, t_ev, iLr, vCr, iLm, vOut, vsw, rect,
+                         seg_kind, load_kind, load_val)
+            if j < 0:
+                err = ERR_RECORD_FULL
+                break
+            rec_n = j
 
             guard += 1
             if guard > EVENT_GUARD:
-                return (ERR_CHATTER, rec_n, ev_n, rect, clamp_hi,
-                        iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm,
-                        max_vout)
+                err = ERR_CHATTER
+                break
+        if err != ERR_OK:
+            break
 
-    return (ERR_OK, rec_n, ev_n, rect, clamp_hi,
+    return (err, rec_n, ev_n, rect, clamp_hi,
             iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-
-
-# public single-step helper shared by the driver and tests
-def rk4_step(iLr, vCr, iLm, vOut, h, vsw, rect, Lr, Cr, Lm, n, Vf, Cout,
-             load_kind, load_val):
-    return _rk4(iLr, vCr, iLm, vOut, h, vsw, rect, Lr, Cr, Lm, n, Vf, Cout,
-                load_kind, load_val)
 
 
 _iload = maybe_njit(_iload)
@@ -481,4 +471,7 @@ _rk4 = maybe_njit(_rk4)
 _event_values = maybe_njit(_event_values)
 _fired = maybe_njit(_fired)
 _bisect_event = maybe_njit(_bisect_event)
+_settle = maybe_njit(_settle)
+_put_event = maybe_njit(_put_event)
+_put_row = maybe_njit(_put_row)
 integrate_segment = maybe_njit(integrate_segment)

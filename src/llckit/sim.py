@@ -30,7 +30,6 @@ from .gain import GainPoleError, gain
 
 __all__ = [
     "RectPhase",
-    "SwitchPhase",
     "SimState",
     "LoadSpec",
     "SimConfig",
@@ -47,8 +46,6 @@ __all__ = [
     "NotSettled",
     "zero_state",
     "warm_start_state",
-    "step",
-    "bisect_event",
     "run_transient",
     "PeriodDriver",
     "fundamental_component",
@@ -102,13 +99,6 @@ class RectPhase(IntEnum):
     OFF = kernels.RECT_OFF
     D1 = kernels.RECT_D1
     D2 = kernels.RECT_D2
-
-
-class SwitchPhase(IntEnum):
-    HIGH_ON = kernels.SEG_HIGH
-    DEAD_TO_LOW = kernels.SEG_DEAD_TO_LOW
-    LOW_ON = kernels.SEG_LOW
-    DEAD_TO_HIGH = kernels.SEG_DEAD_TO_HIGH
 
 
 @dataclass(frozen=True)
@@ -340,56 +330,6 @@ def stored_energy(tank: TankParams, state: SimState) -> float:
                   + tank.Lm * state.iLm ** 2 + tank.Cout * state.vOut ** 2)
 
 
-def step(tank: TankParams, state: SimState, h: float, vsw: float,
-         load: LoadSpec) -> SimState:
-    """Advance one RK4 step with the conduction mode frozen.
-
-    No event handling: the caller owns mode bookkeeping.  Used for order
-    checks and as a building block in tests.
-    """
-    lv = load.value_at(state.t)
-    iLr, vCr, iLm, vOut = kernels.rk4_step(
-        state.iLr, state.vCr, state.iLm, state.vOut, h, vsw, int(state.rect),
-        tank.Lr, tank.Cr, tank.Lm, tank.n, tank.Vf, tank.Cout,
-        load.kind_code(), lv)
-    return replace(state, t=state.t + h, iLr=iLr, vCr=vCr, iLm=iLm, vOut=vOut)
-
-
-def bisect_event(g, lo: float, hi: float, tol: float = 1e-15,
-                 max_iter: int = kernels.BISECT_MAX) -> float:
-    """Locate a sign change of ``g`` on [lo, hi] by plain bisection.
-
-    Raises EventLocalizationFailure when the bracket is still wider than
-    ``tol`` after ``max_iter`` halvings.
-    """
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        raise ValueError("no sign change on the bracket")
-    it = 0
-    while hi - lo > tol:
-        if it >= max_iter:
-            raise EventLocalizationFailure(
-                f"bracket still {hi - lo:.3e} wide after {max_iter} bisections")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        g_m = g(mid)
-        if g_m == 0.0:
-            return mid
-        if (g_m > 0.0) == (g_lo > 0.0):
-            lo = mid
-            g_lo = g_m
-        else:
-            hi = mid
-        it += 1
-    return 0.5 * (lo + hi)
-
-
 def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
     """Sinusoidal-approximation seed for the state at a high-side turn-on.
 
@@ -517,10 +457,12 @@ class PeriodDriver:
                 dt_eff, tol_t, stride, self._rec, 0, self._ev, 0, self._acc)
             err = out[0]
             if err == kernels.ERR_RECORD_FULL:
-                self._acc[:] = acc_before
                 self._grow_rec()
-                continue
-            break
+            elif err == kernels.ERR_EVENT_FULL:
+                self._ev = np.empty((2 * self._ev.shape[0], 2))
+            else:
+                break
+            self._acc[:] = acc_before
         (_, rec_n, ev_n, rect, clamp_out,
          iLr, vCr, iLm, vOut, m0, m1, m2, m3) = out
         if err == kernels.ERR_EVENT_LOC:

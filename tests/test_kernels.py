@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from llckit import kernels
-from llckit.sim import bisect_event, EventLocalizationFailure
 
 LR = 37e-6
 CR = 68e-9
@@ -56,7 +55,7 @@ class TestRk4Order:
             return (vin / zp) * math.sin(wp * h), vin * (1 - math.cos(wp * h))
 
         def one_step_err(h):
-            i1, v1, im1, _ = kernels.rk4_step(
+            i1, v1, im1, _ = kernels._rk4(
                 0.0, 0.0, 0.0, 0.0, h, vin, kernels.RECT_OFF,
                 LR, CR, LM, N, 0.0, COUT, RES, 24.0)
             ie, ve = exact(h)
@@ -109,6 +108,20 @@ class TestEventLocation:
         assert ons.shape[0] == 1
         assert abs(ons[0, 0] - t_true) < 1e-10
         assert out["rect"] != kernels.RECT_OFF
+
+    def test_event_located_at_step_end_keeps_its_slot(self):
+        # with a tolerance wider than the step, bisection returns the full
+        # step: the D2 turn-on must still be applied as such, not fall
+        # through to the dead-time clamp branch of an on-segment
+        vin = 48.0
+        out = call_segment(np.array([0.5, vin, 0.5, 5.0]), 0.0, 6e-6,
+                           kernels.SEG_HIGH, 0, kernels.RECT_OFF, vin,
+                           1e12, 3e-9, tol_t=1.0, Cout=1.0)
+        codes = out["ev"][:, 1]
+        assert np.count_nonzero(codes == kernels.EV_D2_ON) == 1
+        assert not np.any((codes == kernels.EV_CLAMP_HIGH)
+                          | (codes == kernels.EV_CLAMP_LOW))
+        assert np.all(out["rec"][:, 5] == vin)
 
     def test_record_times_strictly_increase_through_events(self):
         vin = 48.0
@@ -164,20 +177,6 @@ class TestEnergyAccounting:
                           kernels.RECT_D1, 48.0, 24.0, 2e-9)
         assert hi["acc"][0] != 0.0
         assert lo["acc"][0] == 0.0
-
-
-class TestBisectUtility:
-    def test_linear_crossing(self):
-        t = bisect_event(lambda x: x - 0.3, 0.0, 1.0, tol=1e-13)
-        assert abs(t - 0.3) < 1e-12
-
-    def test_requires_sign_change(self):
-        with pytest.raises(ValueError):
-            bisect_event(lambda x: x + 2.0, 0.0, 1.0)
-
-    def test_iteration_cap_raises(self):
-        with pytest.raises(EventLocalizationFailure):
-            bisect_event(lambda x: x - 0.3, 0.0, 1.0, tol=1e-14, max_iter=3)
 
 
 NUMBA_PRESENT = importlib.util.find_spec("numba") is not None

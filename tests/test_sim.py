@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from llckit import sim
 from llckit.gain import gain
 from llckit.sim import (
     CHANNELS,
@@ -227,6 +228,24 @@ class TestEnergyBalance:
         de = stored_energy(TANK, res.final_state)  # cold start stores zero
         assert e_src > 0.0
         assert abs(e_src - e_load - de) < 1e-4 * e_src
+
+
+class TestBufferGrowth:
+    def test_event_log_overflow_grows_the_event_log(self, monkeypatch):
+        # a one-row event log fills at the first transition; the driver must
+        # grow it and rerun the span, leaving every output as a default run
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=F0,
+                        load=LoadSpec.resistance(RL), t_end=50e-6)
+        ref = run_transient(cfg, warm_start_state(cfg))
+        monkeypatch.setattr(sim, "_EV_CAP", 1)
+        res = run_transient(cfg, warm_start_state(cfg))
+        assert res.events == ref.events
+        assert res.zvs == ref.zvs
+        assert res.energy == ref.energy
+        assert res.final_state == ref.final_state
+        assert np.array_equal(res.waveform.t, ref.waveform.t)
+        for name in CHANNELS:
+            assert np.array_equal(res.waveform[name], ref.waveform[name])
 
 
 class TestStepSizeConvergence:
