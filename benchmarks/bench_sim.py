@@ -74,8 +74,8 @@ def main() -> int:
     from llckit._accel import NUMBA_AVAILABLE
     from llckit.sim import STEPS_PER_PERIOD
 
-    arms = (("numpy", "0"), ("numba", "1")) if NUMBA_AVAILABLE else (
-        ("numpy", "0"),)
+    arms = (("python", "0"), ("numba", "1")) if NUMBA_AVAILABLE else (
+        ("python", "0"),)
     results = {}
     for label, flag in arms:
         env = dict(os.environ, LLCKIT_JIT=flag)
@@ -89,7 +89,7 @@ def main() -> int:
         results[label] = json.loads(r.stdout)
 
     if (NUMBA_AVAILABLE
-            and results["numpy"]["checksum"] != results["numba"]["checksum"]):
+            and results["python"]["checksum"] != results["numba"]["checksum"]):
         print("warning: the two paths disagree, timings are not comparable",
               file=sys.stderr)
         return 1
@@ -99,11 +99,12 @@ def main() -> int:
           f"~{steps:.0f} integration steps, best of {args.repeat}")
     for label, res in results.items():
         e = res["elapsed"]
-        print(f"  {label:6s} {e:8.3f} s   {steps / e / 1e6:7.2f} Msteps/s")
+        print(f"  {label:6s} {e:8.3f} s   {steps / e / 1e6:7.2f} Msteps/s"
+              f"   {e / steps * 1e6:7.3f} us/step")
     if not NUMBA_AVAILABLE:
         print(f"  {'numba':6s} unavailable (not installed)")
         return 0
-    speedup = results["numpy"]["elapsed"] / results["numba"]["elapsed"]
+    speedup = results["python"]["elapsed"] / results["numba"]["elapsed"]
     print(f"  speedup {speedup:.1f}x")
     return 0
 

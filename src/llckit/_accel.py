@@ -4,7 +4,7 @@ The switched-circuit integrator spends nearly all of its time stepping a
 four-state ODE a few thousand times per switching period.  When numba is
 importable those kernels are compiled with ``@njit``; otherwise, or when the
 environment variable ``LLCKIT_JIT`` is set to ``0``/``off``/``false``, the
-same functions run as plain Python over numpy scalars.  Both paths execute
+same functions run as plain Python over Python floats.  Both paths execute
 the identical arithmetic in the identical order, so results match bit for
 bit (no fastmath, no reassociation).
 

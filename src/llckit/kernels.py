@@ -5,8 +5,9 @@ phase) mode the four states
 
     x = (iLr, vCr, iLm, vOut)
 
-obey a constant-coefficient ODE, integrated here with classic fixed-step
-RK4.  Mode boundaries are located by bisection on the event functions:
+obey a constant-coefficient ODE (``_derivs``), integrated here with classic
+fixed-step RK4.  Mode boundaries are located by bisection on the event
+functions:
 
   * diode turn-off: secondary current n (iLr - iLm) falling through zero,
   * diode turn-on: open-rectifier magnetizing voltage
@@ -16,6 +17,18 @@ RK4.  Mode boundaries are located by bisection on the event functions:
 
 When several fire inside one step the earliest located one is applied; a
 tie goes to the one listed first.
+
+RK4 of an affine ODE over a fixed step is itself an affine map, so each
+kind of step is taken as follows:
+
+  * a full grid step applies the mode's map x+ = x + D x + q, whose
+    coefficients ``_mode_map`` reads off ``_rk4`` once per mode (at segment
+    entry and after each transition), not once per step;
+  * a partial step (the sub-step up to a located event and the rest of the
+    step after it) and any step across a current sink's cut-off at
+    vOut = 0, where the load is not affine, run the stage form ``_rk4``;
+  * a bisection probe runs ``_rk4`` from the step's start state, so a
+    located event and the row recorded at it do not depend on the map.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state.  Everything here is scalar
@@ -239,6 +252,37 @@ def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
     return rec_n
 
 
+def _mode_map(h, vsw, rect, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
+    """One RK4 step of length h in one mode as x+ = x + D x + q.
+
+    Read off ``_rk4`` itself, so the mode ODE stays defined only in
+    ``_derivs``: each unit vector stepped with the inputs off (no bridge
+    voltage, diode drop or sink current) gives a column of I + D, and a
+    base point stepped with them on gives q.  A current sink's base point
+    sits above ground by more than the sink can pull in one step, so every
+    RK4 stage from it sees the sink on.  Returns D row by row, then q.
+    """
+    lin = load_val if load_kind == LOAD_RES else 0.0
+    p00, p10, p20, p30 = _rk4(1.0, 0.0, 0.0, 0.0, h, 0.0, rect,
+                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
+    p01, p11, p21, p31 = _rk4(0.0, 1.0, 0.0, 0.0, h, 0.0, rect,
+                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
+    p02, p12, p22, p32 = _rk4(0.0, 0.0, 1.0, 0.0, h, 0.0, rect,
+                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
+    p03, p13, p23, p33 = _rk4(0.0, 0.0, 0.0, 1.0, h, 0.0, rect,
+                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
+    vb = 0.0
+    if load_kind == LOAD_CUR:
+        vb = 1.0 + 2.0 * h * load_val / Cout
+    b0, b1, b2, b3 = _rk4(0.0, 0.0, 0.0, vb, h, vsw, rect,
+                          Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
+    return (p00 - 1.0, p01, p02, p03,
+            p10, p11 - 1.0, p12, p13,
+            p20, p21, p22 - 1.0, p23,
+            p30, p31, p32, p33 - 1.0,
+            b0 - vb * p03, b1 - vb * p13, b2 - vb * p23, b3 - vb * p33)
+
+
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
                       dt_max, tol_t, stride, rec, rec_n, ev, ev_n, acc):
@@ -246,7 +290,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
     rec is a (cap, 9) float64 record buffer filled from row ``rec_n``; ev a
     (cap, 2) event log (t, code).  acc[0] accumulates source energy and
-    acc[1] load energy (trapezoid per accepted substep).  Returns
+    acc[1] load energy (trapezoid per accepted substep, summed over the
+    span and added once at its end).  Returns
 
         (err, rec_n, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut)
@@ -298,32 +343,73 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             n_steps = 1
         dt = span / n_steps
 
+    # per-mode quantities, refreshed at entry and after each transition:
+    # the full-step map, the start-of-step event values and slot-0
+    # direction, and the source and load power at the current state
+    stale = True
+    d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = 0.0
+    d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = 0.0
+    q0 = q1 = q2 = q3 = 0.0
+    a0 = a1_ = a2_ = 0.0
+    dir0 = 0
+    p_src = p_load = 0.0
+    # energy of this call, added to acc once at the end
+    e_src = e_load = 0.0
+
     for k in range(n_steps):
         t_b = t1 if k == n_steps - 1 else t0 + dt * (k + 1)
         t_cur = t0 + dt * k if k > 0 else t0
         guard = 0
         while t_cur < t_b:
+            if stale:
+                (d00, d01, d02, d03, d10, d11, d12, d13,
+                 d20, d21, d22, d23, d30, d31, d32, d33,
+                 q0, q1, q2, q3) = _mode_map(dt, vsw, rect, Lr, Cr, Lm, n, Vf,
+                                             Cout, load_kind, load_val)
+                a0, a1_, a2_ = _event_values(iLr, vCr, iLm, vOut, vsw, rect,
+                                             is_dead, Lr, Lm, n, Vf)
+                # slot directions: rect event rises in Off (clamp reached)
+                # and falls in D1/D2 (current zero); dead-clamp flips either
+                # way
+                dir0 = 0 if rect == RECT_OFF else 1
+                p_src = vin * iLr if node_hi == 1 else 0.0
+                p_load = vOut * _iload(vOut, load_kind, load_val)
+                stale = False
             h = t_b - t_cur
-            ni, nc, nm, no = _rk4(iLr, vCr, iLm, vOut, h, vsw, rect,
-                                  Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-            a0, a1_, a2_ = _event_values(iLr, vCr, iLm, vOut, vsw, rect,
-                                         is_dead, Lr, Lm, n, Vf)
+            # a full step by the mode's map, unless a current sink is off
+            # at the step's start or end
+            affine = guard == 0 and (load_kind == LOAD_RES or vOut > 0.0)
+            if affine:
+                # an open rectifier moves iLm by iLr's increment, so the two
+                # stay equal
+                di = d00 * iLr + d01 * vCr + d02 * iLm + d03 * vOut + q0
+                ni = iLr + di
+                if rect != RECT_OFF:
+                    di = d20 * iLr + d21 * vCr + d22 * iLm + d23 * vOut + q2
+                nm = iLm + di
+                nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm + d13 * vOut
+                            + q1)
+                no = vOut + (d30 * iLr + d31 * vCr + d32 * iLm + d33 * vOut
+                             + q3)
+                affine = load_kind == LOAD_RES or no > 0.0
+            if not affine:
+                ni, nc, nm, no = _rk4(iLr, vCr, iLm, vOut, h, vsw, rect,
+                                      Lr, Cr, Lm, n, Vf, Cout, load_kind,
+                                      load_val)
             b0, b1_, b2_ = _event_values(ni, nc, nm, no, vsw, rect,
                                          is_dead, Lr, Lm, n, Vf)
-            # slot directions: rect event rises in Off (clamp reached) and
-            # falls in D1/D2 (current zero); dead-clamp flips either way
-            dir0 = 0 if rect == RECT_OFF else 1
             fired0 = _fired(a0, b0, dir0)
             fired1 = rect == RECT_OFF and _fired(a1_, b1_, 0)
             fired2 = is_dead and _fired(a2_, b2_, 2)
             if not (fired0 or fired1 or fired2):
                 # accepted step: energy, extrema, invariants, record
-                p_src_a = vin * iLr if node_hi == 1 else 0.0
                 p_src_b = vin * ni if node_hi == 1 else 0.0
-                il_a = _iload(vOut, load_kind, load_val)
-                il_b = _iload(no, load_kind, load_val)
-                acc[0] += 0.5 * (p_src_a + p_src_b) * h
-                acc[1] += 0.5 * (vOut * il_a + no * il_b) * h
+                p_load_b = no * _iload(no, load_kind, load_val)
+                e_src += 0.5 * (p_src + p_src_b) * h
+                e_load += 0.5 * (p_load + p_load_b) * h
+                p_src = p_src_b
+                p_load = p_load_b
+                a0, a1_, a2_ = b0, b1_, b2_
                 iLr, vCr, iLm, vOut = ni, nc, nm, no
                 t_cur = t_b
                 if abs(iLr) > max_ilr:
@@ -386,12 +472,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
             ei, ec, em, eo = _rk4(iLr, vCr, iLm, vOut, h_star, vsw, rect,
                                   Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-            p_src_a = vin * iLr if node_hi == 1 else 0.0
             p_src_b = vin * ei if node_hi == 1 else 0.0
-            il_a = _iload(vOut, load_kind, load_val)
-            il_b = _iload(eo, load_kind, load_val)
-            acc[0] += 0.5 * (p_src_a + p_src_b) * h_star
-            acc[1] += 0.5 * (vOut * il_a + eo * il_b) * h_star
+            e_src += 0.5 * (p_src + p_src_b) * h_star
+            e_load += 0.5 * (p_load + eo * _iload(eo, load_kind, load_val)
+                             ) * h_star
             iLr, vCr, iLm, vOut = ei, ec, em, eo
             t_ev = t_cur + h_star
             t_cur = t_ev
@@ -405,6 +489,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 max_vout = abs(vOut)
 
             # apply the transition
+            stale = True
             code = 0
             if slot_star == 0:
                 if rect == RECT_D1:
@@ -461,6 +546,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         if err != ERR_OK:
             break
 
+    acc[0] += e_src
+    acc[1] += e_load
     return (err, rec_n, ev_n, rect, clamp_hi,
             iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
 
@@ -472,6 +559,7 @@ _event_values = maybe_njit(_event_values)
 _fired = maybe_njit(_fired)
 _bisect_event = maybe_njit(_bisect_event)
 _settle = maybe_njit(_settle)
+_mode_map = maybe_njit(_mode_map)
 _put_event = maybe_njit(_put_event)
 _put_row = maybe_njit(_put_row)
 integrate_segment = maybe_njit(integrate_segment)

@@ -56,6 +56,7 @@ __all__ = [
 CHANNELS = ("vsw", "iLr", "vCr", "iLm", "vOut", "iOut", "gateHS", "gateLS")
 
 STEPS_PER_PERIOD = 2000  # default resolution behind dt_max
+_CSV_BLOCK = 256  # waveform rows formatted per block in Waveform.to_csv
 
 _EVENT_NAMES = {
     kernels.EV_D1_ON: "D1_on",
@@ -292,11 +293,15 @@ class Waveform:
         return tuple(self.channels)
 
     def to_csv(self, path) -> None:
-        cols = [self.t] + [self.channels[k] for k in self.names]
+        cols = [np.asarray(c, dtype=float)
+                for c in [self.t] + [self.channels[k] for k in self.names]]
         with open(path, "w", encoding="utf-8") as f:
             f.write(",".join(("t",) + self.names) + "\n")
-            for i in range(self.t.size):
-                f.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+            # whole columns at a time, a block of rows at a time so the
+            # Python lists stay small
+            for i in range(0, self.t.size, _CSV_BLOCK):
+                texts = [map(repr, c[i:i + _CSV_BLOCK].tolist()) for c in cols]
+                f.writelines(",".join(row) + "\n" for row in zip(*texts))
 
     @classmethod
     def from_csv(cls, path) -> "Waveform":
@@ -404,8 +409,11 @@ class PeriodDriver:
         self.reset(initial if initial is not None else zero_state())
 
     def reset(self, state: SimState) -> None:
-        self.t = state.t
-        self._x = [state.iLr, state.vCr, state.iLm, state.vOut]
+        # Python floats: a numpy scalar here would make every kernel
+        # operation a numpy-scalar one, several times slower
+        self.t = float(state.t)
+        self._x = [float(state.iLr), float(state.vCr), float(state.iLm),
+                   float(state.vOut)]
         self._rect = int(state.rect)
         self._chunks: list = []
         self._events: list = []
@@ -490,6 +498,7 @@ class PeriodDriver:
     def advance_period(self, fsw: float, t_stop: float = math.inf) -> None:
         """Run (up to) one full switching period at the commanded frequency."""
         cfg = self.cfg
+        fsw = float(fsw)
         period = 1.0 / fsw
         td = cfg.tank.t_dead
         if 2.0 * td >= period:

@@ -6,10 +6,14 @@ off, a fixed bridge voltage while one is on, a time-ordered record, events
 inside the span, and the same bytes from the same inputs.  A call may end
 in a mode violation or chatter; the rows and events written up to that
 point must still obey the invariants.
+
+A full step by a mode's affine map must also agree with the stage-form
+RK4 step it stands for, in every rectifier phase, on both rails and for
+both load kinds.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llckit import kernels
@@ -107,3 +111,71 @@ def test_segment_invariants(p):
     assert again[1].tobytes() == rec.tobytes()
     assert again[2].tobytes() == ev.tobytes()
     assert again[3].tobytes() == acc.tobytes()
+
+
+@st.composite
+def map_steps(draw):
+    rect = draw(st.sampled_from((kernels.RECT_OFF, kernels.RECT_D1,
+                                 kernels.RECT_D2)))
+    seg = draw(st.sampled_from((kernels.SEG_HIGH, kernels.SEG_LOW)))
+    vin = draw(st.floats(0.0, 100.0))
+    vsw = vin if seg == kernels.SEG_HIGH else 0.0
+    vf = draw(st.floats(0.0, 1.0))
+    load_kind = draw(st.sampled_from((kernels.LOAD_RES, kernels.LOAD_CUR)))
+    if load_kind == kernels.LOAD_RES:
+        load_val = draw(st.floats(1.0, 1e4))
+        vout = draw(st.floats(0.0, 30.0))
+    else:
+        # the sink stays on through the step only well above ground
+        load_val = draw(st.floats(0.0, 2.0))
+        vout = draw(st.floats(1.0, 30.0))
+    ilr = draw(st.floats(-2.0, 2.0))
+    if rect == kernels.RECT_OFF:
+        # short of either clamp, so no diode turns on inside the step
+        u = draw(st.floats(-0.9, 0.9))
+        vcr = vsw - (LR + LM) / LM * u * N * (vout + vf)
+        ilm = ilr
+    else:
+        vcr = draw(st.floats(-100.0, 150.0))
+        isec = draw(st.floats(0.05, 1.0))
+        ilm = ilr - isec if rect == kernels.RECT_D1 else ilr + isec
+    return dict(x0=(ilr, vcr, ilm, vout), seg=seg, rect=rect, vin=vin,
+                vsw=vsw, Vf=vf, Cout=draw(st.floats(1e-6, 1e-4)),
+                load_kind=load_kind, load_val=load_val,
+                dt=draw(st.floats(1e-9, 5e-8)),
+                t0=draw(st.floats(0.0, 1e-3)))
+
+
+def _close(got, ref):
+    got = np.asarray(got)
+    ref = np.asarray(ref)
+    return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(map_steps())
+def test_map_step_matches_rk4(p):
+    x = p["x0"]
+    t0 = p["t0"]
+    t1 = t0 + p["dt"]
+    h = t1 - t0  # the step the kernel takes over [t0, t1]
+    ode = (LR, CR, LM, N, p["Vf"], p["Cout"], p["load_kind"], p["load_val"])
+    ref = kernels._rk4(*x, h, p["vsw"], p["rect"], *ode)
+
+    # the coefficients themselves
+    m = kernels._mode_map(h, p["vsw"], p["rect"], *ode)
+    d = np.reshape(m[:16], (4, 4))
+    assert _close(np.asarray(x) + d @ np.asarray(x) + np.asarray(m[16:]), ref)
+
+    # one full step of the kernel, which takes it by the map
+    rec = np.zeros((8, kernels.REC_COLS))
+    ev = np.zeros((8, 2))
+    acc = np.zeros(2)
+    out = kernels.integrate_segment(
+        *x, t0, t1, p["seg"], 0, p["rect"], p["vin"], *ode[:6],
+        p["load_kind"], p["load_val"], h, 1e-18, 1, rec, 0, ev, 0, acc)
+    assume(out[0] == kernels.ERR_OK and out[2] == 0)
+    assert out[3] == p["rect"]
+    assert _close(out[5:9], ref)
+    if p["rect"] == kernels.RECT_OFF:
+        assert out[5] == out[7]

@@ -179,6 +179,57 @@ class TestEnergyAccounting:
         assert lo["acc"][0] == 0.0
 
 
+class TestSinkCutoff:
+    @pytest.mark.parametrize("rect, x0, steps", [
+        # open rectifier with a small tank current, far from either clamp:
+        # the sink drains the output through 0 V in the first step and is
+        # off after it
+        (kernels.RECT_OFF, (0.05, 47.5, 0.05, 1e-5), 19.4),
+        # D1 charging the output up from 0 V, where the sink is off at the
+        # start of the step and on at its end
+        (kernels.RECT_D1, (0.6, 20.0, 0.1, 0.0), 1.0),
+    ])
+    def test_segment_across_cutoff_matches_hand_rk4_loop(self, rect, x0,
+                                                         steps):
+        # the load is not affine across the sink's cut-off, so every step
+        # here must be the stage-form RK4 step, bit for bit
+        vin, il, vf = 48.0, 0.5, 0.5
+        t0 = 1e-6
+        dt_max = 5e-9
+        t1 = t0 + steps * dt_max
+        rec = np.empty((64, kernels.REC_COLS))
+        ev = np.empty((8, 2))
+        acc = np.zeros(2)
+        out = kernels.integrate_segment(
+            *x0, t0, t1, kernels.SEG_HIGH, 0, rect, vin,
+            LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR, il, dt_max, 1e-18, 1,
+            rec, 0, ev, 0, acc)
+        assert out[0] == kernels.ERR_OK
+        assert out[2] == 0
+
+        n_steps = math.ceil((t1 - t0) / dt_max)
+        dt = (t1 - t0) / n_steps
+        x = x0
+        rows = [(t0,) + x0]
+        e_src = e_load = 0.0
+        for k in range(n_steps):
+            t_b = t1 if k == n_steps - 1 else t0 + dt * (k + 1)
+            t_cur = t0 + dt * k if k > 0 else t0
+            h = t_b - t_cur
+            nx = kernels._rk4(*x, h, vin, rect, LR, CR, LM, N, vf, COUT,
+                              kernels.LOAD_CUR, il)
+            e_src += 0.5 * (vin * x[0] + vin * nx[0]) * h
+            e_load += 0.5 * (x[3] * kernels._iload(x[3], 1, il)
+                             + nx[3] * kernels._iload(nx[3], 1, il)) * h
+            x = nx
+            rows.append((t_b,) + x)
+        assert (x0[3] > 0.0) != (rows[1][4] > 0.0)  # the first step crosses
+
+        assert out[5:9] == x
+        assert rec[:out[1], :5].tobytes() == np.array(rows).tobytes()
+        assert acc.tobytes() == np.array([e_src, e_load]).tobytes()
+
+
 NUMBA_PRESENT = importlib.util.find_spec("numba") is not None
 
 _PAR_SCRIPT = """

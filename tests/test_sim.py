@@ -248,6 +248,36 @@ class TestBufferGrowth:
             assert np.array_equal(res.waveform[name], ref.waveform[name])
 
 
+class TestNumpyScalarInputs:
+    def test_numpy_scalar_state_and_frequency_run_as_floats(self):
+        # a solver's trial state and a controller's command arrive as
+        # numpy scalars; the driver must run them as the float run does
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=F0,
+                        load=LoadSpec.resistance(RL), t_end=1.0)
+        seed = warm_start_state(cfg)
+        seed_np = SimState(np.float64(seed.t), np.float64(seed.iLr),
+                           np.float64(seed.vCr), np.float64(seed.iLm),
+                           np.float64(seed.vOut), seed.rect)
+        runs = []
+        for state, fsw in ((seed, F0), (seed_np, np.float64(F0))):
+            drv = sim.PeriodDriver(cfg)
+            drv.reset(state)
+            for _ in range(3):
+                drv.advance_period(fsw)
+            runs.append((drv.state, drv.result()))
+        (st_f, res_f), (st_np, res_np) = runs
+        for name in ("t", "iLr", "vCr", "iLm", "vOut"):
+            assert type(getattr(st_np, name)) is float
+        assert st_np == st_f
+        assert res_np.waveform.t.tobytes() == res_f.waveform.t.tobytes()
+        for name in CHANNELS:
+            assert (res_np.waveform[name].tobytes()
+                    == res_f.waveform[name].tobytes())
+        assert res_np.events == res_f.events
+        assert res_np.zvs == res_f.zvs
+        assert repr(res_np.energy) == repr(res_f.energy)
+
+
 class TestStepSizeConvergence:
     def test_halving_dt_leaves_final_state_unchanged(self):
         finals = []
@@ -329,6 +359,29 @@ class TestWaveformCsv:
         assert np.array_equal(back.t, wf.t)
         for nm in wf.names:
             assert np.array_equal(back[nm], wf[nm])
+
+    @pytest.mark.parametrize("block", [sim._CSV_BLOCK, 3])
+    def test_bytes_match_row_by_row_formatting(self, tmp_path, monkeypatch,
+                                               block):
+        # the column-wise writer must emit what formatting one row at a
+        # time does, for negative, subnormal and integral values alike,
+        # and across the boundary between two blocks of rows
+        monkeypatch.setattr(sim, "_CSV_BLOCK", block)
+        t = np.array([0.0, 1e-7, 2.5e-7, 1.0])
+        chans = {
+            "vsw": np.array([48.0, 0.0, -0.0, 48.0]),
+            "iLr": np.array([-1.25, 5e-324, -2.2250738585072014e-309, 3.0]),
+            "vOut": np.array([12.000000000000002, -1e300, 1.0 / 3.0, 7.0]),
+            "gateHS": np.array([1.0, 0.0, 1.0, 0.0]),
+        }
+        wf = Waveform(t=t, channels=chans)
+        p = tmp_path / "wave.csv"
+        wf.to_csv(p)
+        cols = [t] + list(chans.values())
+        expected = ",".join(("t",) + tuple(chans)) + "\n" + "".join(
+            ",".join(repr(float(c[i])) for c in cols) + "\n"
+            for i in range(t.size))
+        assert p.read_bytes() == expected.encode("utf-8")
 
     def test_zero_span_run_writes_header_only(self, tmp_path):
         cfg = full_load_cfg(F0, 0)
