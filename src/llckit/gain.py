@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .tank import DesignRequirements, NormalizedPoint, TankParams
 
@@ -223,25 +223,26 @@ def asymptotic_gain(Ln: float) -> float:
 def peak_gain(Ln: float, Qe: float) -> tuple[float, float]:
     """Locate (fn_peak, Mg_peak) of the finite resonant peak for Qe > 0.
 
-    Bracketed scalar maximization on [fp/f0 + 1e-6, 1] to |dfn| < 1e-9.  The
-    right endpoint fn = 1 (where |Mg| = 1) is kept as a candidate so that
-    Mg_peak >= 1 holds even when huge Qe pushes the peak onto the boundary.
-    Qe = 0 is rejected: its pole makes the peak unbounded.
+    With a = Ln + 1, c = (Qe Ln)^2 and u = 1/fn^2, the peak is the
+    stationary point of |Mg|^-2, the root of
+
+        h(u) = 2 u^2 (u - a) + c (u^2 - 1),
+
+    which has exactly one positive root, inside (1, a) because h(1) = -2 Ln
+    < 0 and h(a) = c (a^2 - 1) > 0; so fp/f0 < fn_peak <= 1.  Qe = 0 is
+    rejected: its pole makes the peak unbounded.
     """
     if Ln <= 1:
         raise ValueError("Ln must exceed 1")
     if Qe <= 0:
         raise ValueError("peak_gain requires Qe > 0 (no finite peak at no load)")
-    lo = 1.0 / math.sqrt(Ln + 1.0) + 1e-6
-    hi = 1.0
-    res = minimize_scalar(lambda f: -gain_magnitude(Ln, Qe, f),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9, "maxiter": 2000})
-    fn_peak = float(res.x)
-    mg_peak = gain_magnitude(Ln, Qe, fn_peak)
-    if gain_magnitude(Ln, Qe, hi) >= mg_peak:
-        fn_peak, mg_peak = hi, gain_magnitude(Ln, Qe, hi)
-    return fn_peak, mg_peak
+    a = Ln + 1.0
+    c = (Qe * Ln) ** 2
+    # factored so that h(1) = 2 (1 - a) does not cancel against c
+    u = brentq(lambda u: 2.0 * u * u * (u - a) + c * (u * u - 1.0), 1.0, a,
+               xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    fn_peak = 1.0 / math.sqrt(u)
+    return fn_peak, gain_magnitude(Ln, Qe, fn_peak)
 
 
 def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .tank import TankParams, effective_load, normalize, series_resonance
-from .gain import GainPoleError, gain
+from .gain import GainPoleError, gain, tank_input_impedance
 
 __all__ = [
     "RectPhase",
@@ -212,7 +212,6 @@ class SimConfig:
     dt_max: float | None = None  # default: period / STEPS_PER_PERIOD
     record_stride: int = 8  # keep every k-th integration step
     soft_start: float = 0.0  # frequency-ramp duration from cold start
-    soft_start_from: float | None = None  # ramp origin, default 2 * f0
     channels: tuple[str, ...] | None = None  # None keeps all channels
 
     def __post_init__(self):
@@ -340,23 +339,25 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
 
     Estimates the resonant current and capacitor phasors from the
     fundamental of the bridge voltage and the tank input impedance, and
-    places the magnetizing current at its negative triangle peak.  Rough by
-    construction; meant to cut the settling transient, not replace it.
+    places the magnetizing current at its negative triangle peak.  At no
+    load no diode conducts, so the magnetizing current equals the resonant
+    one.  Rough by construction; meant to cut the settling transient, not
+    replace it.
     """
     tank = cfg.tank
-    f0 = series_resonance(tank)
-    fn = cfg.fsw / f0
     lv = cfg.load.value_at(0.0)
+
+    def load_re(vout: float) -> float:
+        if cfg.load.kind == "resistance":
+            rl = lv
+        else:
+            rl = math.inf if lv == 0.0 else max(vout, 1e-3) / lv
+        return effective_load(tank.n, rl)
 
     if vout is None:
         vout = 0.0
         for _ in range(8):
-            if cfg.load.kind == "resistance":
-                rl = lv
-            else:
-                rl = math.inf if lv == 0.0 else max(vout, 1e-3) / lv
-            re = effective_load(tank.n, rl)
-            pt = normalize(tank, re, cfg.fsw)
+            pt = normalize(tank, load_re(vout), cfg.fsw)
             try:
                 mg = gain(pt).Mg
             except GainPoleError:
@@ -367,25 +368,21 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
                 break
             vout = vout_new
 
-    if cfg.load.kind == "resistance":
-        rl = lv
-    else:
-        rl = math.inf if lv == 0.0 else max(vout, 1e-3) / lv
-    re = effective_load(tank.n, rl)
-
+    re = load_re(vout)
     w = 2.0 * math.pi * cfg.fsw
-    zs = 1j * w * tank.Lr + 1.0 / (1j * w * tank.Cr)
-    zm = 1j * w * tank.Lm
-    z = zs + zm if math.isinf(re) else zs + (zm * re) / (zm + re)
     v1 = 2.0 * cfg.vin / math.pi  # peak fundamental of the bridge voltage
-    i_ph = v1 / z
+    i_ph = v1 / tank_input_impedance(tank, re, cfg.fsw)
     vc_ph = i_ph / (1j * w * tank.Cr)
-    ilm_peak = tank.n * (vout + tank.Vf) / (4.0 * tank.Lm * cfg.fsw)
+    ilr = i_ph.imag
+    if math.isinf(re):
+        ilm = ilr
+    else:
+        ilm = -tank.n * (vout + tank.Vf) / (4.0 * tank.Lm * cfg.fsw)
     return SimState(
         t=0.0,
-        iLr=i_ph.imag,
+        iLr=ilr,
         vCr=0.5 * cfg.vin + vc_ph.imag,
-        iLm=-ilm_peak,
+        iLm=ilm,
         vOut=vout,
         rect=RectPhase.OFF,
     )
@@ -591,9 +588,7 @@ class PeriodDriver:
 def _scheduled_fsw(cfg: SimConfig, t: float) -> float:
     if cfg.soft_start <= 0.0 or t >= cfg.soft_start:
         return cfg.fsw
-    start = cfg.soft_start_from
-    if start is None:
-        start = 2.0 * series_resonance(cfg.tank)
+    start = 2.0 * series_resonance(cfg.tank)
     return start + (cfg.fsw - start) * (t / cfg.soft_start)
 
 
@@ -601,9 +596,9 @@ def run_transient(cfg: SimConfig, initial: SimState | None = None) -> SimResult:
     """Integrate from ``initial`` (cold start by default) to ``cfg.t_end``.
 
     With ``cfg.soft_start`` set, the commanded frequency ramps linearly
-    from ``soft_start_from`` (default twice the series-resonant frequency)
-    down to ``cfg.fsw`` over that window, the standard way to keep inrush
-    current sane from an uncharged output.
+    from twice the series-resonant frequency down to ``cfg.fsw`` over that
+    window, the standard way to keep inrush current sane from an uncharged
+    output.
     """
     drv = PeriodDriver(cfg, initial, record=True)
     tiny = 1e-15 * max(1.0, abs(cfg.t_end))

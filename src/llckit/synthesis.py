@@ -32,6 +32,7 @@ from .tank import (
     NormalizedPoint,
     TankParams,
     derived_quantities,
+    effective_load,
     normalize,
     series_resonance,
 )
@@ -131,8 +132,7 @@ def synthesize_tank(req: DesignRequirements, n: float, Ln: float, Qe: float,
         raise ValueError("Qe must be positive")
     if n <= 0:
         raise ValueError("n must be positive")
-    rl = req.vout_nom / req.iout_max
-    re = 8.0 * n * n * rl / (math.pi * math.pi)
+    re = effective_load(n, req.vout_nom / req.iout_max)
     w0 = 2.0 * math.pi * req.f0_target
     cr = 1.0 / (w0 * Qe * re)
     lr = 1.0 / (w0 * w0 * cr)
@@ -233,7 +233,7 @@ def check_feasibility(tank: TankParams, req: DesignRequirements, n: float,
             fsw_band = (fn_lo * f0, fn_hi * f0)
             for fn_edge, qe_edge, name in ((fn_lo, qe_full, "high-gain"),
                                            (fn_hi, qe_light, "low-gain")):
-                region = classify_region(NormalizedPoint(ln, max(qe_edge, 1e-12), fn_edge))
+                region = classify_region(NormalizedPoint(ln, qe_edge, fn_edge))
                 if region is not Region.INDUCTIVE:
                     feasible = False
                     warnings.append(f"{name} band edge at fn={fn_edge:.4f} is {region.value}")
@@ -244,10 +244,8 @@ def check_feasibility(tank: TankParams, req: DesignRequirements, n: float,
 
     rounded, round_warn = round_components(tank, series)
     warnings.extend(round_warn)
-    qe_report = normalize(tank, derived_quantities(tank, req.vout_nom, req.iout_max).Re,
-                          f0).Qe
     return DesignReport(
-        requirements=req, n=n, Ln=ln, Qe=qe_report, tank=tank,
+        requirements=req, n=n, Ln=ln, Qe=qe_full, tank=tank,
         tank_rounded=rounded, band=band, fn_peak=fn_peak, Mg_peak=mg_peak,
         feasible=feasible, fsw_band=fsw_band, warnings=tuple(warnings))
 
@@ -261,28 +259,29 @@ def search_design_point(req: DesignRequirements, n: float,
     Mg_max and produce inductive, in-range band edges; among those the
     narrowest fsw band wins (first hit on ties, so the result is
     deterministic).  Default grids: Ln in 1.5..10 step 0.5, Qe in 0.1..1.0
-    step 0.05.
+    step 0.05.  Each candidate is judged in (Ln, Qe) alone:
+    :func:`synthesize_tank` builds a tank whose full-load Qe is the
+    candidate's, so its light-load Qe is Qe * iout_min / iout_max.
     """
     if ln_values is None:
         ln_values = [1.5 + 0.5 * k for k in range(18)]
     if qe_values is None:
         qe_values = [0.1 + 0.05 * k for k in range(19)]
+    light = req.iout_min / req.iout_max
     best: tuple[float, float] | None = None
     best_width = math.inf
     for ln in ln_values:
         band = gain_band(req, n, ln)
         for qe in qe_values:
-            tank = synthesize_tank(req, n, ln, qe)
-            qe_full, qe_light = _band_qe(tank, req)
-            _, mg_peak = peak_gain(ln, qe_full)
+            _, mg_peak = peak_gain(ln, qe)
             if mg_peak < (1.0 + min_headroom) * band.Mg_max:
                 continue
             try:
-                fn_lo = solve_frequency(ln, qe_full, band.Mg_max)
-                fn_hi = solve_frequency(ln, qe_light, band.Mg_min)
+                fn_lo = solve_frequency(ln, qe, band.Mg_max)
+                fn_hi = solve_frequency(ln, qe * light, band.Mg_min)
             except GainError:
                 continue
-            if classify_region(NormalizedPoint(ln, qe_full, fn_lo)) is not Region.INDUCTIVE:
+            if classify_region(NormalizedPoint(ln, qe, fn_lo)) is not Region.INDUCTIVE:
                 continue
             f0 = req.f0_target
             if fn_lo * f0 < req.fsw_min or fn_hi * f0 > req.fsw_max:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llckit.gain import (
     BelowAsymptote,
@@ -41,6 +43,7 @@ MG_PEAK_REF = 2.463307994583623
 FN_AT_0915 = 1.1079069470697585
 FN_AT_0915_NOLOAD = 1.1114110668731012
 FN_BOUNDARY_REF = 0.6078398204801932  # zero crossing of the input reactance
+EPS = np.finfo(float).eps
 
 
 def brute_mag(ln, qe, fn):
@@ -141,7 +144,7 @@ class TestPeakGain:
         assert 1.0 / math.sqrt(LN_REF + 1.0) < fn_pk < 1.0
 
     def test_matches_brute_force_grid(self):
-        """Million-point sweep agrees with the bracketed search within 1e-6."""
+        """Million-point sweep agrees with the stationary-point solve within 1e-6."""
         rng = np.random.default_rng(301)
         for _ in range(12):
             ln = rng.uniform(1.2, 8.0)
@@ -167,6 +170,26 @@ class TestPeakGain:
     def test_no_load_rejected(self):
         with pytest.raises(ValueError):
             peak_gain(LN_REF, 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 10.0))
+    def test_peak_is_the_stationary_point(self, ln, log_qe):
+        """The peak is the root of h(u) = 2u^3 + (c - 2a)u^2 - c, u = 1/fn^2,
+        to rounding, for loads from near-open to near-short."""
+        qe = 10.0 ** log_qe
+        fn_pk, mg_pk = peak_gain(ln, qe)
+        assert 1.0 / math.sqrt(ln + 1.0) < fn_pk <= 1.0
+        # |Mg(1)| = 1 exactly, but gain_magnitude forms (Ln + 1) fn^2 - 1,
+        # which drops the last bit of some Ln, so near a short circuit,
+        # where the peak merges into fn = 1, it reads up to 2 ulp below 1
+        assert mg_pk >= 1.0 - 4.0 * EPS
+        for side in (1.0 - 1e-7, 1.0 + 1e-7):
+            assert mg_pk >= gain_magnitude(ln, qe, fn_pk * side)
+        a = ln + 1.0
+        c = (qe * ln) ** 2
+        u = 1.0 / fn_pk**2
+        terms = (2.0 * u**3, (c - 2.0 * a) * u * u, -c)
+        assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
 
 
 class TestSolveFrequency:

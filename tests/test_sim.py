@@ -456,6 +456,24 @@ class TestWarmStart:
         mg = gain(normalize(TANK, re, cfg.fsw)).Mg
         assert abs(ws.vOut - mg * VIN / (2.0 * TANK.n)) < 1e-6
 
+    @staticmethod
+    def no_load_cfg(fsw):
+        return SimConfig(tank=TANK, vin=VIN, fsw=fsw,
+                         load=LoadSpec.current(0.0), t_end=2e-4)
+
+    def test_no_load_seed_has_no_magnetizing_offset(self):
+        """With no diode conducting, Lm carries the resonant current."""
+        for fsw in (100e3, 110e3, 130e3):
+            ws = warm_start_state(self.no_load_cfg(fsw))
+            assert ws.rect is RectPhase.OFF
+            assert ws.iLm == ws.iLr, fsw
+
+    @pytest.mark.parametrize("fsw", [100e3, 110e3, 130e3])
+    def test_no_load_seed_keeps_the_conduction_invariant(self, fsw):
+        cfg = self.no_load_cfg(fsw)
+        res = run_transient(cfg, warm_start_state(cfg))
+        assert res.final_state.t == pytest.approx(2e-4)
+
     def test_seed_enters_conduction_immediately(self):
         cfg = full_load_cfg(F0, 3)
         res = run_transient(cfg, warm_start_state(cfg))

@@ -1,6 +1,7 @@
 """Design synthesis and feasibility tests."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -188,7 +189,56 @@ class TestFeasibility:
         assert len(d["fsw_band"]) == 2
 
 
+def seeded_search(seed):
+    """A requirement set with a light load above zero, a turns ratio off
+    centre and random (Ln, Qe) grids, all drawn from ``seed``."""
+    rng = random.Random(seed)
+    vin_nom = rng.uniform(36.0, 60.0)
+    vout_nom = rng.uniform(5.0, 24.0)
+    iout_max = rng.uniform(0.2, 5.0)
+    f0 = rng.uniform(50e3, 300e3)
+    req = DesignRequirements(
+        vin_min=vin_nom * rng.uniform(0.75, 1.0), vin_nom=vin_nom,
+        vin_max=vin_nom * rng.uniform(1.05, 1.3),
+        vout_min=vout_nom * rng.uniform(0.97, 1.0), vout_nom=vout_nom,
+        vout_max=vout_nom * rng.uniform(1.0, 1.03),
+        iout_min=iout_max * rng.uniform(0.1, 0.9), iout_max=iout_max,
+        f0_target=f0, fsw_min=f0 * rng.uniform(0.6, 0.95),
+        fsw_max=f0 * rng.uniform(1.2, 2.0))
+    n = choose_turns_ratio(req, rng.uniform(0.85, 1.05))
+    ln_values = sorted(rng.uniform(1.1, 10.0) for _ in range(8))
+    qe_values = sorted(10.0 ** rng.uniform(-1.5, 0.5) for _ in range(10))
+    return req, n, ln_values, qe_values
+
+
+# (Ln index, Qe index) into the seeded grids of the pick recorded from the
+# search that synthesized a tank per candidate; None where no candidate
+# passed.  Judging candidates in (Ln, Qe) alone must not move any pick.
+SEEDED_PICKS = {
+    0: (0, 4), 1: (0, 0), 2: None, 3: (0, 5), 4: (0, 5), 5: (0, 8),
+    6: None, 7: None, 8: (0, 0), 9: None, 10: (0, 6), 11: None, 12: (0, 0),
+    13: (0, 3), 14: None, 15: (0, 7), 16: None, 17: (0, 6), 18: None,
+    19: None, 20: (0, 0), 21: None, 22: (0, 5), 23: (0, 8), 24: None,
+    25: None, 26: (0, 0), 27: (0, 6), 28: None, 29: None, 30: (0, 0),
+    31: (0, 0), 32: (0, 7), 33: (0, 5), 34: (0, 7), 35: (0, 8), 36: None,
+    37: (0, 8), 38: (0, 6), 39: (0, 0),
+}
+
+
 class TestSearchDesignPoint:
+    def test_seeded_picks_are_pinned(self):
+        wrong = []
+        for seed, pick in SEEDED_PICKS.items():
+            req, n, ln_values, qe_values = seeded_search(seed)
+            try:
+                ln, qe = search_design_point(req, n, ln_values, qe_values)
+                got = (ln_values.index(ln), qe_values.index(qe))
+            except ValueError:
+                got = None
+            if got != pick:
+                wrong.append((seed, got, pick))
+        assert not wrong
+
     def test_returns_valid_candidate(self):
         ln, qe = search_design_point(REQ, N_REF)
         t = synthesize_tank(REQ, N_REF, ln, qe)
