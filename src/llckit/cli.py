@@ -363,7 +363,8 @@ def cmd_simulate(args) -> int:
             }
         else:
             out, rep = run_load_step(design, load, ctrl=ctrl, t_end=s.t_end,
-                                     record_stride=s.record_stride, band=s.band)
+                                     record_stride=s.record_stride, band=s.band,
+                                     dt_max=s.dt_max)
             wf = out.sim.waveform
             metrics = {
                 "mode": "step",

@@ -10,6 +10,7 @@ loudly instead of silently meaning something else.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,19 @@ class ConfigError(ValueError):
     def __init__(self, field: str, msg: str):
         self.field = field
         super().__init__(f"{field}: {msg}")
+
+
+def _finite(v, field: str) -> float:
+    """``v`` as a finite float; NaN, infinities and integers too large for
+    a float are configuration errors."""
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ConfigError(field, "must be a finite number, got an integer "
+                                 "too large for a float") from None
+    if not math.isfinite(f):
+        raise ConfigError(field, f"must be a finite number, got {f!r}")
+    return f
 
 
 class _Node:
@@ -88,7 +102,7 @@ class _Node:
         v = self._scalar(key, (int, float), "a number", default)
         if v is default and not self.has(key):
             return v
-        v = float(v)
+        v = _finite(v, self._at(key))
         if positive and not v > 0.0:
             raise ConfigError(self._at(key), f"must be positive, got {v!r}")
         if minimum is not None and v < minimum:
@@ -230,7 +244,7 @@ def _parse_load(node: _Node) -> LoadSpec:
                           and not isinstance(v, bool) for v in item))
             if not ok:
                 raise ConfigError(ref, "must be a [time, value] pair of numbers")
-            points.append((float(item[0]), float(item[1])))
+            points.append((_finite(item[0], ref), _finite(item[1], ref)))
     try:
         return LoadSpec.profile(kind, points)
     except ValueError as exc:

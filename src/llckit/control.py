@@ -235,14 +235,15 @@ def baseline_frequency(design: DesignReport, load: LoadSpec,
 def run_load_step(design: DesignReport, scenario: LoadSpec,
                   ctrl: ControllerConfig | None = None,
                   t_end: float | None = None, record_stride: int = 32,
-                  band: float = 0.01,
+                  band: float = 0.01, dt_max: float | None = None,
                   ) -> tuple[ClosedLoopResult, LoadStepReport]:
     """Run a closed-loop load scenario from a settled starting cycle.
 
     The starting frequency comes from inverting the sinusoidal gain model
     at the scenario's first load value; the initial state is the periodic
     operating point there, so the run begins settled rather than cold.
-    ``band`` is the regulation band as a fraction of the reference.
+    ``band`` is the regulation band as a fraction of the reference;
+    ``dt_max`` caps the integration step of both the seed and the run.
     """
     if ctrl is None:
         ctrl = default_controller(design)
@@ -257,10 +258,10 @@ def run_load_step(design: DesignReport, scenario: LoadSpec,
     base = LoadSpec(scenario.kind, (scenario.points[0],))
     pop = find_pop(
         SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=base,
-                  t_end=1.0),
+                  t_end=1.0, dt_max=dt_max),
         method="shooting")
     cfg = SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=scenario,
-                    t_end=t_end, record_stride=record_stride)
+                    t_end=t_end, dt_max=dt_max, record_stride=record_stride)
     out = run_closed_loop(cfg, ctrl, initial=pop.state, fsw0=fsw0)
 
     tr = out.trace

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .tank import DesignRequirements, NormalizedPoint, TankParams
 
@@ -152,7 +151,42 @@ class GainBand:
 
 def _gain_den(Ln: float, Qe: float, fn):
     fn2 = fn * fn
-    return ((Ln + 1.0) * fn2 - 1.0) + 1j * ((fn2 - 1.0) * fn * Qe * Ln)
+    # Ln fn^2 + (fn^2 - 1) rather than (Ln + 1) fn^2 - 1: at fn = 1 the real
+    # part is then Ln itself, so |Mg(1)| = 1 holds bit for bit
+    return (Ln * fn2 + (fn2 - 1.0)) + 1j * ((fn2 - 1.0) * fn * Qe * Ln)
+
+
+def _larger_root(alpha: float, beta: float, gamma: float) -> float:
+    """Larger real root of alpha x^2 + beta x + gamma (a negative
+    discriminant counts as 0), in the form that does not cancel."""
+    s = math.sqrt(max(beta * beta - 4.0 * alpha * gamma, 0.0))
+    if beta >= 0.0:
+        return -2.0 * gamma / (beta + s)
+    return (s - beta) / (2.0 * alpha)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Polish a root of ``f`` on a bracket where it turns from negative to
+    non-negative: halve [lo, hi] down to two adjacent floats and return the
+    one with the smaller |f| (lo on a tie).
+
+    The step count and the answer follow from f, lo and hi alone; for a
+    single clean sign change the answer does not depend on the bracket.
+    A NaN at either end (a non-finite input) raises ValueError.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise ValueError(f"root bracket [{lo!r}, {hi!r}] has a NaN end value")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def gain_magnitude(Ln: float, Qe: float, fn):
@@ -161,10 +195,12 @@ def gain_magnitude(Ln: float, Qe: float, fn):
     Poles map to inf (no exception), which keeps brute-force sweeps usable.
     """
     fn = np.asarray(fn, dtype=float)
-    den = _gain_den(Ln, Qe, fn)
+    den = np.abs(_gain_den(Ln, Qe, fn))
     num = Ln * fn * fn
+    # |num| / |den| rather than |num / den|: numpy's complex division
+    # multiplies by a rounded reciprocal, which would cost |Mg(1)| its exactness
     with np.errstate(divide="ignore"):
-        out = np.where(np.abs(den) < POLE_DEN_TOL, np.inf, np.abs(num / np.where(den == 0, 1.0, den)))
+        out = np.where(den < POLE_DEN_TOL, np.inf, num / np.where(den == 0, 1.0, den))
     if out.ndim == 0:
         return float(out)
     return out
@@ -205,9 +241,9 @@ def gain_curve(Ln: float, Qe: float, fn_lo: float, fn_hi: float,
     den = _gain_den(Ln, Qe, fn)
     pole = np.abs(den) < POLE_DEN_TOL
     safe_den = np.where(pole, 1.0, den)
-    mgc = (Ln * fn * fn) / safe_den
-    mgc = np.where(pole, np.inf + 0j, mgc)
-    mg = np.where(pole, np.inf, np.abs(mgc))
+    num = Ln * fn * fn
+    mgc = np.where(pole, np.inf + 0j, num / safe_den)
+    mg = np.where(pole, np.inf, num / np.abs(safe_den))
     phase = np.angle(mgc)
     return GainCurve(Ln=Ln, Qe=Qe, fn=fn, Mg_complex=mgc, Mg=mg,
                      phase=phase, pole=pole)
@@ -239,8 +275,7 @@ def peak_gain(Ln: float, Qe: float) -> tuple[float, float]:
     a = Ln + 1.0
     c = (Qe * Ln) ** 2
     # factored so that h(1) = 2 (1 - a) does not cancel against c
-    u = brentq(lambda u: 2.0 * u * u * (u - a) + c * (u * u - 1.0), 1.0, a,
-               xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    u = _bisect(lambda u: 2.0 * u * u * (u - a) + c * (u * u - 1.0), 1.0, a)
     fn_peak = 1.0 / math.sqrt(u)
     return fn_peak, gain_magnitude(Ln, Qe, fn_peak)
 
@@ -252,6 +287,17 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
     :class:`UnreachableGain` when the target exceeds the available peak and
     :class:`BelowAsymptote` when even the top of the frequency bracket
     (fn = ``FN_SOLVE_MAX``) cannot get the gain down to the target.
+
+    With x = fn^2, a = Ln + 1, c = (Qe Ln)^2 and M = Mg_target, the answer
+    is the largest real root of the cubic
+
+        P(x) = M^2 c x^3 + (M^2 a^2 - 2 M^2 c - Ln^2) x^2
+               + (M^2 c - 2 M^2 a) x + M^2,
+
+    (a quadratic at Qe = 0), which is negative exactly where |Mg| > M.  P
+    rises from its larger turning point on, so that point, in closed form,
+    opens the bracket, and the root is polished on the gain itself rather
+    than on the expanded cubic; the answer depends on (Ln, Qe, M) alone.
     """
     if Mg_target <= 0:
         raise ValueError("Mg_target must be positive")
@@ -267,7 +313,6 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
         if Mg_target <= floor:
             raise BelowAsymptote(
                 f"target {Mg_target!r} at or below no-load asymptote {floor!r}")
-        lo = (1.0 / math.sqrt(Ln + 1.0)) * (1.0 + 1e-9)
     else:
         fn_peak, mg_peak = peak_gain(Ln, Qe)
         if Mg_target > mg_peak:
@@ -276,18 +321,28 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
                 fn_peak=fn_peak, Mg_peak=mg_peak)
         if Mg_target == mg_peak:
             return fn_peak
-        lo = fn_peak
     hi = FN_SOLVE_MAX
     if gain_magnitude(Ln, Qe, hi) >= Mg_target:
         raise BelowAsymptote(
             f"target {Mg_target!r} below gain {gain_magnitude(Ln, Qe, hi)!r} "
             f"reachable at fn={hi!r}")
+    a = Ln + 1.0
+    c = (Qe * Ln) ** 2
+    r2 = (Ln / Mg_target) ** 2
+    # P'/M^2 = 3 c x^2 + 2 (a^2 - 2 c - Ln^2/M^2) x + (c - 2 a) has its
+    # larger root between P's two positive roots; flooring it at the
+    # open-load pole 1/a, below the peak, keeps the bracket valid where
+    # rounding blurs a target at the peak
+    x_turn = _larger_root(3.0 * c, 2.0 * (a * a - 2.0 * c - r2), c - 2.0 * a)
+    lo = math.sqrt(max(1.0 / a, x_turn))
 
-    def err(fn: float) -> float:
-        return gain_magnitude(Ln, Qe, fn) - Mg_target
+    def excess(fn: float) -> float:
+        # M |den| - Ln fn^2 has the sign of M - |Mg| and no pole
+        x = fn * fn
+        return (Mg_target * math.hypot(Ln * x + (x - 1.0), (x - 1.0) * fn * Qe * Ln)
+                - Ln * x)
 
-    fn_sol = brentq(err, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return float(fn_sol)
+    return _bisect(excess, lo, hi)
 
 
 def gain_band(req: DesignRequirements, n: float, Ln: float) -> GainBand:
@@ -333,8 +388,14 @@ def boundary_frequency(Ln: float, Qe: float) -> float:
         raise ValueError("Qe must be non-negative")
     if Qe == 0.0:
         return 1.0 / math.sqrt(Ln + 1.0)
-    return float(brentq(lambda f: input_reactance(Ln, Qe, f), 1e-6, 1.0,
-                        xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    # Im Zin = 0 multiplied out: t^2 x^2 + (1 + Ln - t^2) x - 1 = 0 in
+    # x = fn^2 with t = Qe Ln; divided through by t^2 above t = 1, so that
+    # a huge or infinite Qe gives x -> 1 instead of overflowing
+    t = Qe * Ln
+    if t > 1.0:
+        return math.sqrt(_larger_root(1.0, (1.0 + Ln) / t / t - 1.0, -1.0 / t / t))
+    c = t * t
+    return math.sqrt(_larger_root(c, 1.0 + Ln - c, -1.0))
 
 
 def classify_region(point: NormalizedPoint) -> Region:

@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llckit.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from llckit.config import ConfigError, load_config, parse_config
@@ -35,7 +37,78 @@ def load_schema() -> dict:
     return json.loads(res.read_text())
 
 
+def field_paths(node, prefix=()):
+    """Every key/index path into a decoded JSON document, the root first."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from field_paths(child, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """``doc`` with the value at ``path`` replaced; unchanged when an earlier
+    replacement removed the path."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return doc
+    if isinstance(node, dict) or (isinstance(node, list)
+                                  and isinstance(path[-1], int)
+                                  and path[-1] < len(node)):
+        node[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.integers(-10**400, 10**400),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=8), kids, max_size=4)),
+    max_leaves=8)
+
+
 class TestConfigParsing:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_fields_raise_config_errors_only(self, data):
+        """Any JSON value in any field of the reference configuration is
+        either accepted or rejected with a ConfigError, never a traceback."""
+        doc = reference_doc()
+        paths = list(field_paths(doc))
+        for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                       max_size=3)):
+            doc = replaced(doc, path, data.draw(JSON_VALUES))
+        try:
+            parse_config(doc)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("field", [
+        ("requirements", "vin_min"), ("requirements", "fsw_max"),
+        ("sim", "vin"), ("sim", "t_end"), ("controller", "v_ref"),
+        ("controller", "ki")], ids=".".join)
+    @pytest.mark.parametrize("value", [10**400, float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["huge_int", "nan", "inf", "-inf"])
+    def test_non_finite_number_names_the_field(self, field, value):
+        doc = reference_doc()
+        doc[field[0]][field[1]] = value
+        with pytest.raises(ConfigError, match=r"\.".join(field)
+                           + ": must be a finite number"):
+            parse_config(doc)
+
+    def test_non_finite_load_point_names_the_index(self):
+        doc = reference_doc()
+        doc["sim"]["load"]["points"][2] = [0.011, float("nan")]
+        with pytest.raises(ConfigError, match=r"sim\.load\.points\[2\]: must be"
+                                              " a finite number"):
+            parse_config(doc)
+
     def test_missing_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config({"requirements": {}})
@@ -351,6 +424,13 @@ class TestDeterminism:
                 == (b / "wave_transient.csv").read_bytes())
         assert ((a / "metrics_transient.json").read_bytes()
                 == (b / "metrics_transient.json").read_bytes())
+
+    def test_cli_import_leaves_scipy_out(self, run_python):
+        """Every ``llc`` start imports llckit.cli; scipy is not part of it."""
+        r = run_python("-c", "import llckit.cli, sys; "
+                             "print('scipy' in sys.modules)")
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
     def test_module_entry_matches_script(self, tmp_path, run_llc):
         doc = reference_doc()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from llckit import kernels
 from llckit.control import (
     ControllerConfig,
     FrequencyController,
@@ -246,6 +247,32 @@ class TestScenarioPlumbing:
         with pytest.raises(ValueError):
             run_load_step(design, LoadSpec.current(0.0),
                           ctrl=replace(ctrl, v_ref=6.0))
+
+    def test_dt_max_reaches_the_seed_and_the_run(self, design, ctrl,
+                                                 monkeypatch):
+        """A coarser dt_max caps every kernel call, seed POP and closed
+        loop alike, and the scenario takes fewer kernel steps."""
+        scen = LoadSpec.profile("current", [(0.0, 0.46), (1e-4, 0.7)])
+        inner = kernels.integrate_segment
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return inner(*args)
+        monkeypatch.setattr(kernels, "integrate_segment", counting)
+
+        def run(dt_max):
+            seen.clear()
+            run_load_step(design, scen, ctrl=ctrl, t_end=2e-4, dt_max=dt_max)
+            # integrate_segment(iLr, vCr, iLm, vOut, t0, t1, ..., dt_max, ...)
+            steps = sum(math.ceil((a[5] - a[4]) / a[18])
+                        for a in seen if a[5] > a[4])
+            return steps, {a[18] for a in seen}
+
+        fine, _ = run(None)
+        coarse, dts = run(2e-8)
+        assert dts == {2e-8}
+        assert coarse < fine
 
     def test_default_controller_scales_from_the_design(self, design, ctrl):
         assert ctrl.v_ref == 12.0

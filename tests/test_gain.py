@@ -5,6 +5,7 @@ evaluation of the gain formula (dense numpy grids, direct complex
 arithmetic) rather than by the functions under test.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -32,6 +33,9 @@ from llckit.gain import (
     tank_input_impedance,
 )
 from llckit.tank import DesignRequirements, NormalizedPoint, TankParams
+
+# the package re-exports a function named ``gain``, which hides the module
+gain_module = importlib.import_module("llckit.gain")
 
 LN_REF = 2.05
 QE_REF = 0.36
@@ -71,6 +75,14 @@ class TestGainPoint:
             worst = max(worst, abs(gain(p).Mg - 1.0))
         print(f"worst |Mg(1)-1| = {worst:.3e}")
         assert worst < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0),
+           qe=st.one_of(st.just(0.0), st.floats(1e-3, 1e10)))
+    def test_unity_at_resonance_is_exact(self, ln, qe):
+        """|Mg(1)| = 1 bit for bit, for every tank shape and load."""
+        assert gain_magnitude(ln, qe, 1.0) == 1.0
+        assert gain(NormalizedPoint(Ln=ln, Qe=qe, fn=1.0)).Mg == 1.0
 
     def test_reference_value_above_resonance(self):
         g = gain(NormalizedPoint(Ln=LN_REF, Qe=QE_REF, fn=1.1))
@@ -171,6 +183,11 @@ class TestPeakGain:
         with pytest.raises(ValueError):
             peak_gain(LN_REF, 0.0)
 
+    def test_infinite_load_rejected(self):
+        # h(1) = 2 (1 - a) + inf * 0 is NaN: no root to polish
+        with pytest.raises(ValueError):
+            peak_gain(LN_REF, math.inf)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 10.0))
     def test_peak_is_the_stationary_point(self, ln, log_qe):
@@ -179,9 +196,8 @@ class TestPeakGain:
         qe = 10.0 ** log_qe
         fn_pk, mg_pk = peak_gain(ln, qe)
         assert 1.0 / math.sqrt(ln + 1.0) < fn_pk <= 1.0
-        # |Mg(1)| = 1 exactly, but gain_magnitude forms (Ln + 1) fn^2 - 1,
-        # which drops the last bit of some Ln, so near a short circuit,
-        # where the peak merges into fn = 1, it reads up to 2 ulp below 1
+        # near a short circuit the peak merges into fn = 1, where |Mg| = 1
+        # exactly, and rounding of fn_peak can leave it a few ulp below 1
         assert mg_pk >= 1.0 - 4.0 * EPS
         for side in (1.0 - 1e-7, 1.0 + 1e-7):
             assert mg_pk >= gain_magnitude(ln, qe, fn_pk * side)
@@ -190,6 +206,41 @@ class TestPeakGain:
         u = 1.0 / fn_pk**2
         terms = (2.0 * u**3, (c - 2.0 * a) * u * u, -c)
         assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
+
+
+def _ulps_of_largest(terms):
+    """Exactly summed polynomial terms, in units of eps of the largest."""
+    return abs(math.fsum(terms)) / (EPS * max(abs(t) for t in terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 10.0),
+       log_step=st.floats(-8.0, 1.0))
+def test_roots_satisfy_their_polynomials(ln, log_qe, log_step):
+    """Each FHA root leaves a residual of a few ulp of the largest term of
+    its polynomial in x = fn^2, written out term by term."""
+    qe = 10.0 ** log_qe
+    a = ln + 1.0
+    c = (qe * ln) ** 2
+    # Im Zin = 0:  c x^2 + (1 + Ln - c) x - 1
+    x = boundary_frequency(ln, qe) ** 2
+    assert _ulps_of_largest((c * x * x, x, ln * x, -c * x, -1.0)) <= 8.0
+    # the peak:  x^3 h(1/x) = 2 - 2 a x + c x - c x^3
+    fn_pk, _ = peak_gain(ln, qe)
+    x = fn_pk * fn_pk
+    assert _ulps_of_largest((2.0, -2.0 * a * x, c * x, -c * x ** 3)) <= 8.0
+    # |Mg| = M:  M^2 c x^3 + (M^2 a^2 - 2 M^2 c - Ln^2) x^2
+    #            + (M^2 c - 2 M^2 a) x + M^2
+    target = gain_magnitude(ln, qe, fn_pk * (1.0 + 10.0 ** log_step))
+    try:
+        fn = solve_frequency(ln, qe, target)
+    except BelowAsymptote:
+        return
+    x = fn * fn
+    m2 = target * target
+    terms = (m2 * c * x ** 3, m2 * a * a * x * x, -2.0 * m2 * c * x * x,
+             -ln * ln * x * x, m2 * c * x, -2.0 * m2 * a * x, m2)
+    assert _ulps_of_largest(terms) <= 8.0
 
 
 class TestSolveFrequency:
@@ -232,6 +283,30 @@ class TestSolveFrequency:
         # nonzero asymptote.
         with pytest.raises(BelowAsymptote):
             solve_frequency(LN_REF, QE_REF, 0.01)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 6.0),
+           log_step=st.floats(-6.0, 1.0))
+    def test_answer_does_not_follow_the_peak(self, ln, log_qe, log_step):
+        """Moving the peak frequency by a few ulp leaves the answer bit for
+        bit: no bracket is taken from it."""
+        qe = 10.0 ** log_qe
+        fn_pk, mg_pk = peak_gain(ln, qe)
+        target = gain_magnitude(ln, qe, fn_pk * (1.0 + 10.0 ** log_step))
+        if target == mg_pk:
+            return
+        try:
+            expected = solve_frequency(ln, qe, target)
+        except BelowAsymptote:
+            return
+        for toward in (0.0, 2.0):
+            moved = fn_pk
+            for _ in range(4):
+                moved = math.nextafter(moved, toward)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(gain_module, "peak_gain",
+                          lambda _ln, _qe, moved=moved: (moved, mg_pk))
+                assert solve_frequency(ln, qe, target) == expected
 
     def test_monotone_on_regulation_branch(self):
         """|Mg| strictly decreasing on [fn_peak, 4] across the design box."""
@@ -279,6 +354,11 @@ class TestRegionClassification:
         assert classify_region(NormalizedPoint(LN_REF, QE_REF, fb)) is Region.BOUNDARY
         assert classify_region(NormalizedPoint(LN_REF, QE_REF, fb + 1e-6)) is Region.INDUCTIVE
         assert classify_region(NormalizedPoint(LN_REF, QE_REF, fb - 1e-6)) is Region.CAPACITIVE
+
+    @pytest.mark.parametrize("qe", [1e160, 1e300, math.inf])
+    def test_boundary_of_a_shorted_load_is_resonance(self, qe):
+        """Qe -> inf takes the boundary to fn = 1, without overflow or NaN."""
+        assert boundary_frequency(LN_REF, qe) == 1.0
 
     def test_matches_dimensioned_impedance_sign(self):
         """Normalized reactance agrees with direct complex impedance of a
