@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
-"""Time the switched-circuit integrator with and without the compiled
-kernels.
+"""Time the switched-circuit integrator on a full-load transient.
 
-The dispatch decision is taken at import, so each arm runs in its own
-subprocess with ``LLCKIT_JIT`` set accordingly.  Both arms integrate the
-same full-load transient on the nominal design and must produce identical
-results; the parent checks that before printing the timing table.  When
-numba is not importable only the pure-Python arm runs, the numba arm is
-reported as unavailable and no speedup is printed.
+Integrates the same warm-started transient on the nominal design a few
+times and prints the best wall time with the driver's own counts: kernel
+steps, events and event-localization iterations, and the wall time per
+step and per switching period.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
 
 import argparse
-import json
-import os
-import subprocess
+import dataclasses
 import sys
 import time
 
 
-def run_case(t_end: float):
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--t-end", type=float, default=2e-3,
+                    help="simulated span per run (s)")
+    ap.add_argument("--repeat", type=int, default=3,
+                    help="timed repetitions, best-of")
+    args = ap.parse_args()
+
     from llckit import (DesignRequirements, LoadSpec, SimConfig,
                         run_transient, synthesize_tank, warm_start_state)
 
@@ -31,81 +33,31 @@ def run_case(t_end: float):
         f0_target=100e3, fsw_min=60e3, fsw_max=130e3)
     tank = synthesize_tank(req, 1.83, 2.05, 0.36)
     cfg = SimConfig(tank=tank, vin=48.0, fsw=110e3,
-                    load=LoadSpec.resistance(24.0), t_end=t_end,
+                    load=LoadSpec.resistance(24.0), t_end=args.t_end,
                     record_stride=64)
-    return cfg, run_transient, warm_start_state
-
-
-def worker(t_end: float, repeat: int) -> None:
-    cfg, run_transient, warm_start_state = run_case(t_end)
     seed = warm_start_state(cfg)
-    # first run pays any compile cost; do it on a short span and discard
-    import dataclasses
+    # a short untimed run first, so the timed ones start from a warm
+    # interpreter
     run_transient(dataclasses.replace(cfg, t_end=5e-5), initial=seed)
 
     best = float("inf")
     res = None
-    for _ in range(repeat):
+    for _ in range(args.repeat):
         t0 = time.perf_counter()
         res = run_transient(cfg, initial=seed)
         best = min(best, time.perf_counter() - t0)
-    wf = res.waveform
-    print(json.dumps({
-        "elapsed": best,
-        "t_end": t_end,
-        "checksum": float(abs(wf["iLr"]).sum() + abs(wf["vOut"]).sum()),
-        "samples": int(wf.t.size),
-    }))
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--t-end", type=float, default=2e-3,
-                    help="simulated span per run (s)")
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="timed repetitions, best-of")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-
-    if args.worker:
-        worker(args.t_end, args.repeat)
-        return 0
-
-    from llckit._accel import NUMBA_AVAILABLE
-    from llckit.sim import STEPS_PER_PERIOD
-
-    arms = (("python", "0"), ("numba", "1")) if NUMBA_AVAILABLE else (
-        ("python", "0"),)
-    results = {}
-    for label, flag in arms:
-        env = dict(os.environ, LLCKIT_JIT=flag)
-        r = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--worker",
-             "--t-end", repr(args.t_end), "--repeat", str(args.repeat)],
-            env=env, capture_output=True, text=True)
-        if r.returncode != 0:
-            print(r.stderr, file=sys.stderr)
-            return 1
-        results[label] = json.loads(r.stdout)
-
-    if (NUMBA_AVAILABLE
-            and results["python"]["checksum"] != results["numba"]["checksum"]):
-        print("warning: the two paths disagree, timings are not comparable",
-              file=sys.stderr)
-        return 1
-
-    steps = args.t_end * 110e3 * STEPS_PER_PERIOD
-    print(f"transient: {args.t_end * 1e3:g} ms at 110 kHz, "
-          f"~{steps:.0f} integration steps, best of {args.repeat}")
-    for label, res in results.items():
-        e = res["elapsed"]
-        print(f"  {label:6s} {e:8.3f} s   {steps / e / 1e6:7.2f} Msteps/s"
-              f"   {e / steps * 1e6:7.3f} us/step")
-    if not NUMBA_AVAILABLE:
-        print(f"  {'numba':6s} unavailable (not installed)")
-        return 0
-    speedup = results["python"]["elapsed"] / results["numba"]["elapsed"]
-    print(f"  speedup {speedup:.1f}x")
+    counts = res.counts
+    steps = counts["steps"]
+    located = sum(n for kind, n in counts["events"].items()
+                  if not kind.startswith("gate_"))
+    iters = counts["localization_iterations"]
+    print(f"transient: {args.t_end * 1e3:g} ms at 110 kHz, {res.periods} "
+          f"periods, best of {args.repeat}")
+    print(f"  wall   {best:.3f} s, {best / res.periods * 1e6:.1f} us/period")
+    print(f"  steps  {steps}, {steps / res.periods:.1f}/period, "
+          f"{best / steps * 1e6:.2f} us/step")
+    print(f"  events {located} located, {iters / max(located, 1):.2f} "
+          f"localization iterations each")
     return 0
 
 

@@ -243,7 +243,7 @@ def run_load_step(design: DesignReport, scenario: LoadSpec,
     at the scenario's first load value; the initial state is the periodic
     operating point there, so the run begins settled rather than cold.
     ``band`` is the regulation band as a fraction of the reference;
-    ``dt_max`` caps the integration step of both the seed and the run.
+    ``dt_max`` sets the record grid of both the seed and the run.
     """
     if ctrl is None:
         ctrl = default_controller(design)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,6 +67,8 @@ SHORT_CIRCUIT_QE = 1e6
 FN_SOLVE_MAX = 100.0
 BOUNDARY_FN_TOL = 1e-9
 CURVE_SAMPLES_PER_DECADE = 400
+# (Qe Ln)^2 stays a finite float below this Qe Ln
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 class GainError(Exception):
@@ -163,6 +166,15 @@ def _larger_root(alpha: float, beta: float, gamma: float) -> float:
     if beta >= 0.0:
         return -2.0 * gamma / (beta + s)
     return (s - beta) / (2.0 * alpha)
+
+
+def _load_term(Ln: float, Qe: float) -> float:
+    """c = (Qe Ln)^2, or ValueError naming Qe where that is no finite float."""
+    qe_ln = Qe * Ln
+    if qe_ln < _SQRT_FLOAT_MAX:
+        return qe_ln * qe_ln
+    raise ValueError(f"Qe = {Qe!r} is out of range: (Qe Ln)^2 overflows "
+                     f"at Ln = {Ln!r}")
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -273,7 +285,7 @@ def peak_gain(Ln: float, Qe: float) -> tuple[float, float]:
     if Qe <= 0:
         raise ValueError("peak_gain requires Qe > 0 (no finite peak at no load)")
     a = Ln + 1.0
-    c = (Qe * Ln) ** 2
+    c = _load_term(Ln, Qe)
     # factored so that h(1) = 2 (1 - a) does not cancel against c
     u = _bisect(lambda u: 2.0 * u * u * (u - a) + c * (u * u - 1.0), 1.0, a)
     fn_peak = 1.0 / math.sqrt(u)
@@ -327,7 +339,7 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
             f"target {Mg_target!r} below gain {gain_magnitude(Ln, Qe, hi)!r} "
             f"reachable at fn={hi!r}")
     a = Ln + 1.0
-    c = (Qe * Ln) ** 2
+    c = _load_term(Ln, Qe)
     r2 = (Ln / Mg_target) ** 2
     # P'/M^2 = 3 c x^2 + 2 (a^2 - 2 c - Ln^2/M^2) x + (c - 2 a) has its
     # larger root between P's two positive roots; flooring it at the

@@ -1,46 +1,70 @@
-"""Fixed-step integration kernels for the switched LLC power stage.
+"""Exact piecewise-linear integration kernel for the switched LLC power stage.
 
-The power stage is piecewise linear: within one (switch phase, rectifier
-phase) mode the four states
+The power stage is piecewise linear: within one mode the four states
 
     x = (iLr, vCr, iLm, vOut)
 
-obey a constant-coefficient ODE (``_derivs``), integrated here with classic
-fixed-step RK4.  Mode boundaries are located by bisection on the event
-functions:
+obey a constant-coefficient ODE dx/dt = A x + b (``_mode``).  A mode is one
+combination of
+
+  * rectifier phase: open, D1 or D2 conducting,
+  * bridge-node rail: vsw = vin or 0,
+  * for a current-sink load, sink state: drawing its current while
+    vOut > 0, or holding vOut where it is once the output is down at 0 V
+    (the sink cannot pull the output below ground, so there it takes only
+    what the rectifier delivers).
+
+Each mode is stepped by its exact affine propagator
+
+    x(t + h) = x + D(h) x + q(h),    D = Phi(h) - I,
+
+taken from the Taylor series of exp(A h) summed to double precision
+(``_series``).  The maps of one (mode, step length) are built once and
+kept in the caller's ``maps`` cache, along with the integral rows that
+give the source and diode energy of a step exactly.
+
+Since a step is exact at any length, the length is set by event detection
+alone: each step runs to the next record instant or by at most H, whichever
+comes first.  H is ``STEP_FRACTION`` of the stage's fastest natural period
+2 pi / rho, where rho bounds every eigenvalue of the mode matrices (the
+largest row sum of |A| in energy coordinates).  On the reference tank that
+period is the 9.99 us D1/D2 series resonance, so H is about 1.25 us and an
+unrecorded switching period takes tens of steps.
+
+Mode boundaries are event-function zeros, located by a safeguarded Newton
+iteration on the step's Taylor polynomial (``_root``):
 
   * diode turn-off: secondary current n (iLr - iLm) falling through zero,
   * diode turn-on: open-rectifier magnetizing voltage
     Lm/(Lr+Lm) (vsw - vCr) reaching the output clamp +/- n (vOut + Vf),
   * dead-time node swap: iLr changing sign while both switches are off
-    (the body diodes re-clamp the node to the other rail).
+    (the body diodes re-clamp the node to the other rail),
+  * current sink: vOut falling to 0 V (the sink starts holding it there),
+    or the rectifier current rising past the sink current (vOut lifts
+    off); these mode changes are not written to the event log.
 
-When several fire inside one step the earliest located one is applied; a
-tie goes to the one listed first.
+A step fires an event when an event function ends it on the other side of
+its threshold, or when the function turns back inside the step after
+crossing it (a graze: its slope changes sign towards the threshold, and its
+extremum lies past it).  The located instant lies on the fired side, within
+tol_t of the crossing.  When several fire inside one step the earliest
+located one is applied; a tie goes to the one listed first.
 
-RK4 of an affine ODE over a fixed step is itself an affine map, so each
-kind of step is taken as follows:
-
-  * a full grid step applies the mode's map x+ = x + D x + q, whose
-    coefficients ``_mode_map`` reads off ``_rk4`` once per mode (at segment
-    entry and after each transition), not once per step;
-  * a partial step (the sub-step up to a located event and the rest of the
-    step after it) and any step across a current sink's cut-off at
-    vOut = 0, where the load is not affine, run the stage form ``_rk4``;
-  * a bisection probe runs ``_rk4`` from the step's start state, so a
-    located event and the row recorded at it do not depend on the map.
+Source energy (vin times the integral of iLr while the node is high) and
+diode loss come from integral maps.  The load energy of each span between
+transitions follows from the output capacitor, whose rectifier input is,
+while a diode conducts, the source energy less the diode loss and the
+tank's gain (``_span_load``).  The peaks per component include the extrema
+inside a step, located where the component's rate changes sign.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state.  Everything here is scalar
-float64 arithmetic in a fixed order so the numba and plain-Python paths
-produce identical bits (see _accel).
+float64 arithmetic in a fixed order, so equal inputs give equal bits.
 """
 
 from __future__ import annotations
 
 import math
-
-from ._accel import maybe_njit
 
 # rectifier phases
 RECT_OFF = 0
@@ -72,16 +96,41 @@ EV_GATE_HS_ON = 7
 EV_GATE_HS_OFF = 8
 EV_GATE_LS_ON = 9
 EV_GATE_LS_OFF = 10
+# current-sink states (a resistive load has none)
+SINK_NONE = 0
+SINK_ON = 1
+SINK_HELD = 2
 
 # invariant slack: events are located far tighter than this, so a breach
 # means a genuinely missed transition
 I_TOL = 1e-6  # A
 V_TOL = 1e-3  # V
 EVENT_GUARD = 16
-BISECT_MAX = 200
+LOC_MAX = 100  # root-search iterations before a localization failure
+# step cap H as a fraction of the fastest natural period: rho H = pi / 4
+STEP_FRACTION = 0.125
+# an event function's extremum is located to this fraction of a step
+_EXT_TOL = 2.0 ** -30
+# an event function within this fraction of its terms' magnitude of its
+# threshold counts as on it
+_NOISE = 2.0 ** -50
+# a Taylor series stops once its term bound theta^k / k! drops below this
+_TERM_TOL = 2.0 ** -56
+# cached step lengths keep this many mantissa bits, so that spans which
+# differ in their last bits (t1 - t0 at different t0) share one map; a step
+# is carried across the rounding by its end rate, which leaves an error of
+# (2^-33 rho h)^2 / 2 of the state
+_Q_BITS = 32
+# entries per propagator cache, and step lengths per mode
+_MAPS_MAX = 64
 
 # record row layout
 REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
+
+# event-function slots: (slot, c0, c1, c2, c3, d, side) for
+# g = c0 iLr + c1 vCr + c2 iLm + c3 vOut + d, firing when side * g turns
+# positive (side 0: either sign flip)
+_DEAD_SLOT = (2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _iload(vOut, load_kind, load_val):
@@ -93,113 +142,267 @@ def _iload(vOut, load_kind, load_val):
     return 0.0
 
 
-def _derivs(iLr, vCr, iLm, vOut, vsw, rect, Lr, Cr, Lm, n, Vf, Cout,
-            load_kind, load_val):
-    il = _iload(vOut, load_kind, load_val)
-    if rect == RECT_D1:
-        vp = n * (vOut + Vf)
-        d_ilr = (vsw - vCr - vp) / Lr
-        d_ilm = vp / Lm
-        d_vout = (n * (iLr - iLm) - il) / Cout
-    elif rect == RECT_D2:
-        vp = -n * (vOut + Vf)
-        d_ilr = (vsw - vCr - vp) / Lr
-        d_ilm = vp / Lm
-        d_vout = (n * (iLm - iLr) - il) / Cout
-    else:
-        d = (vsw - vCr) / (Lr + Lm)
-        d_ilr = d
-        d_ilm = d
-        d_vout = -il / Cout
-    return d_ilr, iLr / Cr, d_ilm, d_vout
+def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
+    """A and b of one mode, its eigenvalue bound and its event functions.
 
+    Every mode shares the pattern
 
-def _rk4(iLr, vCr, iLm, vOut, h, vsw, rect, Lr, Cr, Lm, n, Vf, Cout,
-         load_kind, load_val):
-    a1, b1, c1, d1 = _derivs(iLr, vCr, iLm, vOut, vsw, rect,
-                             Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-    hh = 0.5 * h
-    a2, b2, c2, d2 = _derivs(iLr + hh * a1, vCr + hh * b1, iLm + hh * c1,
-                             vOut + hh * d1, vsw, rect,
-                             Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-    a3, b3, c3, d3 = _derivs(iLr + hh * a2, vCr + hh * b2, iLm + hh * c2,
-                             vOut + hh * d2, vsw, rect,
-                             Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-    a4, b4, c4, d4 = _derivs(iLr + h * a3, vCr + h * b3, iLm + h * c3,
-                             vOut + h * d3, vsw, rect,
-                             Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-    s = h / 6.0
-    return (iLr + s * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-            vCr + s * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
-            iLm + s * (c1 + 2.0 * c2 + 2.0 * c3 + c4),
-            vOut + s * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+        d iLr/dt  = a01 vCr + a03 vOut + b0
+        d vCr/dt  = a10 iLr
+        d iLm/dt  = a21 vCr + a23 vOut + b2
+        d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
-
-def _event_values(iLr, vCr, iLm, vOut, vsw, rect, is_dead, Lr, Lm, n, Vf):
-    """Event-function triple (rect primary, rect secondary, dead clamp)."""
-    e0 = 0.0
-    e1 = 0.0
-    e2 = 0.0
-    if rect == RECT_D1:
-        e0 = iLr - iLm
-    elif rect == RECT_D2:
-        e0 = iLm - iLr
-    else:
-        vp_open = Lm / (Lr + Lm) * (vsw - vCr)
-        nv = n * (vOut + Vf)
-        e0 = vp_open - nv
-        e1 = -vp_open - nv
-    if is_dead:
-        e2 = iLr
-    return e0, e1, e2
-
-
-def _fired(g_a, g_b, direction):
-    # direction: 0 rising (<=0 to >0), 1 falling (>=0 to <0), 2 either sign flip
-    if direction == 0:
-        return g_a <= 0.0 and g_b > 0.0
-    if direction == 1:
-        return g_a >= 0.0 and g_b < 0.0
-    return (g_a > 0.0 and g_b < 0.0) or (g_a < 0.0 and g_b > 0.0)
-
-
-def _bisect_event(iLr, vCr, iLm, vOut, h_full, vsw, rect, slot, direction, g_a,
-                  is_dead, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val, tol_t):
-    """Locate the crossing of event ``slot`` inside (0, h_full].
-
-    Returns (ok, h_star): the first h where the event condition has fired,
-    narrowed to within tol_t by bisection on single RK4 steps from the base
-    state.  ok = 0 flags a localization failure (iteration cap).
+    Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
+    dead_slots, maps]: rho is the largest row sum of |A| in the energy
+    coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm, sqrt(Cout) vOut),
+    which bounds every eigenvalue; slots lists the mode's rectifier and sink
+    event functions in slot order, and dead_slots adds the dead-time one;
+    maps caches the step maps by step length.
     """
-    lo = 0.0
-    hi = h_full
-    g_lo = g_a
+    a10 = 1.0 / Cr
+    kq = Lm / (Lr + Lm)
+    if rect == RECT_OFF:
+        a01 = a21 = -1.0 / (Lr + Lm)
+        a03 = a23 = a30 = 0.0
+        b0 = b2 = vsw / (Lr + Lm)
+        nv = n * Vf
+        slots = [(0, 0.0, -kq, 0.0, -n, kq * vsw - nv, 1.0),
+                 (1, 0.0, kq, 0.0, -n, -kq * vsw - nv, 1.0)]
+        s = 0.0
+    else:
+        s = 1.0 if rect == RECT_D1 else -1.0
+        a01 = -1.0 / Lr
+        a03 = -s * n / Lr
+        a21 = 0.0
+        a23 = s * n / Lm
+        a30 = s * n / Cout
+        b0 = (vsw - s * n * Vf) / Lr
+        b2 = s * n * Vf / Lm
+        slots = [(0, s, 0.0, -s, 0.0, 0.0, -1.0)]
+    a33 = b3 = 0.0
+    if load_kind == LOAD_RES:
+        a33 = -1.0 / (load_val * Cout)
+    elif sink == SINK_ON:
+        b3 = -load_val / Cout
+        slots.append((3, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0))
+    else:
+        a30 = 0.0
+        if s != 0.0:
+            slots.append((3, n * s, 0.0, -n * s, 0.0, -load_val, 1.0))
+    sl, sc = math.sqrt(Lr), math.sqrt(Cr)
+    sm, so = math.sqrt(Lm), math.sqrt(Cout)
+    rho = max(abs(a01) * sl / sc + abs(a03) * sl / so,
+              abs(a10) * sc / sl,
+              abs(a21) * sm / sc + abs(a23) * sm / so,
+              abs(a30) * (so / sl + so / sm) + abs(a33))
+    return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
+            sorted(slots + [_DEAD_SLOT]), {}]
+
+
+def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
+             load_kind, load_val):
+    """The cached mode record (see ``_mode``)."""
+    key = (rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind,
+           load_val)
+    m = maps.get(key)
+    if m is None:
+        if len(maps) >= _MAPS_MAX:
+            maps.clear()
+        m = _mode(rect, vin if node_hi == 1 else 0.0, sink, Lr, Cr, Lm, n,
+                  Vf, Cout, load_kind, load_val)
+        maps[key] = m
+    return m
+
+
+def _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
+    """H: ``STEP_FRACTION`` of the stage's fastest natural period.
+
+    The bound rho of a conducting mode covers both D1 and D2 and is at
+    least that of a holding sink; the open rectifier is bounded apart.
+    """
+    sink = SINK_NONE if load_kind == LOAD_RES else SINK_ON
+    rho = max(_mode_of(maps, RECT_D1, 0, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
+                       load_kind, load_val)[10],
+              _mode_of(maps, RECT_OFF, 0, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
+                       load_kind, load_val)[10])
+    return STEP_FRACTION * 2.0 * math.pi / rho
+
+
+def _series(x0, x1, x2, x3, e0, e2, e3, h, m):
+    """Taylor terms w_k of x(s h) = sum_k w_k s^k over one step.
+
+    x is the start state and e the input (b of the mode, or 0 for the
+    homogeneous part), so w_0 = x, w_1 = h (A x + e) and
+    w_(k+1) = h/(k+1) A w_k.  The terms stop once the bound
+    (rho h)^k / k! on their size relative to the state drops below
+    ``_TERM_TOL``.
+    """
+    a01, a03, a10, a21, a23, a30, a33 = m[:7]
+    theta = m[10] * h
+    u0 = h * (a01 * x1 + a03 * x3 + e0)
+    u1 = h * (a10 * x0)
+    u2 = h * (a21 * x1 + a23 * x3 + e2)
+    u3 = h * (a30 * (x0 - x2) + a33 * x3 + e3)
+    w = [(x0, x1, x2, x3), (u0, u1, u2, u3)]
+    bound = theta
+    k = 1
+    while bound > _TERM_TOL:
+        k += 1
+        c = h / k
+        u0, u1, u2, u3 = (c * (a01 * u1 + a03 * u3), c * (a10 * u0),
+                          c * (a21 * u1 + a23 * u3),
+                          c * (a30 * (u0 - u2) + a33 * u3))
+        w.append((u0, u1, u2, u3))
+        bound *= theta / k
+    return w
+
+
+def _at(w, s):
+    """The state x(s h) from the Taylor terms."""
+    p0, p1, p2, p3 = w[-1]
+    for k in range(len(w) - 2, -1, -1):
+        c0, c1, c2, c3 = w[k]
+        p0 = p0 * s + c0
+        p1 = p1 * s + c1
+        p2 = p2 * s + c2
+        p3 = p3 * s + c3
+    return p0, p1, p2, p3
+
+
+def _rate_at(w, s, h):
+    """The rate dx/dt at s h from the Taylor terms."""
+    k = len(w) - 1
+    p0, p1, p2, p3 = (k * c for c in w[k])
+    for k in range(k - 1, 0, -1):
+        c0, c1, c2, c3 = w[k]
+        p0 = p0 * s + k * c0
+        p1 = p1 * s + k * c1
+        p2 = p2 * s + k * c2
+        p3 = p3 * s + k * c3
+    return p0 / h, p1 / h, p2 / h, p3 / h
+
+
+def _integrals(w, s, h):
+    """The integrals of iLr and iLm over [0, s h]."""
+    i0 = i2 = 0.0
+    for k in range(len(w) - 1, -1, -1):
+        c = w[k]
+        r = 1.0 / (k + 1)
+        i0 = i0 * s + r * c[0]
+        i2 = i2 * s + r * c[2]
+    return i0 * s * h, i2 * s * h
+
+
+def _step_map(m, h, vin, node_hi, rect, n, Vf):
+    """The cached maps of one mode over a step of length h.
+
+    Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
+    source energy src . (x, 1) while the node is high and diode loss
+    dio . (x, 1) while a diode conducts (None otherwise).  Column j of
+    D and of the integral map is the series of the unit state e_j with the
+    inputs off; q and the input column are the series of b from rest.
+    """
+    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+    starts = (((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+              ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+              ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+              ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+              ((0.0, 0.0, 0.0, 0.0), (b0, b2, b3)))
+    cols = []
+    int0 = []
+    int2 = []
+    for x, e in starts:
+        w = _series(*x, *e, h, m)
+        d0 = d1 = d2 = d3 = 0.0
+        for k in range(len(w) - 1, 0, -1):
+            c = w[k]
+            d0 += c[0]
+            d1 += c[1]
+            d2 += c[2]
+            d3 += c[3]
+        cols.append((d0, d1, d2, d3))
+        i0, i2 = _integrals(w, 1.0, h)
+        int0.append(i0)
+        int2.append(i2)
+    rows = tuple(cols[j][i] for i in range(4) for j in range(4))
+    q = cols[4]
+    src = tuple(vin * v for v in int0) if node_hi == 1 else None
+    dio = None
+    if rect != RECT_OFF and Vf != 0.0:
+        f = Vf * n if rect == RECT_D1 else -Vf * n
+        dio = tuple(f * (a - b) for a, b in zip(int0, int2))
+    return rows, q, src, dio
+
+
+def _peval(P, s):
+    """Polynomial sum_k P[k] s^k and its derivative at s."""
+    p = P[-1]
+    dp = 0.0
+    for k in range(len(P) - 2, -1, -1):
+        dp = dp * s + p
+        p = p * s + P[k]
+    return p, dp
+
+
+def _root(P, lo, hi, side, tol, p_lo, p_hi):
+    """The zero of polynomial P inside (lo, hi], approached from its far side.
+
+    side * P <= 0 at lo and > 0 at hi (values p_lo, p_hi).  Newton steps
+    from a secant start, replaced by bisection where a step would leave the
+    bracket or not halve the one before it (as in Numerical Recipes'
+    rtsafe); once a step is shorter than tol/2 the next probe goes tol/2
+    across the zero, so the bracket closes.  Returns (s, iterations), s the
+    bracket end with side * P > 0 once the bracket is within tol, or
+    (-1.0, iterations) after ``LOC_MAX``.
+    """
     it = 0
-    while hi - lo > tol_t:
-        if it >= BISECT_MAX:
-            return 0, hi
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float exhaustion: bracket cannot shrink further
-        mi, mc, mm, mo = _rk4(iLr, vCr, iLm, vOut, mid, vsw, rect,
-                              Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-        e0, e1, e2 = _event_values(mi, mc, mm, mo, vsw, rect, is_dead,
-                                   Lr, Lm, n, Vf)
-        g_m = e0
-        if slot == 1:
-            g_m = e1
-        elif slot == 2:
-            g_m = e2
-        if _fired(g_lo, g_m, direction):
-            hi = mid
-        else:
-            lo = mid
-            g_lo = g_m
+    s = 0.5 * (lo + hi)
+    if p_lo != p_hi:
+        guess = lo + (hi - lo) * (p_lo / (p_lo - p_hi))
+        if lo < guess < hi:
+            s = guess
+    step = hi - lo
+    while True:
+        if it >= LOC_MAX:
+            return -1.0, it
+        p, dp = _peval(P, s)
         it += 1
-    return 1, hi
+        if side * p > 0.0:
+            hi = s
+        else:
+            lo = s
+        if hi - lo <= tol:
+            break
+        last = step
+        step = p / dp if dp != 0.0 else math.inf
+        if abs(step) < 0.5 * tol:
+            nxt = s + 0.5 * tol if s == lo else s - 0.5 * tol
+        else:
+            nxt = s - step
+        if not lo < nxt < hi or abs(2.0 * step) > abs(last):
+            step = 0.5 * (hi - lo)
+            nxt = lo + step
+            if not lo < nxt < hi:
+                break  # float exhaustion: the bracket cannot shrink further
+        s = nxt
+    return hi, it
 
 
-def _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf):
+def _extremum(w, j, s_end, ra, rb):
+    """|x_j| at the extremum inside (0, s_end), where its rate goes from ra
+    to rb of the other sign."""
+    dP = [k * w[k][j] for k in range(1, len(w))]
+    s, _ = _root(dP, 0.0, s_end, 1.0 if rb > 0.0 else -1.0, _EXT_TOL, ra, rb)
+    return abs(_peval([c[j] for c in w], s)[0])
+
+
+def _noise(c0, c1, c2, c3, d, x0, x1, x2, x3):
+    """Rounding bound on an event function c . x + d at state x."""
+    return _NOISE * (abs(c0 * x0) + abs(c1 * x1) + abs(c2 * x2) + abs(c3 * x3)
+                     + abs(d))
+
+
+def _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf):
     """Close a diode the open rectifier already sits past.
 
     A gate edge, the caller's clamp choice or a transition can leave the
@@ -208,13 +411,43 @@ def _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf):
     unchanged and 0.
     """
     if rect == RECT_OFF:
-        e0, e1, _ = _event_values(iLr, vCr, iLm, vOut, vsw, rect, False,
-                                  Lr, Lm, n, Vf)
-        if e0 > 0.0:
+        kq = Lm / (Lr + Lm)
+        nv = n * Vf
+        if -kq * vCr - n * vOut + (kq * vsw - nv) > 0.0:
             return RECT_D1, EV_D1_ON
-        if e1 > 0.0:
+        if kq * vCr - n * vOut + (-kq * vsw - nv) > 0.0:
             return RECT_D2, EV_D2_ON
     return rect, 0
+
+
+def _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val):
+    """The sink state a current-sink load takes at this state."""
+    if load_kind == LOAD_RES:
+        return SINK_NONE
+    if vOut > 0.0:
+        return SINK_ON
+    if rect == RECT_D1 and n * (iLr - iLm) > load_val:
+        return SINK_ON
+    if rect == RECT_D2 and n * (iLm - iLr) > load_val:
+        return SINK_ON
+    return SINK_HELD
+
+
+def _span_load(rect, e_src, e_dio, cap0, tank0, iLr, vCr, iLm, vOut,
+               Lr, Cr, Lm, Cout):
+    """Load energy over a span of one rectifier phase.
+
+    The output capacitor gives it as the rectifier's output energy less
+    the capacitor's gain (cap0: its energy at the span start).  An open
+    rectifier delivers nothing; a conducting one delivers the source energy
+    less the diode loss and the tank's gain (tank0: the energy in Lr, Cr
+    and Lm at the span start), by the mode's own energy balance.
+    """
+    e = cap0 - 0.5 * Cout * vOut * vOut
+    if rect != RECT_OFF:
+        e += e_src - e_dio - (0.5 * (Lr * iLr * iLr + Cr * vCr * vCr
+                                     + Lm * iLm * iLm) - tank0)
+    return e
 
 
 def _put_event(ev, ev_n, t, code):
@@ -240,77 +473,55 @@ def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
     else:
         r = rec_n
         rec_n += 1
-    rec[r, 0] = t
-    rec[r, 1] = iLr
-    rec[r, 2] = vCr
-    rec[r, 3] = iLm
-    rec[r, 4] = vOut
-    rec[r, 5] = vsw
-    rec[r, 6] = _iload(vOut, load_kind, load_val)
-    rec[r, 7] = rect
-    rec[r, 8] = seg_kind
+    rec[r] = (t, iLr, vCr, iLm, vOut, vsw, _iload(vOut, load_kind, load_val),
+              rect, seg_kind)
     return rec_n
 
 
-def _mode_map(h, vsw, rect, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
-    """One RK4 step of length h in one mode as x+ = x + D x + q.
-
-    Read off ``_rk4`` itself, so the mode ODE stays defined only in
-    ``_derivs``: each unit vector stepped with the inputs off (no bridge
-    voltage, diode drop or sink current) gives a column of I + D, and a
-    base point stepped with them on gives q.  A current sink's base point
-    sits above ground by more than the sink can pull in one step, so every
-    RK4 stage from it sees the sink on.  Returns D row by row, then q.
-    """
-    lin = load_val if load_kind == LOAD_RES else 0.0
-    p00, p10, p20, p30 = _rk4(1.0, 0.0, 0.0, 0.0, h, 0.0, rect,
-                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
-    p01, p11, p21, p31 = _rk4(0.0, 1.0, 0.0, 0.0, h, 0.0, rect,
-                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
-    p02, p12, p22, p32 = _rk4(0.0, 0.0, 1.0, 0.0, h, 0.0, rect,
-                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
-    p03, p13, p23, p33 = _rk4(0.0, 0.0, 0.0, 1.0, h, 0.0, rect,
-                              Lr, Cr, Lm, n, 0.0, Cout, load_kind, lin)
-    vb = 0.0
-    if load_kind == LOAD_CUR:
-        vb = 1.0 + 2.0 * h * load_val / Cout
-    b0, b1, b2, b3 = _rk4(0.0, 0.0, 0.0, vb, h, vsw, rect,
-                          Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-    return (p00 - 1.0, p01, p02, p03,
-            p10, p11 - 1.0, p12, p13,
-            p20, p21, p22 - 1.0, p23,
-            p30, p31, p32, p33 - 1.0,
-            b0 - vb * p03, b1 - vb * p13, b2 - vb * p23, b3 - vb * p33)
+def _quantize(h):
+    """h rounded to ``_Q_BITS`` mantissa bits."""
+    f, e = math.frexp(h)
+    return math.ldexp(round(f * (1 << _Q_BITS)), e - _Q_BITS)
 
 
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
-                      dt_max, tol_t, stride, rec, rec_n, ev, ev_n, acc):
+                      dt_max, tol_t, stride, rec, rec_n, ev, ev_n, acc,
+                      maps=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
     rec is a (cap, 9) float64 record buffer filled from row ``rec_n``; ev a
-    (cap, 2) event log (t, code).  acc[0] accumulates source energy and
-    acc[1] load energy (trapezoid per accepted substep, summed over the
-    span and added once at its end).  Returns
+    (cap, 2) event log (t, code).  Rows are written at t0, at the grid
+    instants t0 + dt (k + 1) for k % stride == 0 (dt = span / ceil(span /
+    dt_max)), at every event and at t1.  acc[0] accumulates source energy,
+    acc[1] load energy and acc[2] diode loss, once the call completes; a
+    call that stops early leaves acc as it was.  maps is the propagator
+    cache; pass the same dict to every call of one run (a fresh one when
+    None).  Returns
 
         (err, rec_n, ev_n, rect, clamp_hi,
-         iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut)
+         iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
+         steps, loc_iters)
 
-    with err one of the ERR_* codes; on err != 0 the state is whatever was
-    reached and the caller is expected to abort, or to grow the full buffer
-    (ERR_RECORD_FULL, ERR_EVENT_FULL) and run the span again.
+    with err one of the ERR_* codes, steps the propagation steps taken and
+    loc_iters the root-search iterations spent locating events; on err != 0
+    the state is whatever was reached and the caller is expected to abort,
+    or to grow the full buffer (ERR_RECORD_FULL, ERR_EVENT_FULL) and run the
+    span again.
     """
+    if maps is None:
+        maps = {}
     err = ERR_OK
+    steps = 0
+    loc_iters = 0
     is_dead = seg_kind == SEG_DEAD_TO_LOW or seg_kind == SEG_DEAD_TO_HIGH
     if seg_kind == SEG_HIGH:
-        vsw = vin
         node_hi = 1
     elif seg_kind == SEG_LOW:
-        vsw = 0.0
         node_hi = 0
     else:
         node_hi = clamp_hi
-        vsw = vin if clamp_hi == 1 else 0.0
+    vsw = vin if node_hi == 1 else 0.0
 
     max_ilr = abs(iLr)
     max_vcr = abs(vCr)
@@ -319,7 +530,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
     # entry settle, then the segment entry row (overwrites a sample left at
     # the same t)
-    rect, code = _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf)
+    rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
+    sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     if code != 0:
         j = _put_event(ev, ev_n, t0, code)
         if j < 0:
@@ -337,81 +549,273 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     span = t1 - t0
     n_steps = 0
     dt = 0.0
+    cap = 0.0
     if err == ERR_OK and span > 0.0:
         n_steps = int(math.ceil(span / dt_max))
         if n_steps < 1:
             n_steps = 1
         dt = span / n_steps
+        cap = _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind,
+                        load_val)
 
     # per-mode quantities, refreshed at entry and after each transition:
-    # the full-step map, the start-of-step event values and slot-0
-    # direction, and the source and load power at the current state
+    # the mode record, its step map, the rate and the event-function
+    # values and slopes at the current state
     stale = True
+    m = None
+    mmaps = None
+    slots = ()
+    g_a = []
+    d_a = []
+    r0 = r1 = r2 = r3 = 0.0
+    a01 = a03 = a10 = a21 = a23 = a30 = a33 = b0 = b2 = b3 = 0.0
+    hq_map = -1.0
     d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = 0.0
     d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = 0.0
     q0 = q1 = q2 = q3 = 0.0
-    a0 = a1_ = a2_ = 0.0
-    dir0 = 0
-    p_src = p_load = 0.0
-    # energy of this call, added to acc once at the end
-    e_src = e_load = 0.0
+    src = dio = None
+    sgn = 0.0
+    # energy of this call, added to acc once at the end, and of the span
+    # since the last transition (see ``_span_load``)
+    e_src = e_load = e_dio = 0.0
+    sp_src = sp_dio = 0.0
+    sp_cap = 0.5 * Cout * vOut * vOut
+    sp_tank = 0.5 * (Lr * iLr * iLr + Cr * vCr * vCr + Lm * iLm * iLm)
+    # pieces per record interval: cells -> (count, cached step length)
+    pieces = {}
 
-    for k in range(n_steps):
-        t_b = t1 if k == n_steps - 1 else t0 + dt * (k + 1)
-        t_cur = t0 + dt * k if k > 0 else t0
-        guard = 0
-        while t_cur < t_b:
-            if stale:
-                (d00, d01, d02, d03, d10, d11, d12, d13,
-                 d20, d21, d22, d23, d30, d31, d32, d33,
-                 q0, q1, q2, q3) = _mode_map(dt, vsw, rect, Lr, Cr, Lm, n, Vf,
-                                             Cout, load_kind, load_val)
-                a0, a1_, a2_ = _event_values(iLr, vCr, iLm, vOut, vsw, rect,
-                                             is_dead, Lr, Lm, n, Vf)
-                # slot directions: rect event rises in Off (clamp reached)
-                # and falls in D1/D2 (current zero); dead-clamp flips either
-                # way
-                dir0 = 0 if rect == RECT_OFF else 1
-                p_src = vin * iLr if node_hi == 1 else 0.0
-                p_load = vOut * _iload(vOut, load_kind, load_val)
-                stale = False
-            h = t_b - t_cur
-            # a full step by the mode's map, unless a current sink is off
-            # at the step's start or end
-            affine = guard == 0 and (load_kind == LOAD_RES or vOut > 0.0)
-            if affine:
-                # an open rectifier moves iLm by iLr's increment, so the two
-                # stay equal
-                di = d00 * iLr + d01 * vCr + d02 * iLm + d03 * vOut + q0
-                ni = iLr + di
-                if rect != RECT_OFF:
-                    di = d20 * iLr + d21 * vCr + d22 * iLm + d23 * vOut + q2
-                nm = iLm + di
-                nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm + d13 * vOut
-                            + q1)
-                no = vOut + (d30 * iLr + d31 * vCr + d32 * iLm + d33 * vOut
-                             + q3)
-                affine = load_kind == LOAD_RES or no > 0.0
-            if not affine:
-                ni, nc, nm, no = _rk4(iLr, vCr, iLm, vOut, h, vsw, rect,
-                                      Lr, Cr, Lm, n, Vf, Cout, load_kind,
-                                      load_val)
-            b0, b1_, b2_ = _event_values(ni, nc, nm, no, vsw, rect,
-                                         is_dead, Lr, Lm, n, Vf)
-            fired0 = _fired(a0, b0, dir0)
-            fired1 = rect == RECT_OFF and _fired(a1_, b1_, 0)
-            fired2 = is_dead and _fired(a2_, b2_, 2)
-            if not (fired0 or fired1 or fired2):
-                # accepted step: energy, extrema, invariants, record
-                p_src_b = vin * ni if node_hi == 1 else 0.0
-                p_load_b = no * _iload(no, load_kind, load_val)
-                e_src += 0.5 * (p_src + p_src_b) * h
-                e_load += 0.5 * (p_load + p_load_b) * h
-                p_src = p_src_b
-                p_load = p_load_b
-                a0, a1_, a2_ = b0, b1_, b2_
-                iLr, vCr, iLm, vOut = ni, nc, nm, no
-                t_cur = t_b
+    cells = 0
+    t_cur = t0
+    while err == ERR_OK and cells < n_steps:
+        nxt = 1 if cells == 0 else min(cells + stride, n_steps)
+        t_rec = t1 if nxt == n_steps else t0 + dt * nxt
+        pc = pieces.get(nxt - cells)
+        if pc is None:
+            length = (nxt - cells) * dt
+            count = max(1, int(math.ceil(length / cap)))
+            pc = (count, _quantize(length / count))
+            pieces[nxt - cells] = pc
+        count, hq = pc
+        cells = nxt
+        t_a = t_cur
+        hp = (t_rec - t_a) / count
+        for i in range(count):
+            t_b = t_rec if i == count - 1 else t_a + hp * (i + 1)
+            full = True  # the piece starts on its lattice point
+            guard = 0
+            while t_cur < t_b:
+                if stale:
+                    m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
+                                 n, Vf, Cout, load_kind, load_val)
+                    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+                    slots = m[12] if is_dead else m[11]
+                    mmaps = m[13]
+                    hq_map = -1.0
+                    sgn = 0.0
+                    if rect == RECT_D1:
+                        sgn = 1.0
+                    elif rect == RECT_D2:
+                        sgn = -1.0
+                    r0 = a01 * vCr + a03 * vOut + b0
+                    r1 = a10 * iLr
+                    r2 = a21 * vCr + a23 * vOut + b2
+                    r3 = a30 * (iLr - iLm) + a33 * vOut + b3
+                    g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
+                           for _, c0, c1, c2, c3, d, _ in slots]
+                    d_a = [c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3
+                           for _, c0, c1, c2, c3, _, _ in slots]
+                    stale = False
+                w = None
+                h = t_b - t_cur
+                if full:
+                    if hq_map != hq:
+                        mp = mmaps.get(hq)
+                        if mp is None:
+                            if len(mmaps) >= _MAPS_MAX:
+                                mmaps.clear()
+                            mp = _step_map(m, hq, vin, node_hi, rect, n, Vf)
+                            mmaps[hq] = mp
+                        ((d00, d01, d02, d03, d10, d11, d12, d13,
+                          d20, d21, d22, d23, d30, d31, d32, d33),
+                         (q0, q1, q2, q3), src, dio) = mp
+                        hq_map = hq
+                    ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
+                                + d03 * vOut + q0)
+                    nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm
+                                + d13 * vOut + q1)
+                    nm = iLm + (d20 * iLr + d21 * vCr + d22 * iLm
+                                + d23 * vOut + q2)
+                    no = vOut + (d30 * iLr + d31 * vCr + d32 * iLm
+                                 + d33 * vOut + q3)
+                    de_src = de_dio = 0.0
+                    if src is not None:
+                        de_src = (src[0] * iLr + src[1] * vCr + src[2] * iLm
+                                  + src[3] * vOut + src[4])
+                    if dio is not None:
+                        de_dio = (dio[0] * iLr + dio[1] * vCr + dio[2] * iLm
+                                  + dio[3] * vOut + dio[4])
+                    rb0 = a01 * nc + a03 * no + b0
+                    rb1 = a10 * ni
+                    rb2 = a21 * nc + a23 * no + b2
+                    rb3 = a30 * (ni - nm) + a33 * no + b3
+                    # the map spans hq: carry the state and the integrals on
+                    # to h by the rate there (the rates, which only signal
+                    # sign changes, keep a relative error of dh rho)
+                    dh = h - hq
+                    ni += dh * rb0
+                    nc += dh * rb1
+                    nm += dh * rb2
+                    no += dh * rb3
+                    if src is not None:
+                        de_src += dh * vin * ni
+                    de_dio += dh * Vf * n * sgn * (ni - nm)
+                else:
+                    # the rest of a piece after an event
+                    w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
+                    ni, nc, nm, no = _at(w, 1.0)
+                    i0, i2 = _integrals(w, 1.0, h)
+                    de_src = vin * i0 if node_hi == 1 else 0.0
+                    de_dio = Vf * n * sgn * (i0 - i2)
+                    rb0 = a01 * nc + a03 * no + b0
+                    rb1 = a10 * ni
+                    rb2 = a21 * nc + a23 * no + b2
+                    rb3 = a30 * (ni - nm) + a33 * no + b3
+                steps += 1
+
+                # events: a sign change across the step, or a graze inside it
+                g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
+                       for _, c0, c1, c2, c3, d, _ in slots]
+                d_b = [c0 * rb0 + c1 * rb1 + c2 * rb2 + c3 * rb3
+                       for _, c0, c1, c2, c3, _, _ in slots]
+                hit = -1
+                s_hit = 2.0
+                for j in range(len(slots)):
+                    ga = g_a[j]
+                    gb = g_b[j]
+                    db = d_b[j]
+                    side = slots[j][6]
+                    if side == 0.0:
+                        side = -1.0 if ga > 0.0 else 1.0 if ga < 0.0 else 0.0
+                    if side * gb <= 0.0 and not (side * d_a[j] > 0.0
+                                                 and side * db < 0.0):
+                        continue  # nothing to look for (or no side yet)
+                    sid, c0, c1, c2, c3, d, _ = slots[j]
+                    # within rounding of its threshold a function counts as
+                    # on it: it fires only from there or short of it, and
+                    # only once it ends clear past it
+                    if side * ga > 0.0 and side * ga > _noise(
+                            c0, c1, c2, c3, d, iLr, vCr, iLm, vOut):
+                        continue
+                    lo_end = 1.0
+                    if side * gb <= 0.0 or side * gb <= _noise(
+                            c0, c1, c2, c3, d, ni, nc, nm, no):
+                        if not (side * d_a[j] > 0.0 and side * db < 0.0):
+                            continue
+                        # the function turns back inside the step: fired
+                        # only if its extremum lies past the threshold
+                        if w is None:
+                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
+                                        h, m)
+                        P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3
+                             for u0, u1, u2, u3 in w]
+                        P[0] = ga
+                        dP = [k * P[k] for k in range(1, len(P))]
+                        s_e, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL,
+                                        d_a[j], db)
+                        loc_iters += it
+                        gb = _peval(P, s_e)[0]
+                        if side * gb <= _noise(c0, c1, c2, c3, d,
+                                               iLr, vCr, iLm, vOut):
+                            continue
+                        lo_end = s_e
+                    else:
+                        if w is None:
+                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
+                                        h, m)
+                        P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3
+                             for u0, u1, u2, u3 in w]
+                        P[0] = ga
+                    s_j, it = _root(P, 0.0, lo_end, side, tol_t / h, ga, gb)
+                    loc_iters += it
+                    if s_j < 0.0:
+                        err = ERR_EVENT_LOC
+                        break
+                    if s_j < s_hit:
+                        s_hit = s_j
+                        hit = j
+                if err != ERR_OK:
+                    break
+
+                if hit < 0:
+                    # accepted step: energy, extrema, invariants, record
+                    sp_src += de_src
+                    sp_dio += de_dio
+                    if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \
+                            or r3 * rb3 < 0.0:
+                        if w is None:
+                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
+                                        h, m)
+                        if r0 * rb0 < 0.0:
+                            max_ilr = max(max_ilr,
+                                          _extremum(w, 0, 1.0, r0, rb0))
+                        if r1 * rb1 < 0.0:
+                            max_vcr = max(max_vcr,
+                                          _extremum(w, 1, 1.0, r1, rb1))
+                        if r2 * rb2 < 0.0:
+                            max_ilm = max(max_ilm,
+                                          _extremum(w, 2, 1.0, r2, rb2))
+                        if r3 * rb3 < 0.0:
+                            max_vout = max(max_vout,
+                                           _extremum(w, 3, 1.0, r3, rb3))
+                    iLr, vCr, iLm, vOut = ni, nc, nm, no
+                    r0, r1, r2, r3 = rb0, rb1, rb2, rb3
+                    g_a = g_b
+                    d_a = d_b
+                    t_cur = t_b
+                    if abs(iLr) > max_ilr:
+                        max_ilr = abs(iLr)
+                    if abs(vCr) > max_vcr:
+                        max_vcr = abs(vCr)
+                    if abs(iLm) > max_ilm:
+                        max_ilm = abs(iLm)
+                    if abs(vOut) > max_vout:
+                        max_vout = abs(vOut)
+                    bad = False
+                    if rect == RECT_D1 and n * (iLr - iLm) < -I_TOL:
+                        bad = True
+                    elif rect == RECT_D2 and n * (iLm - iLr) < -I_TOL:
+                        bad = True
+                    if vOut < -V_TOL:
+                        bad = True
+                    if bad:
+                        err = ERR_MODE_VIOLATION
+                        break
+                    if i == count - 1:
+                        j = _put_row(rec, rec_n, t_b, iLr, vCr, iLm, vOut,
+                                     vsw, rect, seg_kind, load_kind, load_val)
+                        if j < 0:
+                            err = ERR_RECORD_FULL
+                            break
+                        rec_n = j
+                    continue
+
+                # advance to the earliest located event
+                s = s_hit
+                ei, ec, em, eo = _at(w, s)
+                e0_, e1_, e2_, e3_ = _rate_at(w, s, h)
+                i0, i2 = _integrals(w, s, h)
+                if node_hi == 1:
+                    sp_src += vin * i0
+                sp_dio += Vf * n * sgn * (i0 - i2)
+                if r0 * e0_ < 0.0:
+                    max_ilr = max(max_ilr, _extremum(w, 0, s, r0, e0_))
+                if r1 * e1_ < 0.0:
+                    max_vcr = max(max_vcr, _extremum(w, 1, s, r1, e1_))
+                if r2 * e2_ < 0.0:
+                    max_ilm = max(max_ilm, _extremum(w, 2, s, r2, e2_))
+                if r3 * e3_ < 0.0:
+                    max_vout = max(max_vout, _extremum(w, 3, s, r3, e3_))
+                iLr, vCr, iLm, vOut = ei, ec, em, eo
                 if abs(iLr) > max_ilr:
                     max_ilr = abs(iLr)
                 if abs(vCr) > max_vcr:
@@ -420,146 +824,95 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     max_ilm = abs(iLm)
                 if abs(vOut) > max_vout:
                     max_vout = abs(vOut)
-                bad = False
-                if rect == RECT_D1 and n * (iLr - iLm) < -I_TOL:
-                    bad = True
-                elif rect == RECT_D2 and n * (iLm - iLr) < -I_TOL:
-                    bad = True
-                if vOut < -V_TOL:
-                    bad = True
-                if bad:
-                    err = ERR_MODE_VIOLATION
-                    break
-                if k % stride == 0 or k == n_steps - 1:
-                    j = _put_row(rec, rec_n, t_b, iLr, vCr, iLm, vOut, vsw,
+                e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
+                                     iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
+                e_src += sp_src
+                e_dio += sp_dio
+                t_ev = t_cur + s * (t_b - t_cur)
+                if t_ev > t_b:
+                    t_ev = t_b
+                t_cur = t_ev
+                full = False
+                stale = True
+
+                # apply the transition
+                sid = slots[hit][0]
+                code = 0
+                if sid == 0:
+                    if rect == RECT_D1:
+                        rect = RECT_OFF
+                        iLm = iLr  # series constraint is exact at turn-off
+                        code = EV_D1_OFF
+                    elif rect == RECT_D2:
+                        rect = RECT_OFF
+                        iLm = iLr
+                        code = EV_D2_OFF
+                    else:
+                        rect = RECT_D1
+                        code = EV_D1_ON
+                elif sid == 1:
+                    rect = RECT_D2
+                    code = EV_D2_ON
+                elif sid == 2:
+                    # node swaps rails when iLr reverses during dead time
+                    if g_a[hit] > 0.0:
+                        clamp_hi = 1
+                        code = EV_CLAMP_HIGH
+                    else:
+                        clamp_hi = 0
+                        code = EV_CLAMP_LOW
+                    node_hi = clamp_hi
+                    vsw = vin if clamp_hi == 1 else 0.0
+                elif sink == SINK_ON:
+                    vOut = 0.0  # the sink holds the output at ground
+                if code != 0:
+                    j = _put_event(ev, ev_n, t_ev, code)
+                    if j < 0:
+                        err = ERR_EVENT_FULL
+                        break
+                    ev_n = j
+
+                    # settle: the new Off state may sit past the other
+                    # clamp already
+                    rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
+                    if code != 0:
+                        j = _put_event(ev, ev_n, t_ev, code)
+                        if j < 0:
+                            err = ERR_EVENT_FULL
+                            break
+                        ev_n = j
+
+                    # record the instant with the post-transition mode
+                    j = _put_row(rec, rec_n, t_ev, iLr, vCr, iLm, vOut, vsw,
                                  rect, seg_kind, load_kind, load_val)
                     if j < 0:
                         err = ERR_RECORD_FULL
                         break
                     rec_n = j
-                continue
-
-            # localize the earliest fired event; a tie goes to the lower slot
-            h_star = h
-            slot_star = -1
-            for slot in range(3):
-                if slot == 0:
-                    fired = fired0
-                    direction = dir0
-                    g_a = a0
-                elif slot == 1:
-                    fired = fired1
-                    direction = 0
-                    g_a = a1_
+                if sid == 3 and sink == SINK_HELD:
+                    sink = SINK_ON  # the rectifier lifts the output
                 else:
-                    fired = fired2
-                    direction = 2
-                    g_a = a2_
-                if not fired:
-                    continue
-                ok, hs = _bisect_event(iLr, vCr, iLm, vOut, h, vsw, rect,
-                                       slot, direction, g_a, is_dead,
-                                       Lr, Cr, Lm, n, Vf, Cout, load_kind,
-                                       load_val, tol_t)
-                if ok == 0:
-                    err = ERR_EVENT_LOC
+                    sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind,
+                                        load_val)
+
+                sp_src = sp_dio = 0.0
+                sp_cap = 0.5 * Cout * vOut * vOut
+                sp_tank = 0.5 * (Lr * iLr * iLr + Cr * vCr * vCr
+                                 + Lm * iLm * iLm)
+
+                guard += 1
+                if guard > EVENT_GUARD:
+                    err = ERR_CHATTER
                     break
-                if slot_star < 0 or hs < h_star:
-                    h_star = hs
-                    slot_star = slot
             if err != ERR_OK:
                 break
 
-            ei, ec, em, eo = _rk4(iLr, vCr, iLm, vOut, h_star, vsw, rect,
-                                  Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val)
-            p_src_b = vin * ei if node_hi == 1 else 0.0
-            e_src += 0.5 * (p_src + p_src_b) * h_star
-            e_load += 0.5 * (p_load + eo * _iload(eo, load_kind, load_val)
-                             ) * h_star
-            iLr, vCr, iLm, vOut = ei, ec, em, eo
-            t_ev = t_cur + h_star
-            t_cur = t_ev
-            if abs(iLr) > max_ilr:
-                max_ilr = abs(iLr)
-            if abs(vCr) > max_vcr:
-                max_vcr = abs(vCr)
-            if abs(iLm) > max_ilm:
-                max_ilm = abs(iLm)
-            if abs(vOut) > max_vout:
-                max_vout = abs(vOut)
-
-            # apply the transition
-            stale = True
-            code = 0
-            if slot_star == 0:
-                if rect == RECT_D1:
-                    rect = RECT_OFF
-                    iLm = iLr  # series constraint is exact at turn-off
-                    code = EV_D1_OFF
-                elif rect == RECT_D2:
-                    rect = RECT_OFF
-                    iLm = iLr
-                    code = EV_D2_OFF
-                else:
-                    rect = RECT_D1
-                    code = EV_D1_ON
-            elif slot_star == 1:
-                rect = RECT_D2
-                code = EV_D2_ON
-            else:
-                # node swaps rails when iLr reverses during dead time
-                if a2_ > 0.0:
-                    clamp_hi = 1
-                    code = EV_CLAMP_HIGH
-                else:
-                    clamp_hi = 0
-                    code = EV_CLAMP_LOW
-                node_hi = clamp_hi
-                vsw = vin if clamp_hi == 1 else 0.0
-            j = _put_event(ev, ev_n, t_ev, code)
-            if j < 0:
-                err = ERR_EVENT_FULL
-                break
-            ev_n = j
-
-            # settle: the new Off state may sit past the other clamp already
-            rect, code = _settle(rect, iLr, vCr, iLm, vOut, vsw, Lr, Lm, n, Vf)
-            if code != 0:
-                j = _put_event(ev, ev_n, t_ev, code)
-                if j < 0:
-                    err = ERR_EVENT_FULL
-                    break
-                ev_n = j
-
-            # record the instant with the post-transition mode
-            j = _put_row(rec, rec_n, t_ev, iLr, vCr, iLm, vOut, vsw, rect,
-                         seg_kind, load_kind, load_val)
-            if j < 0:
-                err = ERR_RECORD_FULL
-                break
-            rec_n = j
-
-            guard += 1
-            if guard > EVENT_GUARD:
-                err = ERR_CHATTER
-                break
-        if err != ERR_OK:
-            break
-
-    acc[0] += e_src
-    acc[1] += e_load
+    if err == ERR_OK:
+        e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
+                             iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
+        acc[0] += e_src + sp_src
+        acc[1] += e_load
+        acc[2] += e_dio + sp_dio
     return (err, rec_n, ev_n, rect, clamp_hi,
-            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout)
-
-
-_iload = maybe_njit(_iload)
-_derivs = maybe_njit(_derivs)
-_rk4 = maybe_njit(_rk4)
-_event_values = maybe_njit(_event_values)
-_fired = maybe_njit(_fired)
-_bisect_event = maybe_njit(_bisect_event)
-_settle = maybe_njit(_settle)
-_mode_map = maybe_njit(_mode_map)
-_put_event = maybe_njit(_put_event)
-_put_row = maybe_njit(_put_row)
-integrate_segment = maybe_njit(integrate_segment)
+            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
+            steps, loc_iters)

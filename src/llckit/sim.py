@@ -2,13 +2,18 @@
 
 One switching period is four gate segments in fixed order: high switch on,
 dead time into the low side, low switch on, dead time back to the high
-side.  Each segment is handed to the fixed-step kernel
-(:mod:`llckit.kernels`), which integrates the piecewise-linear circuit and
-locates rectifier and dead-time events by bisection.  During dead time the
-switching node is clamped to a rail by whichever body diode the resonant
-current forces into conduction; a gate edge that finds the node already at
-its rail is a soft (zero-voltage) transition, and every such edge is
-recorded in the run's ZVS report.
+side.  Each segment is handed to the kernel (:mod:`llckit.kernels`), which
+steps the piecewise-linear circuit by each mode's exact propagator and
+locates rectifier, dead-time and sink events on the exact trajectory.  The
+driver keeps the kernel's propagator cache for the run, and counts the
+kernel's steps, its localization iterations and the events by kind
+(:attr:`PeriodDriver.counts`).  ``dt_max`` (default: a period over
+``STEPS_PER_PERIOD``) sets the grid that waveform rows sit on.
+
+During dead time the switching node is clamped to a rail by whichever body
+diode the resonant current forces into conduction; a gate edge that finds
+the node already at its rail is a soft (zero-voltage) transition, and
+every such edge is recorded in the run's ZVS report.
 
 The driver is deliberately dumb about control: it runs one commanded
 frequency per period.  Closed-loop operation and periodic steady-state
@@ -55,7 +60,7 @@ __all__ = [
 # waveform channel order (t always comes first in CSV output)
 CHANNELS = ("vsw", "iLr", "vCr", "iLm", "vOut", "iOut", "gateHS", "gateLS")
 
-STEPS_PER_PERIOD = 2000  # default resolution behind dt_max
+STEPS_PER_PERIOD = 2000  # default record grid behind dt_max
 _CSV_BLOCK = 256  # waveform rows formatted per block in Waveform.to_csv
 
 _EVENT_NAMES = {
@@ -85,7 +90,7 @@ class ModeChatter(SimError):
 
 
 class EventLocalizationFailure(SimError):
-    """Event bisection hit its iteration cap before reaching tolerance."""
+    """Event localization hit its iteration cap before reaching tolerance."""
 
 
 class RecordOverflow(SimError):
@@ -210,7 +215,7 @@ class SimConfig:
     load: LoadSpec
     t_end: float
     dt_max: float | None = None  # default: period / STEPS_PER_PERIOD
-    record_stride: int = 8  # keep every k-th integration step
+    record_stride: int = 8  # record every k-th grid instant
     soft_start: float = 0.0  # frequency-ramp duration from cold start
     channels: tuple[str, ...] | None = None  # None keeps all channels
 
@@ -324,8 +329,10 @@ class SimResult:
     events: tuple[SimEvent, ...]
     zvs: ZvsReport
     final_state: SimState
-    energy: dict  # {"source": J drawn from Vin, "load": J delivered}
+    energy: dict  # J drawn from Vin, delivered to the load, lost in diodes
     periods: int
+    # deterministic work counts (see PeriodDriver.counts)
+    counts: dict = field(default_factory=dict)
 
 
 def stored_energy(tank: TankParams, state: SimState) -> float:
@@ -400,14 +407,23 @@ class PeriodDriver:
                  record: bool = True):
         self.cfg = cfg
         self.record = record
+        tank = cfg.tank
+        # the stage arguments every kernel call shares, as Python floats: a
+        # numpy scalar here would make every kernel operation a
+        # numpy-scalar one, several times slower
+        self._stage = (float(cfg.vin), float(tank.Lr), float(tank.Cr),
+                       float(tank.Lm), float(tank.n), float(tank.Vf),
+                       float(tank.Cout), cfg.load.kind_code())
+        self._switch_times = cfg.load.switch_times
+        self._load0 = float(cfg.load.points[0][1])
+        # mode propagators, shared by every kernel call of this run
+        self._maps: dict = {}
         self._rec = np.empty((_REC_CAP0, kernels.REC_COLS))
         self._ev = np.empty((_EV_CAP, 2))
-        self._acc = np.zeros(2)
+        self._acc = np.zeros(3)
         self.reset(initial if initial is not None else zero_state())
 
     def reset(self, state: SimState) -> None:
-        # Python floats: a numpy scalar here would make every kernel
-        # operation a numpy-scalar one, several times slower
         self.t = float(state.t)
         self._x = [float(state.iLr), float(state.vCr), float(state.iLm),
                    float(state.vOut)]
@@ -418,6 +434,8 @@ class PeriodDriver:
         self._acc[:] = 0.0
         self.periods = 0
         self._pmax = [0.0, 0.0, 0.0, 0.0]
+        self._steps = 0
+        self._loc_iters = 0
 
     @property
     def state(self) -> SimState:
@@ -431,10 +449,21 @@ class PeriodDriver:
 
     @property
     def energy(self) -> dict:
-        return {"source": float(self._acc[0]), "load": float(self._acc[1])}
+        """Joules since the last reset: drawn from Vin, delivered to the
+        load, and dropped across the rectifier diodes."""
+        src, load, diode = self._acc.tolist()
+        return {"source": src, "load": load, "diode": diode}
 
-    def _log_event(self, t: float, code: int) -> None:
-        self._events.append((t, code))
+    @property
+    def counts(self) -> dict:
+        """Deterministic work counts since the last reset: kernel steps,
+        event-localization iterations and logged events by kind."""
+        events = dict.fromkeys(_EVENT_NAMES.values(), 0)
+        for _, code in self._events:
+            events[_EVENT_NAMES[code]] += 1
+        return {"steps": self._steps,
+                "localization_iterations": self._loc_iters,
+                "events": events}
 
     def _grow_rec(self) -> None:
         cap = self._rec.shape[0] * 2
@@ -445,21 +474,20 @@ class PeriodDriver:
     def _run_piece(self, t_a: float, t_b: float, seg_kind: int, clamp: int,
                    load_val: float, dt_eff: float, tol_t: float,
                    stride: int) -> int:
-        cfg = self.cfg
-        tank = cfg.tank
+        vin, Lr, Cr, Lm, n, Vf, Cout, kind = self._stage
         span = t_b - t_a
         n_est = int(math.ceil(span / dt_eff)) if span > 0.0 else 1
         need = n_est // stride + 2 * kernels.EVENT_GUARD + 16
         while need > self._rec.shape[0]:
             self._grow_rec()
+        x = self._x
         while True:
-            acc_before = self._acc.copy()
+            # a call that stops on a full buffer leaves acc as it was
             out = kernels.integrate_segment(
-                self._x[0], self._x[1], self._x[2], self._x[3],
-                t_a, t_b, seg_kind, clamp, self._rect,
-                cfg.vin, tank.Lr, tank.Cr, tank.Lm, tank.n, tank.Vf,
-                tank.Cout, cfg.load.kind_code(), load_val,
-                dt_eff, tol_t, stride, self._rec, 0, self._ev, 0, self._acc)
+                x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp,
+                self._rect, vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val,
+                dt_eff, tol_t, stride, self._rec, 0, self._ev, 0, self._acc,
+                self._maps)
             err = out[0]
             if err == kernels.ERR_RECORD_FULL:
                 self._grow_rec()
@@ -467,9 +495,8 @@ class PeriodDriver:
                 self._ev = np.empty((2 * self._ev.shape[0], 2))
             else:
                 break
-            self._acc[:] = acc_before
         (_, rec_n, ev_n, rect, clamp_out,
-         iLr, vCr, iLm, vOut, m0, m1, m2, m3) = out
+         iLr, vCr, iLm, vOut, m0, m1, m2, m3, steps, loc_iters) = out
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
                 f"could not localize a mode transition near t={t_a:.6e}")
@@ -483,14 +510,33 @@ class PeriodDriver:
                 f"(state {iLr:.4g}, {vCr:.4g}, {iLm:.4g}, {vOut:.4g})")
         self._x = [iLr, vCr, iLm, vOut]
         self._rect = rect
-        for i, m in enumerate((m0, m1, m2, m3)):
-            if m > self._pmax[i]:
-                self._pmax[i] = m
+        self._steps += steps
+        self._loc_iters += loc_iters
+        pmax = self._pmax
+        if m0 > pmax[0]:
+            pmax[0] = m0
+        if m1 > pmax[1]:
+            pmax[1] = m1
+        if m2 > pmax[2]:
+            pmax[2] = m2
+        if m3 > pmax[3]:
+            pmax[3] = m3
         if self.record and rec_n > 0:
             self._chunks.append(self._rec[:rec_n].copy())
-        for i in range(ev_n):
-            self._log_event(float(self._ev[i, 0]), int(self._ev[i, 1]))
+        if ev_n:
+            self._events.extend((t, int(c))
+                                for t, c in self._ev[:ev_n].tolist())
         return clamp_out
+
+    def _load_pieces(self, s_a: float, s_end: float):
+        """(start, end, load value) of each constant-load piece of a span."""
+        if not self._switch_times:
+            return ((s_a, s_end, self._load0),)
+        load = self.cfg.load
+        pts = ([s_a] + [tc for tc in self._switch_times if s_a < tc < s_end]
+               + [s_end])
+        return tuple((a, b, load.value_at(a))
+                     for a, b in zip(pts[:-1], pts[1:]))
 
     def advance_period(self, fsw: float, t_stop: float = math.inf) -> None:
         """Run (up to) one full switching period at the commanded frequency."""
@@ -520,9 +566,9 @@ class PeriodDriver:
         for seg_kind, s_a, s_b, gate_code in plan:
             if s_a >= t_stop:
                 return
-            self._log_event(s_a, gate_code)
-            dead = seg_kind in (kernels.SEG_DEAD_TO_LOW,
-                                kernels.SEG_DEAD_TO_HIGH)
+            self._events.append((s_a, gate_code))
+            dead = (seg_kind == kernels.SEG_DEAD_TO_LOW
+                    or seg_kind == kernels.SEG_DEAD_TO_HIGH)
             clamp = 0
             if dead:
                 if self._x[0] < 0.0:
@@ -533,12 +579,9 @@ class PeriodDriver:
                     # zero current leaves the node where the last on-state put it
                     clamp = 1 if seg_kind == kernels.SEG_DEAD_TO_LOW else 0
             s_end = min(s_b, t_stop)
-            cuts = [tc for tc in cfg.load.switch_times if s_a < tc < s_end]
-            pts = [s_a] + cuts + [s_end]
-            for a, b in zip(pts[:-1], pts[1:]):
-                clamp = self._run_piece(a, b, seg_kind, clamp,
-                                        cfg.load.value_at(a), dt_eff, tol_t,
-                                        stride)
+            for a, b, load_val in self._load_pieces(s_a, s_end):
+                clamp = self._run_piece(a, b, seg_kind, clamp, load_val,
+                                        dt_eff, tol_t, stride)
             self.t = s_end
             if dead and s_end == s_b:
                 if seg_kind == kernels.SEG_DEAD_TO_LOW:
@@ -582,6 +625,7 @@ class PeriodDriver:
             final_state=self.state,
             energy=self.energy,
             periods=self.periods,
+            counts=self.counts,
         )
 
 

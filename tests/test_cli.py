@@ -254,6 +254,18 @@ class TestDesignCommand:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["design"]) == EXIT_CONFIG
 
+    def test_overflowing_qe_exits_2_naming_qe(self, tmp_path, capsys):
+        # Qe = 1e200 synthesizes a tank whose full-load Qe is infinite:
+        # the design fails on that, and says so
+        doc = reference_doc()
+        doc["overrides"]["Qe"] = 1e200
+        p = write_cfg(tmp_path, doc)
+        rc = main(["design", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "Qe = inf is out of range" in err
+        assert "NaN" not in err
+
 
 @pytest.fixture(scope="module")
 def pop_out(tmp_path_factory):

@@ -188,6 +188,16 @@ class TestPeakGain:
         with pytest.raises(ValueError):
             peak_gain(LN_REF, math.inf)
 
+    @pytest.mark.parametrize("call", [
+        lambda: peak_gain(2.05, 1e200),
+        lambda: solve_frequency(2.05, 1e200, 0.9),
+    ])
+    def test_overflowing_load_term_names_qe(self, call):
+        # (Qe Ln)^2 is past the float range: a domain error naming Qe,
+        # not an OverflowError from the arithmetic
+        with pytest.raises(ValueError, match=r"Qe = 1e\+200 is out of range"):
+            call()
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 10.0))
     def test_peak_is_the_stationary_point(self, ln, log_qe):

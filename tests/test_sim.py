@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from llckit import sim
 from llckit.gain import gain
 from llckit.sim import (
     CHANNELS,
     LoadSpec,
+    ModeChatter,
     ModeViolation,
     NotSettled,
     RectPhase,
     SimConfig,
     SimState,
     Waveform,
+    consistent_rect,
     fundamental_component,
     run_transient,
     stored_energy,
@@ -214,6 +218,30 @@ class TestFundamentalComponent:
             fundamental_component(self._wf(t, y), "y", f)
 
 
+@st.composite
+def stage_runs(draw):
+    """A random valid stage, load and operating point, started from rest or
+    from the sinusoidal seed."""
+    lr = draw(st.floats(10e-6, 100e-6))
+    cr = draw(st.floats(10e-9, 200e-9))
+    tank = TankParams(Lr=lr, Cr=cr, Lm=draw(st.floats(1.5, 8.0)) * lr,
+                      n=draw(st.floats(0.5, 4.0)),
+                      Vf=draw(st.floats(0.0, 1.0)),
+                      Cout=draw(st.floats(10e-6, 200e-6)),
+                      t_dead=draw(st.floats(50e-9, 300e-9)))
+    fsw = draw(st.floats(0.8, 1.5)) * series_resonance(tank)
+    if draw(st.booleans()):
+        load = LoadSpec.resistance(draw(st.floats(2.0, 500.0)))
+    else:
+        load = LoadSpec.current(draw(st.floats(0.0, 2.0)))
+    cfg = SimConfig(tank=tank, vin=draw(st.floats(12.0, 400.0)), fsw=fsw,
+                    load=load, t_end=draw(st.integers(1, 12)) / fsw,
+                    record_stride=draw(st.sampled_from((1, 8, 1 << 20))))
+    if draw(st.booleans()):
+        return cfg, zero_state()
+    return cfg, consistent_rect(warm_start_state(cfg))
+
+
 class TestEnergyBalance:
     def test_lossless_cold_start_accounting(self):
         # every joule from the source ends up in the load or in stored
@@ -228,6 +256,28 @@ class TestEnergyBalance:
         de = stored_energy(TANK, res.final_state)  # cold start stores zero
         assert e_src > 0.0
         assert abs(e_src - e_load - de) < 1e-4 * e_src
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stage_runs())
+    def test_whole_run_power_balance(self, run):
+        # the source energy goes to the load, the diodes and the stored
+        # field energy, to rounding, over whole runs of random stages
+        cfg, start = run
+        try:
+            res = run_transient(cfg, start)
+        except ModeChatter:
+            # the dead-time clamp chatter at iLr = 0 (a known defect with
+            # its own fix on the roadmap) stops some runs before there is a
+            # whole run to balance
+            reject()
+        e = res.energy
+        stored = (stored_energy(cfg.tank, res.final_state)
+                  - stored_energy(cfg.tank, start))
+        scale = max(abs(e["source"]), abs(e["load"]), abs(stored),
+                    stored_energy(cfg.tank, start))
+        assert e["diode"] >= 0.0
+        assert abs(e["source"] - e["load"] - e["diode"] - stored) \
+            <= 1e-9 * scale
 
 
 class TestBufferGrowth:
