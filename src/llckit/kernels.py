@@ -27,9 +27,9 @@ Since a step is exact at any length, the length is set by event detection
 alone: each step runs to the next record instant or by at most H, whichever
 comes first.  H is ``STEP_FRACTION`` of the stage's fastest natural period
 2 pi / rho, where rho bounds every eigenvalue of the mode matrices (the
-largest row sum of |A| in energy coordinates).  On the reference tank that
-period is the 9.99 us D1/D2 series resonance, so H is about 1.25 us and an
-unrecorded switching period takes tens of steps.
+largest row sum of |A| in energy coordinates).  On the reference tank the
+bound is 9.5 us against the 10.0 us D1/D2 series resonance, so H is
+1.19 us and an unrecorded switching period takes about 16 steps.
 
 Mode boundaries are event-function zeros, located by a safeguarded Newton
 iteration on the step's Taylor polynomial (``_root``):
