@@ -172,7 +172,7 @@ def _load_term(Ln: float, Qe: float) -> float:
     """c = (Qe Ln)^2, or ValueError naming Qe where that is no finite float."""
     qe_ln = Qe * Ln
     if qe_ln < _SQRT_FLOAT_MAX:
-        return qe_ln * qe_ln
+        return qe_ln ** 2
     raise ValueError(f"Qe = {Qe!r} is out of range: (Qe Ln)^2 overflows "
                      f"at Ln = {Ln!r}")
 

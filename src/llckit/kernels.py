@@ -574,7 +574,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = 0.0
     q0 = q1 = q2 = q3 = 0.0
     src = dio = None
-    sgn = 0.0
+    # the source energy and diode loss per unit integral of iLr and of
+    # the secondary's primary-side current iLr - iLm, in the current mode
+    f_src = f_dio = 0.0
     # energy of this call, added to acc once at the end, and of the span
     # since the last transition (see ``_span_load``)
     e_src = e_load = e_dio = 0.0
@@ -611,11 +613,12 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     slots = m[12] if is_dead else m[11]
                     mmaps = m[13]
                     hq_map = -1.0
-                    sgn = 0.0
+                    f_src = vin if node_hi == 1 else 0.0
+                    f_dio = 0.0
                     if rect == RECT_D1:
-                        sgn = 1.0
+                        f_dio = Vf * n
                     elif rect == RECT_D2:
-                        sgn = -1.0
+                        f_dio = -Vf * n
                     r0 = a01 * vCr + a03 * vOut + b0
                     r1 = a10 * iLr
                     r2 = a21 * vCr + a23 * vOut + b2
@@ -654,10 +657,19 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     if dio is not None:
                         de_dio = (dio[0] * iLr + dio[1] * vCr + dio[2] * iLm
                                   + dio[3] * vOut + dio[4])
-                    rb0 = a01 * nc + a03 * no + b0
-                    rb1 = a10 * ni
-                    rb2 = a21 * nc + a23 * no + b2
-                    rb3 = a30 * (ni - nm) + a33 * no + b3
+                else:
+                    # the rest of a piece after an event
+                    w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
+                    ni, nc, nm, no = _at(w, 1.0)
+                    i0, i2 = _integrals(w, 1.0, h)
+                    de_src = f_src * i0
+                    de_dio = f_dio * (i0 - i2)
+                steps += 1
+                rb0 = a01 * nc + a03 * no + b0
+                rb1 = a10 * ni
+                rb2 = a21 * nc + a23 * no + b2
+                rb3 = a30 * (ni - nm) + a33 * no + b3
+                if full:
                     # the map spans hq: carry the state and the integrals on
                     # to h by the rate there (the rates, which only signal
                     # sign changes, keep a relative error of dh rho)
@@ -666,21 +678,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     nc += dh * rb1
                     nm += dh * rb2
                     no += dh * rb3
-                    if src is not None:
-                        de_src += dh * vin * ni
-                    de_dio += dh * Vf * n * sgn * (ni - nm)
-                else:
-                    # the rest of a piece after an event
-                    w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                    ni, nc, nm, no = _at(w, 1.0)
-                    i0, i2 = _integrals(w, 1.0, h)
-                    de_src = vin * i0 if node_hi == 1 else 0.0
-                    de_dio = Vf * n * sgn * (i0 - i2)
-                    rb0 = a01 * nc + a03 * no + b0
-                    rb1 = a10 * ni
-                    rb2 = a21 * nc + a23 * no + b2
-                    rb3 = a30 * (ni - nm) + a33 * no + b3
-                steps += 1
+                    de_src += dh * f_src * ni
+                    de_dio += dh * f_dio * (ni - nm)
 
                 # events: a sign change across the step, or a graze inside it
                 g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
@@ -801,21 +800,19 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
                 # advance to the earliest located event
                 s = s_hit
-                ei, ec, em, eo = _at(w, s)
-                e0_, e1_, e2_, e3_ = _rate_at(w, s, h)
                 i0, i2 = _integrals(w, s, h)
-                if node_hi == 1:
-                    sp_src += vin * i0
-                sp_dio += Vf * n * sgn * (i0 - i2)
-                if r0 * e0_ < 0.0:
-                    max_ilr = max(max_ilr, _extremum(w, 0, s, r0, e0_))
-                if r1 * e1_ < 0.0:
-                    max_vcr = max(max_vcr, _extremum(w, 1, s, r1, e1_))
-                if r2 * e2_ < 0.0:
-                    max_ilm = max(max_ilm, _extremum(w, 2, s, r2, e2_))
-                if r3 * e3_ < 0.0:
-                    max_vout = max(max_vout, _extremum(w, 3, s, r3, e3_))
-                iLr, vCr, iLm, vOut = ei, ec, em, eo
+                sp_src += f_src * i0
+                sp_dio += f_dio * (i0 - i2)
+                rs0, rs1, rs2, rs3 = _rate_at(w, s, h)
+                if r0 * rs0 < 0.0:
+                    max_ilr = max(max_ilr, _extremum(w, 0, s, r0, rs0))
+                if r1 * rs1 < 0.0:
+                    max_vcr = max(max_vcr, _extremum(w, 1, s, r1, rs1))
+                if r2 * rs2 < 0.0:
+                    max_ilm = max(max_ilm, _extremum(w, 2, s, r2, rs2))
+                if r3 * rs3 < 0.0:
+                    max_vout = max(max_vout, _extremum(w, 3, s, r3, rs3))
+                iLr, vCr, iLm, vOut = _at(w, s)
                 if abs(iLr) > max_ilr:
                     max_ilr = abs(iLr)
                 if abs(vCr) > max_vcr:
