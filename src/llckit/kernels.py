@@ -388,6 +388,84 @@ def _root(P, lo, hi, side, tol, p_lo, p_hi):
     return hi, it
 
 
+def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
+    """Where event ``slot`` fires inside a step, as a fraction of it.
+
+    w holds the step's Taylor terms (w[0] its start state), xb its end
+    state; ga, gb and da, db are the function's values and slopes at the
+    ends.  Within rounding of its threshold a function counts as on it: it
+    fires only from there or short of it, and only once it ends clear past
+    it, or once its extremum inside the step lies clear past it (a graze).
+    Returns (s, iterations): s the located fraction, -2.0 when the slot
+    does not fire, or -1.0 when localization failed.
+    """
+    _, c0, c1, c2, c3, d, _ = slot
+    if side * ga > 0.0 and side * ga > _noise(c0, c1, c2, c3, d, *w[0]):
+        return -2.0, 0
+    P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 for u0, u1, u2, u3 in w]
+    P[0] = ga
+    it = 0
+    lo_end = 1.0
+    if side * gb <= 0.0 or side * gb <= _noise(c0, c1, c2, c3, d, *xb):
+        if not (side * da > 0.0 and side * db < 0.0):
+            return -2.0, 0
+        dP = [k * P[k] for k in range(1, len(P))]
+        lo_end, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL, da, db)
+        gb = _peval(P, lo_end)[0]
+        if side * gb <= _noise(c0, c1, c2, c3, d, *w[0]):
+            return -2.0, it
+    s, it2 = _root(P, 0.0, lo_end, side, tol, ga, gb)
+    return s, it + it2
+
+
+def _crests(w, s, ra, rb, peaks):
+    """The running peaks |x_j|, raised by the extremum inside (0, s) of each
+    component whose rate goes from ra[j] to rb[j] of the other sign."""
+    return tuple(max(p, _extremum(w, j, s, a, b)) if a * b < 0.0 else p
+                 for j, (p, a, b) in enumerate(zip(peaks, ra, rb)))
+
+
+def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
+                vOut, vin, Lr, Lm, n, Vf, load_kind, load_val):
+    """The mode after event slot ``sid`` fires at state x.
+
+    Returns (rect, clamp_hi, vsw, sink, iLm, vOut, codes): the new mode,
+    the resets it imposes (iLm = iLr when a diode turns off, vOut = 0 when
+    the sink starts holding it) and the event codes to log, the event's own
+    and then a settle's turn-on; a sink's mode change logs none.  g_start
+    is the function's value at the step start.
+    """
+    codes = []
+    if sid == 0:
+        if rect == RECT_OFF:
+            rect = RECT_D1
+            codes.append(EV_D1_ON)
+        else:
+            codes.append(EV_D1_OFF if rect == RECT_D1 else EV_D2_OFF)
+            rect = RECT_OFF
+            iLm = iLr  # series constraint is exact at turn-off
+    elif sid == 1:
+        rect = RECT_D2
+        codes.append(EV_D2_ON)
+    elif sid == 2:
+        # node swaps rails when iLr reverses during dead time
+        clamp_hi = 1 if g_start > 0.0 else 0
+        codes.append(EV_CLAMP_HIGH if clamp_hi == 1 else EV_CLAMP_LOW)
+        vsw = vin if clamp_hi == 1 else 0.0
+    elif sink == SINK_ON:
+        vOut = 0.0  # the sink holds the output at ground
+    if codes:
+        # the new Off state may sit past the other clamp already
+        rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
+        if code != 0:
+            codes.append(code)
+    if sid == 3 and sink == SINK_HELD:
+        sink = SINK_ON  # the rectifier lifts the output
+    else:
+        sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
+    return rect, clamp_hi, vsw, sink, iLm, vOut, codes
+
+
 def _extremum(w, j, s_end, ra, rb):
     """|x_j| at the extremum inside (0, s_end), where its rate goes from ra
     to rb of the other sign."""
@@ -698,48 +776,15 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     if side * gb <= 0.0 and not (side * d_a[j] > 0.0
                                                  and side * db < 0.0):
                         continue  # nothing to look for (or no side yet)
-                    sid, c0, c1, c2, c3, d, _ = slots[j]
-                    # within rounding of its threshold a function counts as
-                    # on it: it fires only from there or short of it, and
-                    # only once it ends clear past it
-                    if side * ga > 0.0 and side * ga > _noise(
-                            c0, c1, c2, c3, d, iLr, vCr, iLm, vOut):
-                        continue
-                    lo_end = 1.0
-                    if side * gb <= 0.0 or side * gb <= _noise(
-                            c0, c1, c2, c3, d, ni, nc, nm, no):
-                        if not (side * d_a[j] > 0.0 and side * db < 0.0):
-                            continue
-                        # the function turns back inside the step: fired
-                        # only if its extremum lies past the threshold
-                        if w is None:
-                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
-                                        h, m)
-                        P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3
-                             for u0, u1, u2, u3 in w]
-                        P[0] = ga
-                        dP = [k * P[k] for k in range(1, len(P))]
-                        s_e, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL,
-                                        d_a[j], db)
-                        loc_iters += it
-                        gb = _peval(P, s_e)[0]
-                        if side * gb <= _noise(c0, c1, c2, c3, d,
-                                               iLr, vCr, iLm, vOut):
-                            continue
-                        lo_end = s_e
-                    else:
-                        if w is None:
-                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
-                                        h, m)
-                        P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3
-                             for u0, u1, u2, u3 in w]
-                        P[0] = ga
-                    s_j, it = _root(P, 0.0, lo_end, side, tol_t / h, ga, gb)
+                    if w is None:
+                        w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
+                    s_j, it = _crossing(slots[j], side, ga, gb, d_a[j], db,
+                                        w, (ni, nc, nm, no), tol_t / h)
                     loc_iters += it
-                    if s_j < 0.0:
+                    if s_j == -1.0:
                         err = ERR_EVENT_LOC
                         break
-                    if s_j < s_hit:
+                    if 0.0 <= s_j < s_hit:
                         s_hit = s_j
                         hit = j
                 if err != ERR_OK:
@@ -754,18 +799,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         if w is None:
                             w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
                                         h, m)
-                        if r0 * rb0 < 0.0:
-                            max_ilr = max(max_ilr,
-                                          _extremum(w, 0, 1.0, r0, rb0))
-                        if r1 * rb1 < 0.0:
-                            max_vcr = max(max_vcr,
-                                          _extremum(w, 1, 1.0, r1, rb1))
-                        if r2 * rb2 < 0.0:
-                            max_ilm = max(max_ilm,
-                                          _extremum(w, 2, 1.0, r2, rb2))
-                        if r3 * rb3 < 0.0:
-                            max_vout = max(max_vout,
-                                           _extremum(w, 3, 1.0, r3, rb3))
+                        max_ilr, max_vcr, max_ilm, max_vout = _crests(
+                            w, 1.0, (r0, r1, r2, r3), (rb0, rb1, rb2, rb3),
+                            (max_ilr, max_vcr, max_ilm, max_vout))
                     iLr, vCr, iLm, vOut = ni, nc, nm, no
                     r0, r1, r2, r3 = rb0, rb1, rb2, rb3
                     g_a = g_b
@@ -803,15 +839,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 i0, i2 = _integrals(w, s, h)
                 sp_src += f_src * i0
                 sp_dio += f_dio * (i0 - i2)
-                rs0, rs1, rs2, rs3 = _rate_at(w, s, h)
-                if r0 * rs0 < 0.0:
-                    max_ilr = max(max_ilr, _extremum(w, 0, s, r0, rs0))
-                if r1 * rs1 < 0.0:
-                    max_vcr = max(max_vcr, _extremum(w, 1, s, r1, rs1))
-                if r2 * rs2 < 0.0:
-                    max_ilm = max(max_ilm, _extremum(w, 2, s, r2, rs2))
-                if r3 * rs3 < 0.0:
-                    max_vout = max(max_vout, _extremum(w, 3, s, r3, rs3))
+                max_ilr, max_vcr, max_ilm, max_vout = _crests(
+                    w, s, (r0, r1, r2, r3), _rate_at(w, s, h),
+                    (max_ilr, max_vcr, max_ilm, max_vout))
                 iLr, vCr, iLm, vOut = _at(w, s)
                 if abs(iLr) > max_ilr:
                     max_ilr = abs(iLr)
@@ -832,65 +862,29 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 full = False
                 stale = True
 
-                # apply the transition
-                sid = slots[hit][0]
-                code = 0
-                if sid == 0:
-                    if rect == RECT_D1:
-                        rect = RECT_OFF
-                        iLm = iLr  # series constraint is exact at turn-off
-                        code = EV_D1_OFF
-                    elif rect == RECT_D2:
-                        rect = RECT_OFF
-                        iLm = iLr
-                        code = EV_D2_OFF
-                    else:
-                        rect = RECT_D1
-                        code = EV_D1_ON
-                elif sid == 1:
-                    rect = RECT_D2
-                    code = EV_D2_ON
-                elif sid == 2:
-                    # node swaps rails when iLr reverses during dead time
-                    if g_a[hit] > 0.0:
-                        clamp_hi = 1
-                        code = EV_CLAMP_HIGH
-                    else:
-                        clamp_hi = 0
-                        code = EV_CLAMP_LOW
+                # apply the transition; a logged one also records the
+                # instant with the post-transition mode
+                rect, clamp_hi, vsw, sink, iLm, vOut, codes = _transition(
+                    slots[hit][0], g_a[hit], rect, clamp_hi, vsw, sink,
+                    iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind,
+                    load_val)
+                if is_dead:
                     node_hi = clamp_hi
-                    vsw = vin if clamp_hi == 1 else 0.0
-                elif sink == SINK_ON:
-                    vOut = 0.0  # the sink holds the output at ground
-                if code != 0:
+                for code in codes:
                     j = _put_event(ev, ev_n, t_ev, code)
                     if j < 0:
                         err = ERR_EVENT_FULL
                         break
                     ev_n = j
-
-                    # settle: the new Off state may sit past the other
-                    # clamp already
-                    rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
-                    if code != 0:
-                        j = _put_event(ev, ev_n, t_ev, code)
-                        if j < 0:
-                            err = ERR_EVENT_FULL
-                            break
-                        ev_n = j
-
-                    # record the instant with the post-transition mode
+                if err != ERR_OK:
+                    break
+                if codes:
                     j = _put_row(rec, rec_n, t_ev, iLr, vCr, iLm, vOut, vsw,
                                  rect, seg_kind, load_kind, load_val)
                     if j < 0:
                         err = ERR_RECORD_FULL
                         break
                     rec_n = j
-                if sid == 3 and sink == SINK_HELD:
-                    sink = SINK_ON  # the rectifier lifts the output
-                else:
-                    sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind,
-                                        load_val)
 
                 sp_src = sp_dio = 0.0
                 sp_cap = 0.5 * Cout * vOut * vOut
