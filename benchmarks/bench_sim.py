@@ -2,9 +2,9 @@
 """Time the switched-circuit integrator on a full-load transient.
 
 Integrates the same warm-started transient on the nominal design a few
-times and prints the best wall time with the driver's own counts: kernel
-steps, events and event-localization iterations, and the wall time per
-step and per switching period.
+times and prints the best wall time with the period driver's counts:
+kernel steps, events and event-localization iterations, and the wall time
+per step and per switching period.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """

@@ -78,7 +78,7 @@ def segments(draw):
 
 
 def run(p):
-    rec = np.zeros((8192, kernels.REC_COLS))
+    rec = np.zeros((4096, kernels.REC_COLS))
     ev = np.zeros((4096, 2))
     acc = np.zeros(3)
     x = p["x0"]
