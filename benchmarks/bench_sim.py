@@ -4,7 +4,10 @@
 Integrates the same warm-started transient on the nominal design a few
 times and prints the best wall time with the period driver's counts:
 kernel steps, events and event-localization iterations, and the wall time
-per step and per switching period.
+per step and per switching period.  Then, from the periodic operating
+point at the same frequency, it times one period recorded at every grid
+instant and one unrecorded, the last thing ``find_pop`` does, and prints
+rows, steps and the wall time of each.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -23,8 +26,9 @@ def main() -> int:
                     help="timed repetitions, best-of")
     args = ap.parse_args()
 
-    from llckit import (DesignRequirements, LoadSpec, SimConfig,
-                        run_transient, synthesize_tank, warm_start_state)
+    from llckit import (DesignRequirements, LoadSpec, PeriodDriver,
+                        SimConfig, find_pop, run_transient, synthesize_tank,
+                        warm_start_state)
 
     req = DesignRequirements(
         vin_min=39.0, vin_nom=48.0, vin_max=48.0,
@@ -58,6 +62,22 @@ def main() -> int:
           f"{best / steps * 1e6:.2f} us/step")
     print(f"  events {located} located, {iters / max(located, 1):.2f} "
           f"localization iterations each")
+
+    # one period from the periodic operating point, as find_pop records it
+    # and as its solvers run it
+    state = find_pop(cfg).state
+    period_cfg = dataclasses.replace(cfg, record_stride=1)
+    print(f"one period from the operating point, best of {10 * args.repeat}")
+    for label, record in (("stride 1", True), ("unrecorded", False)):
+        best = float("inf")
+        for _ in range(10 * args.repeat):
+            drv = PeriodDriver(period_cfg, state, record=record)
+            t0 = time.perf_counter()
+            drv.advance_period(cfg.fsw)
+            best = min(best, time.perf_counter() - t0)
+        rows = drv.result().waveform.t.size
+        print(f"  {label:<10} {rows} rows, {drv.counts['steps']} steps, "
+              f"{best * 1e6:.0f} us")
     return 0
 
 

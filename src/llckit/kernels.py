@@ -24,12 +24,18 @@ kept in the caller's ``maps`` cache, along with the integral rows that
 give the source and diode energy of a step exactly.
 
 Since a step is exact at any length, the length is set by event detection
-alone: each step runs to the next record instant or by at most H, whichever
-comes first.  H is ``STEP_FRACTION`` of the stage's fastest natural period
+alone: a span is split into ceil(span / H) equal steps, whatever is
+recorded.  H is ``STEP_FRACTION`` of the stage's fastest natural period
 2 pi / rho, where rho bounds every eigenvalue of the mode matrices (the
 largest row sum of |A| in energy coordinates).  On the reference tank the
 bound is 9.5 us against the 10.0 us D1/D2 series resonance, so H is
-1.19 us and an unrecorded switching period takes about 16 steps.
+1.19 us and a switching period at 110 kHz takes 12 steps.
+
+Waveform rows on the record grid never end a step.  Each is the Taylor
+series of the step it falls in, summed at its own instant
+(``_put_grid_rows``): with numpy for all the rows of a call at once, or in
+plain Python when a call holds only a few.  The state carried from step to
+step is the map's, so what is recorded cannot move the trajectory.
 
 Mode boundaries are event-function zeros, located by a safeguarded Newton
 iteration on the step's Taylor polynomial (``_root``):
@@ -58,13 +64,16 @@ tank's gain (``_span_load``).  The peaks per component include the extrema
 inside a step, located where the component's rate changes sign.
 
 Gate transitions are segment boundaries handled by the caller; each call
-integrates one span of constant gate state.  Everything here is scalar
-float64 arithmetic in a fixed order, so equal inputs give equal bits.
+integrates one span of constant gate state.  The stepping is scalar
+float64 arithmetic in a fixed order, and the rows' numpy arithmetic is
+fixed by the call's inputs, so equal inputs give equal bits.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # rectifier phases
 RECT_OFF = 0
@@ -124,6 +133,23 @@ _Q_BITS = 32
 # entries per propagator cache, and step lengths per mode
 _MAPS_MAX = 64
 
+
+def _term_count(theta):
+    """How many terms past w_0 ``_series`` sums at rho h = theta."""
+    bound = theta
+    k = 1
+    while bound > _TERM_TOL:
+        k += 1
+        bound *= theta / k
+    return k
+
+
+# Taylor terms past w_0 that a step of the cap length H sums (rho H = pi/4)
+_ROW_K = _term_count(STEP_FRACTION * 2.0 * math.pi)
+# a call with at most this many grid rows sums them in plain Python: below
+# it, numpy's fixed cost per call outweighs its saving per row
+_ROWS_SCALAR = 8
+
 # record row layout
 REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
 
@@ -133,13 +159,17 @@ REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
 _DEAD_SLOT = (2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _iload(vOut, load_kind, load_val):
-    # current sinks cannot pull the output below ground
+def _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val):
+    """The load current: vOut / R for a resistor; for a current sink, its
+    setpoint while it draws, and while it holds the output at 0 V the
+    rectifier's current n |iLr - iLm| (none through an open rectifier)."""
     if load_kind == LOAD_RES:
         return vOut / load_val
-    if vOut > 0.0:
+    if sink != SINK_HELD:
         return load_val
-    return 0.0
+    if rect == RECT_OFF:
+        return 0.0
+    return n * abs(iLr - iLm)
 
 
 def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
@@ -153,11 +183,12 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
     Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps]: rho is the largest row sum of |A| in the energy
-    coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm, sqrt(Cout) vOut),
-    which bounds every eigenvalue; slots lists the mode's rectifier and sink
-    event functions in slot order, and dead_slots adds the dead-time one;
-    maps caches the step maps by step length.
+    dead_slots, maps, row_terms]: rho is the largest row sum of |A| in the
+    energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
+    sqrt(Cout) vOut), which bounds every eigenvalue; slots lists the mode's
+    rectifier and sink event functions in slot order, and dead_slots adds
+    the dead-time one; maps caches the step maps by step length, and
+    row_terms the ``_row_terms`` array once built (None until then).
     """
     a10 = 1.0 / Cr
     kq = Lm / (Lr + Lm)
@@ -196,7 +227,7 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
               abs(a21) * sm / sc + abs(a23) * sm / so,
               abs(a30) * (so / sl + so / sm) + abs(a33))
     return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}]
+            sorted(slots + [_DEAD_SLOT]), {}, None]
 
 
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
@@ -293,6 +324,29 @@ def _integrals(w, s, h):
     return i0 * s * h, i2 * s * h
 
 
+def _unit_series(m, h):
+    """The Taylor terms over a step of length h of each unit state e_j
+    with the inputs off, then of rest with the inputs (b) on: the series
+    of x(s h) from any (x, 1) is their combination with those weights."""
+    b0, b2, b3 = m[7:10]
+    return (_series(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, h, m),
+            _series(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, h, m),
+            _series(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, h, m),
+            _series(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, h, m),
+            _series(0.0, 0.0, 0.0, 0.0, b0, b2, b3, h, m))
+
+
+def _row_terms(m, h):
+    """The mode's Taylor terms w_0 .. w_ROW_K over a step of length h, as a
+    (5, 4 (``_ROW_K`` + 1)) array T: from a state x the step's terms are
+    (x, 1) . T, reshaped to (``_ROW_K`` + 1, 4), and x(t + s h) is
+    sum_k s^k w_k."""
+    series = np.array(_unit_series(m, h))[:, :_ROW_K + 1]
+    terms = np.zeros((5, _ROW_K + 1, 4))
+    terms[:, :series.shape[1]] = series
+    return terms.reshape(5, -1)
+
+
 def _step_map(m, h, vin, node_hi, rect, n, Vf):
     """The cached maps of one mode over a step of length h.
 
@@ -302,17 +356,10 @@ def _step_map(m, h, vin, node_hi, rect, n, Vf):
     D and of the integral map is the series of the unit state e_j with the
     inputs off; q and the input column are the series of b from rest.
     """
-    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
-    starts = (((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-              ((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-              ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
-              ((0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
-              ((0.0, 0.0, 0.0, 0.0), (b0, b2, b3)))
     cols = []
     int0 = []
     int2 = []
-    for x, e in starts:
-        w = _series(*x, *e, h, m)
+    for w in _unit_series(m, h):
         d0 = d1 = d2 = d3 = 0.0
         for k in range(len(w) - 1, 0, -1):
             c = w[k]
@@ -538,7 +585,7 @@ def _put_event(ev, ev_n, t, code):
 
 
 def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
-             load_kind, load_val):
+             iout):
     """Record the state at t; the new row count, or -1 when full.
 
     A row already holding the same instant is overwritten, so the row
@@ -551,9 +598,88 @@ def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
     else:
         r = rec_n
         rec_n += 1
-    rec[r] = (t, iLr, vCr, iLm, vOut, vsw, _iload(vOut, load_kind, load_val),
-              rect, seg_kind)
+    rec[r] = (t, iLr, vCr, iLm, vOut, vsw, iout, rect, seg_kind)
     return rec_n
+
+
+def _grid_rows(t0, dt, k, stride, n_cells, t_end):
+    """How many of the grid rows t0 + dt k, t0 + dt (k + stride), ...
+    (indices below n_cells) lie at or before t_end; the first one does."""
+    top = (n_cells - 1 - k) // stride
+    j = min(top, max(0, int(((t_end - t0) / dt - k) / stride)))
+    while j < top and t0 + dt * (k + (j + 1) * stride) <= t_end:
+        j += 1
+    while j > 0 and t0 + dt * (k + j * stride) > t_end:
+        j -= 1
+    return j + 1
+
+
+def _put_grid_rows(rec, blocks, t0, dt, k, stride, cap, seg_kind, n,
+                   load_kind, load_val):
+    """Write the grid rows t0 + dt k, t0 + dt (k + stride), ... of a call.
+
+    Each block (row, t_a, (x, 1), count, m, vsw, rect, sink) holds the next
+    ``count`` of them, from rec row ``row`` on, inside one step of mode m
+    that starts at t_a from state x; each row is the step's Taylor series
+    at its own instant.  A few rows are summed in plain Python from the
+    series over t_a to the block's last row; more go through numpy at
+    once, the terms of every block from its mode's ``_row_terms`` over the
+    step cap, x(t_a + tau) = sum_k (tau / cap)^k w_k.
+    """
+    total = sum(b[3] for b in blocks)
+    if total <= _ROWS_SCALAR:
+        for r, ta, x, cnt, m, vsw, rect, sink in blocks:
+            h = t0 + dt * (k + (cnt - 1) * stride) - ta
+            w = _series(*x[:4], m[7], m[8], m[9], h, m)
+            for i in range(cnt):
+                t = t0 + dt * k
+                k += stride
+                x0, x1, x2, x3 = _at(w, (t - ta) / h)
+                rec[r + i] = (t, x0, x1, x2, x3, vsw,
+                              _iout(sink, rect, x0, x2, x3, n, load_kind,
+                                    load_val),
+                              rect, seg_kind)
+        return
+    rows, ta, xs, cnt, ms, vsw, rect, sink = zip(*blocks)
+    for m in ms:
+        if m[14] is None:
+            m[14] = _row_terms(m, cap)
+    # each block's terms, (x, 1) . T of its mode
+    w = np.matmul(np.array(xs)[:, None, :], np.array([m[14] for m in ms]))
+    w = w.reshape(len(blocks), _ROW_K + 1, 4)
+    t = t0 + dt * np.arange(k, k + stride * total, stride)
+    # the powers of s = tau / cap, one row per power, doubling the filled
+    # rows each time
+    p = np.empty((_ROW_K + 1, total))
+    p[0] = 1.0
+    p[1] = (t - np.repeat(ta, cnt)) / cap
+    j = 1
+    while j < _ROW_K:
+        c = min(j, _ROW_K - j)
+        np.multiply(p[1:c + 1], p[j], out=p[j + 1:j + c + 1])
+        j += c
+    out = np.empty((total, REC_COLS))
+    a = 0
+    for j, c in enumerate(cnt):
+        out[a:a + c, 1:5] = p[:, a:a + c].T @ w[j]
+        a += c
+    out[:, 0] = t
+    out[:, 5] = np.repeat(vsw, cnt)
+    if load_kind == LOAD_RES:
+        out[:, 6] = out[:, 4] / load_val
+    else:
+        held = [sk == SINK_HELD and rc != RECT_OFF
+                for sk, rc in zip(sink, rect)]
+        level = [0.0 if sk == SINK_HELD else load_val for sk in sink]
+        out[:, 6] = np.where(np.repeat(held, cnt),
+                             n * np.abs(out[:, 1] - out[:, 3]),
+                             np.repeat(level, cnt))
+    out[:, 7] = np.repeat(rect, cnt)
+    out[:, 8] = seg_kind
+    a = 0
+    for r, c in zip(rows, cnt):
+        rec[r:r + c] = out[a:a + c]
+        a += c
 
 
 def _quantize(h):
@@ -568,14 +694,18 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       maps=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
-    rec is a (cap, 9) float64 record buffer filled from row ``rec_n``; ev a
-    (cap, 2) event log (t, code).  Rows are written at t0, at the grid
-    instants t0 + dt (k + 1) for k % stride == 0 (dt = span / ceil(span /
-    dt_max)), at every event and at t1.  acc[0] accumulates source energy,
-    acc[1] load energy and acc[2] diode loss, once the call completes; a
-    call that stops early leaves acc as it was.  maps is the propagator
-    cache; pass the same dict to every call of one run (a fresh one when
-    None).  Returns
+    The span is split into ceil(span / H) equal steps, whatever is
+    recorded.  rec is a (cap, 9) float64 record buffer filled from row
+    ``rec_n``; ev a (cap, 2) event log (t, code).  Rows are written at t0,
+    at the grid instants t0 + dt (k + 1) for k % stride == 0 (dt = span /
+    ceil(span / dt_max)), at every event and at t1.  A grid row comes from
+    the Taylor terms of the step it falls in (``_put_grid_rows``), so the
+    record never changes the steps taken; rows at events and at t1 hold
+    the state the steps carry.  acc[0] accumulates source energy, acc[1]
+    load energy and acc[2] diode loss, once the call completes; a call that
+    stops early leaves acc as it was.  maps is the propagator cache; pass
+    the same dict to every call of one run (a fresh one when None).
+    Returns
 
         (err, rec_n, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
@@ -618,23 +748,38 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             ev_n = j
     if err == ERR_OK:
         j = _put_row(rec, rec_n, t0, iLr, vCr, iLm, vOut, vsw, rect,
-                     seg_kind, load_kind, load_val)
+                     seg_kind, _iout(sink, rect, iLr, iLm, vOut, n,
+                                     load_kind, load_val))
         if j < 0:
             err = ERR_RECORD_FULL
         else:
             rec_n = j
 
     span = t1 - t0
-    n_steps = 0
-    dt = 0.0
-    cap = 0.0
+    count = 0
+    n_cells = 0
+    dt = hp = hq = cap = 0.0
     if err == ERR_OK and span > 0.0:
-        n_steps = int(math.ceil(span / dt_max))
-        if n_steps < 1:
-            n_steps = 1
-        dt = span / n_steps
+        n_cells = max(1, int(math.ceil(span / dt_max)))
+        dt = span / n_cells
         cap = _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind,
                         load_val)
+        count = max(1, int(math.ceil(span / cap)))
+        hp = span / count
+        hq = _quantize(hp)
+    # the grid rows t0 + dt k for k = 1, 1 + stride, ... below n_cells: k_row
+    # is the next one's index and t_row its instant (inf past the last).
+    # Each step reserves the rows it holds as a block; they are written at
+    # the end, and then the event rows, each over a row at its own instant
+    k_row = 1
+    t_row = t0 + dt * k_row if k_row < n_cells else math.inf
+    while t_row <= t0:  # a grid below t0's resolution
+        k_row += stride
+        t_row = t0 + dt * k_row if k_row < n_cells else math.inf
+    k_first = k_row
+    blocks = []
+    ev_rows = []
+    t_last = t0  # the instant of the last row
 
     # per-mode quantities, refreshed at entry and after each transition:
     # the mode record, its step map, the rate and the event-function
@@ -661,188 +806,154 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     sp_src = sp_dio = 0.0
     sp_cap = 0.5 * Cout * vOut * vOut
     sp_tank = 0.5 * (Lr * iLr * iLr + Cr * vCr * vCr + Lm * iLm * iLm)
-    # pieces per record interval: cells -> (count, cached step length)
-    pieces = {}
 
-    cells = 0
     t_cur = t0
-    while err == ERR_OK and cells < n_steps:
-        nxt = 1 if cells == 0 else min(cells + stride, n_steps)
-        t_rec = t1 if nxt == n_steps else t0 + dt * nxt
-        pc = pieces.get(nxt - cells)
-        if pc is None:
-            length = (nxt - cells) * dt
-            count = max(1, int(math.ceil(length / cap)))
-            pc = (count, _quantize(length / count))
-            pieces[nxt - cells] = pc
-        count, hq = pc
-        cells = nxt
-        t_a = t_cur
-        hp = (t_rec - t_a) / count
-        for i in range(count):
-            t_b = t_rec if i == count - 1 else t_a + hp * (i + 1)
-            full = True  # the piece starts on its lattice point
-            guard = 0
-            while t_cur < t_b:
-                if stale:
-                    m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
-                                 n, Vf, Cout, load_kind, load_val)
-                    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
-                    slots = m[12] if is_dead else m[11]
-                    mmaps = m[13]
-                    hq_map = -1.0
-                    f_src = vin if node_hi == 1 else 0.0
-                    f_dio = 0.0
-                    if rect == RECT_D1:
-                        f_dio = Vf * n
-                    elif rect == RECT_D2:
-                        f_dio = -Vf * n
-                    r0 = a01 * vCr + a03 * vOut + b0
-                    r1 = a10 * iLr
-                    r2 = a21 * vCr + a23 * vOut + b2
-                    r3 = a30 * (iLr - iLm) + a33 * vOut + b3
-                    g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
-                           for _, c0, c1, c2, c3, d, _ in slots]
-                    d_a = [c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3
-                           for _, c0, c1, c2, c3, _, _ in slots]
-                    stale = False
-                w = None
-                h = t_b - t_cur
-                if full:
-                    if hq_map != hq:
-                        mp = mmaps.get(hq)
-                        if mp is None:
-                            if len(mmaps) >= _MAPS_MAX:
-                                mmaps.clear()
-                            mp = _step_map(m, hq, vin, node_hi, rect, n, Vf)
-                            mmaps[hq] = mp
-                        ((d00, d01, d02, d03, d10, d11, d12, d13,
-                          d20, d21, d22, d23, d30, d31, d32, d33),
-                         (q0, q1, q2, q3), src, dio) = mp
-                        hq_map = hq
-                    ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
-                                + d03 * vOut + q0)
-                    nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm
-                                + d13 * vOut + q1)
-                    nm = iLm + (d20 * iLr + d21 * vCr + d22 * iLm
-                                + d23 * vOut + q2)
-                    no = vOut + (d30 * iLr + d31 * vCr + d32 * iLm
-                                 + d33 * vOut + q3)
-                    de_src = de_dio = 0.0
-                    if src is not None:
-                        de_src = (src[0] * iLr + src[1] * vCr + src[2] * iLm
-                                  + src[3] * vOut + src[4])
-                    if dio is not None:
-                        de_dio = (dio[0] * iLr + dio[1] * vCr + dio[2] * iLm
-                                  + dio[3] * vOut + dio[4])
-                else:
-                    # the rest of a piece after an event
-                    w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                    ni, nc, nm, no = _at(w, 1.0)
-                    i0, i2 = _integrals(w, 1.0, h)
-                    de_src = f_src * i0
-                    de_dio = f_dio * (i0 - i2)
-                steps += 1
-                rb0 = a01 * nc + a03 * no + b0
-                rb1 = a10 * ni
-                rb2 = a21 * nc + a23 * no + b2
-                rb3 = a30 * (ni - nm) + a33 * no + b3
-                if full:
-                    # the map spans hq: carry the state and the integrals on
-                    # to h by the rate there (the rates, which only signal
-                    # sign changes, keep a relative error of dh rho)
-                    dh = h - hq
-                    ni += dh * rb0
-                    nc += dh * rb1
-                    nm += dh * rb2
-                    no += dh * rb3
-                    de_src += dh * f_src * ni
-                    de_dio += dh * f_dio * (ni - nm)
-
-                # events: a sign change across the step, or a graze inside it
-                g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
+    for i in range(count):
+        t_b = t1 if i == count - 1 else t0 + hp * (i + 1)
+        full = True  # the step starts on its lattice point
+        guard = 0
+        while t_cur < t_b:
+            if stale:
+                m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
+                             n, Vf, Cout, load_kind, load_val)
+                a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+                slots = m[12] if is_dead else m[11]
+                mmaps = m[13]
+                hq_map = -1.0
+                f_src = vin if node_hi == 1 else 0.0
+                f_dio = 0.0
+                if rect == RECT_D1:
+                    f_dio = Vf * n
+                elif rect == RECT_D2:
+                    f_dio = -Vf * n
+                r0 = a01 * vCr + a03 * vOut + b0
+                r1 = a10 * iLr
+                r2 = a21 * vCr + a23 * vOut + b2
+                r3 = a30 * (iLr - iLm) + a33 * vOut + b3
+                g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
                        for _, c0, c1, c2, c3, d, _ in slots]
-                d_b = [c0 * rb0 + c1 * rb1 + c2 * rb2 + c3 * rb3
+                d_a = [c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3
                        for _, c0, c1, c2, c3, _, _ in slots]
-                hit = -1
-                s_hit = 2.0
-                for j in range(len(slots)):
-                    ga = g_a[j]
-                    gb = g_b[j]
-                    db = d_b[j]
-                    side = slots[j][6]
-                    if side == 0.0:
-                        side = -1.0 if ga > 0.0 else 1.0 if ga < 0.0 else 0.0
-                    if side * gb <= 0.0 and not (side * d_a[j] > 0.0
-                                                 and side * db < 0.0):
-                        continue  # nothing to look for (or no side yet)
+                stale = False
+            w = None
+            h = t_b - t_cur
+            if full:
+                if hq_map != hq:
+                    mp = mmaps.get(hq)
+                    if mp is None:
+                        if len(mmaps) >= _MAPS_MAX:
+                            mmaps.clear()
+                        mp = _step_map(m, hq, vin, node_hi, rect, n, Vf)
+                        mmaps[hq] = mp
+                    ((d00, d01, d02, d03, d10, d11, d12, d13,
+                      d20, d21, d22, d23, d30, d31, d32, d33),
+                     (q0, q1, q2, q3), src, dio) = mp
+                    hq_map = hq
+                ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
+                            + d03 * vOut + q0)
+                nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm
+                            + d13 * vOut + q1)
+                nm = iLm + (d20 * iLr + d21 * vCr + d22 * iLm
+                            + d23 * vOut + q2)
+                no = vOut + (d30 * iLr + d31 * vCr + d32 * iLm
+                             + d33 * vOut + q3)
+                de_src = de_dio = 0.0
+                if src is not None:
+                    de_src = (src[0] * iLr + src[1] * vCr + src[2] * iLm
+                              + src[3] * vOut + src[4])
+                if dio is not None:
+                    de_dio = (dio[0] * iLr + dio[1] * vCr + dio[2] * iLm
+                              + dio[3] * vOut + dio[4])
+            else:
+                # the rest of a step after an event
+                w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
+                ni, nc, nm, no = _at(w, 1.0)
+                i0, i2 = _integrals(w, 1.0, h)
+                de_src = f_src * i0
+                de_dio = f_dio * (i0 - i2)
+            steps += 1
+            rb0 = a01 * nc + a03 * no + b0
+            rb1 = a10 * ni
+            rb2 = a21 * nc + a23 * no + b2
+            rb3 = a30 * (ni - nm) + a33 * no + b3
+            if full:
+                # the map spans hq: carry the state and the integrals on
+                # to h by the rate there (the rates, which only signal
+                # sign changes, keep a relative error of dh rho)
+                dh = h - hq
+                ni += dh * rb0
+                nc += dh * rb1
+                nm += dh * rb2
+                no += dh * rb3
+                de_src += dh * f_src * ni
+                de_dio += dh * f_dio * (ni - nm)
+
+            # events: a sign change across the step, or a graze inside it
+            g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
+                   for _, c0, c1, c2, c3, d, _ in slots]
+            d_b = [c0 * rb0 + c1 * rb1 + c2 * rb2 + c3 * rb3
+                   for _, c0, c1, c2, c3, _, _ in slots]
+            hit = -1
+            s_hit = 2.0
+            for j in range(len(slots)):
+                ga = g_a[j]
+                gb = g_b[j]
+                db = d_b[j]
+                side = slots[j][6]
+                if side == 0.0:
+                    side = -1.0 if ga > 0.0 else 1.0 if ga < 0.0 else 0.0
+                if side * gb <= 0.0 and not (side * d_a[j] > 0.0
+                                             and side * db < 0.0):
+                    continue  # nothing to look for (or no side yet)
+                if w is None:
+                    w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
+                s_j, it = _crossing(slots[j], side, ga, gb, d_a[j], db,
+                                    w, (ni, nc, nm, no), tol_t / h)
+                loc_iters += it
+                if s_j == -1.0:
+                    err = ERR_EVENT_LOC
+                    break
+                if 0.0 <= s_j < s_hit:
+                    s_hit = s_j
+                    hit = j
+            if err != ERR_OK:
+                break
+
+            # the step, or its part before the event, ends at t_end; the
+            # grid rows in it follow from its start state in this mode
+            t_end = t_b
+            if hit >= 0:
+                t_end = t_cur + s_hit * h
+                if t_end > t_b:
+                    t_end = t_b
+            if t_row <= t_end:
+                c = _grid_rows(t0, dt, k_row, stride, n_cells, t_end)
+                if rec_n + c > rec.shape[0]:
+                    err = ERR_RECORD_FULL
+                    break
+                blocks.append((rec_n, t_cur, (iLr, vCr, iLm, vOut, 1.0), c,
+                               m, vsw, rect, sink))
+                rec_n += c
+                k_row += c * stride
+                t_last = t0 + dt * (k_row - stride)
+                t_row = t0 + dt * k_row if k_row < n_cells else math.inf
+
+            if hit < 0:
+                # accepted step: energy, extrema, invariants
+                sp_src += de_src
+                sp_dio += de_dio
+                if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \
+                        or r3 * rb3 < 0.0:
                     if w is None:
                         w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                    s_j, it = _crossing(slots[j], side, ga, gb, d_a[j], db,
-                                        w, (ni, nc, nm, no), tol_t / h)
-                    loc_iters += it
-                    if s_j == -1.0:
-                        err = ERR_EVENT_LOC
-                        break
-                    if 0.0 <= s_j < s_hit:
-                        s_hit = s_j
-                        hit = j
-                if err != ERR_OK:
-                    break
-
-                if hit < 0:
-                    # accepted step: energy, extrema, invariants, record
-                    sp_src += de_src
-                    sp_dio += de_dio
-                    if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \
-                            or r3 * rb3 < 0.0:
-                        if w is None:
-                            w = _series(iLr, vCr, iLm, vOut, b0, b2, b3,
-                                        h, m)
-                        max_ilr, max_vcr, max_ilm, max_vout = _crests(
-                            w, 1.0, (r0, r1, r2, r3), (rb0, rb1, rb2, rb3),
-                            (max_ilr, max_vcr, max_ilm, max_vout))
-                    iLr, vCr, iLm, vOut = ni, nc, nm, no
-                    r0, r1, r2, r3 = rb0, rb1, rb2, rb3
-                    g_a = g_b
-                    d_a = d_b
-                    t_cur = t_b
-                    if abs(iLr) > max_ilr:
-                        max_ilr = abs(iLr)
-                    if abs(vCr) > max_vcr:
-                        max_vcr = abs(vCr)
-                    if abs(iLm) > max_ilm:
-                        max_ilm = abs(iLm)
-                    if abs(vOut) > max_vout:
-                        max_vout = abs(vOut)
-                    bad = False
-                    if rect == RECT_D1 and n * (iLr - iLm) < -I_TOL:
-                        bad = True
-                    elif rect == RECT_D2 and n * (iLm - iLr) < -I_TOL:
-                        bad = True
-                    if vOut < -V_TOL:
-                        bad = True
-                    if bad:
-                        err = ERR_MODE_VIOLATION
-                        break
-                    if i == count - 1:
-                        j = _put_row(rec, rec_n, t_b, iLr, vCr, iLm, vOut,
-                                     vsw, rect, seg_kind, load_kind, load_val)
-                        if j < 0:
-                            err = ERR_RECORD_FULL
-                            break
-                        rec_n = j
-                    continue
-
-                # advance to the earliest located event
-                s = s_hit
-                i0, i2 = _integrals(w, s, h)
-                sp_src += f_src * i0
-                sp_dio += f_dio * (i0 - i2)
-                max_ilr, max_vcr, max_ilm, max_vout = _crests(
-                    w, s, (r0, r1, r2, r3), _rate_at(w, s, h),
-                    (max_ilr, max_vcr, max_ilm, max_vout))
-                iLr, vCr, iLm, vOut = _at(w, s)
+                    max_ilr, max_vcr, max_ilm, max_vout = _crests(
+                        w, 1.0, (r0, r1, r2, r3), (rb0, rb1, rb2, rb3),
+                        (max_ilr, max_vcr, max_ilm, max_vout))
+                iLr, vCr, iLm, vOut = ni, nc, nm, no
+                r0, r1, r2, r3 = rb0, rb1, rb2, rb3
+                g_a = g_b
+                d_a = d_b
+                t_cur = t_b
                 if abs(iLr) > max_ilr:
                     max_ilr = abs(iLr)
                 if abs(vCr) > max_vcr:
@@ -851,53 +962,95 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     max_ilm = abs(iLm)
                 if abs(vOut) > max_vout:
                     max_vout = abs(vOut)
-                e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
-                                     iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
-                e_src += sp_src
-                e_dio += sp_dio
-                t_ev = t_cur + s * (t_b - t_cur)
-                if t_ev > t_b:
-                    t_ev = t_b
-                t_cur = t_ev
-                full = False
-                stale = True
-
-                # apply the transition; a logged one also records the
-                # instant with the post-transition mode
-                rect, clamp_hi, vsw, sink, iLm, vOut, codes = _transition(
-                    slots[hit][0], g_a[hit], rect, clamp_hi, vsw, sink,
-                    iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind,
-                    load_val)
-                if is_dead:
-                    node_hi = clamp_hi
-                for code in codes:
-                    j = _put_event(ev, ev_n, t_ev, code)
-                    if j < 0:
-                        err = ERR_EVENT_FULL
-                        break
-                    ev_n = j
-                if err != ERR_OK:
+                bad = False
+                if rect == RECT_D1 and n * (iLr - iLm) < -I_TOL:
+                    bad = True
+                elif rect == RECT_D2 and n * (iLm - iLr) < -I_TOL:
+                    bad = True
+                if vOut < -V_TOL:
+                    bad = True
+                if bad:
+                    err = ERR_MODE_VIOLATION
                     break
-                if codes:
-                    j = _put_row(rec, rec_n, t_ev, iLr, vCr, iLm, vOut, vsw,
-                                 rect, seg_kind, load_kind, load_val)
-                    if j < 0:
-                        err = ERR_RECORD_FULL
-                        break
-                    rec_n = j
+                continue
 
-                sp_src = sp_dio = 0.0
-                sp_cap = 0.5 * Cout * vOut * vOut
-                sp_tank = 0.5 * (Lr * iLr * iLr + Cr * vCr * vCr
-                                 + Lm * iLm * iLm)
+            # advance to the earliest located event
+            s = s_hit
+            i0, i2 = _integrals(w, s, h)
+            sp_src += f_src * i0
+            sp_dio += f_dio * (i0 - i2)
+            max_ilr, max_vcr, max_ilm, max_vout = _crests(
+                w, s, (r0, r1, r2, r3), _rate_at(w, s, h),
+                (max_ilr, max_vcr, max_ilm, max_vout))
+            iLr, vCr, iLm, vOut = _at(w, s)
+            if abs(iLr) > max_ilr:
+                max_ilr = abs(iLr)
+            if abs(vCr) > max_vcr:
+                max_vcr = abs(vCr)
+            if abs(iLm) > max_ilm:
+                max_ilm = abs(iLm)
+            if abs(vOut) > max_vout:
+                max_vout = abs(vOut)
+            e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
+                                 iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
+            e_src += sp_src
+            e_dio += sp_dio
+            t_ev = t_end
+            t_cur = t_ev
+            full = False
+            stale = True
 
-                guard += 1
-                if guard > EVENT_GUARD:
-                    err = ERR_CHATTER
+            # apply the transition; a logged one also records the instant
+            # with the post-transition mode
+            rect, clamp_hi, vsw, sink, iLm, vOut, codes = _transition(
+                slots[hit][0], g_a[hit], rect, clamp_hi, vsw, sink,
+                iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
+            if is_dead:
+                node_hi = clamp_hi
+            for code in codes:
+                j = _put_event(ev, ev_n, t_ev, code)
+                if j < 0:
+                    err = ERR_EVENT_FULL
                     break
+                ev_n = j
             if err != ERR_OK:
                 break
+            if codes:
+                r = rec_n - 1 if t_last == t_ev else rec_n
+                if r == rec_n:
+                    if rec_n >= rec.shape[0]:
+                        err = ERR_RECORD_FULL
+                        break
+                    rec_n += 1
+                ev_rows.append((r, (t_ev, iLr, vCr, iLm, vOut, vsw,
+                                    _iout(sink, rect, iLr, iLm, vOut, n,
+                                          load_kind, load_val),
+                                    rect, seg_kind)))
+                t_last = t_ev
 
+            sp_src = sp_dio = 0.0
+            sp_cap = 0.5 * Cout * vOut * vOut
+            sp_tank = 0.5 * (Lr * iLr * iLr + Cr * vCr * vCr + Lm * iLm * iLm)
+
+            guard += 1
+            if guard > EVENT_GUARD:
+                err = ERR_CHATTER
+                break
+        if err != ERR_OK:
+            break
+
+    if blocks:
+        _put_grid_rows(rec, blocks, t0, dt, k_first, stride, cap, seg_kind,
+                       n, load_kind, load_val)
+    for r, row in ev_rows:
+        rec[r] = row
+    if err == ERR_OK and count > 0:
+        j = _put_row(rec, rec_n, t1, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
+                     _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val))
+        if j < 0:
+            err = ERR_RECORD_FULL
+        else:
+            rec_n = j
     if err == ERR_OK:
         e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                              iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)

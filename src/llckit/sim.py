@@ -310,17 +310,30 @@ class Waveform:
     @classmethod
     def from_csv(cls, path) -> "Waveform":
         with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().strip()
-            body = [ln for ln in (s.strip() for s in f) if ln]
-        names = header.split(",")
-        if not names or names[0] != "t":
-            raise ValueError("waveform CSV must start with a t column")
-        if body:
-            data = np.array([[float(v) for v in ln.split(",")] for ln in body])
-        else:
-            data = np.empty((0, len(names)))
+            names = f.readline().strip().split(",")
+            if names[0] != "t":
+                raise ValueError("waveform CSV must start with a t column")
+            # numpy's C reader takes the rows from the first non-blank line
+            # on; a header-only file has none
+            start = f.tell()
+            line = f.readline()
+            while line and not line.strip():
+                start = f.tell()
+                line = f.readline()
+            if not line:
+                data = np.empty((0, len(names)))
+            else:
+                f.seek(start)
+                try:
+                    data = np.loadtxt(f, delimiter=",", ndmin=2)
+                except ValueError:
+                    # the reader skips empty lines but not whitespace-only
+                    # ones; a malformed row raises ValueError again here
+                    f.seek(start)
+                    data = np.loadtxt([ln for ln in f if ln.strip()],
+                                      delimiter=",", ndmin=2)
         channels = {nm: data[:, j] for j, nm in enumerate(names) if j > 0}
-        return cls(t=data[:, 0] if data.size else np.empty(0), channels=channels)
+        return cls(t=data[:, 0], channels=channels)
 
 
 @dataclass

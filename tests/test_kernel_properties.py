@@ -7,8 +7,9 @@ inside the span, and the same bytes from the same inputs.  A call may end
 in a mode violation or chatter; the rows and events written up to that
 point must still obey the invariants.
 
-Stepping the grid and stepping coarsely must log the same events, and an
-event-free span must end where the matrix exponential of its mode takes
+What is recorded must not move the run: every record stride takes the
+same steps to the same end, events and energy.  An event-free span must
+end, and record every row, where the matrix exponential of its mode takes
 it, in every rectifier phase, on both rails and for both load kinds.
 """
 
@@ -118,12 +119,26 @@ def test_segment_invariants(p):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(segments())
+def test_record_stride_leaves_the_run_alone(p):
+    # rows are read off the steps' Taylor terms, so whatever is recorded,
+    # the call returns the same steps, end state, peaks and localization
+    # work, and logs the same events and energy, bit for bit
+    runs = [run(dict(p, stride=stride)) for stride in (1, 7, 1 << 30)]
+    out, _, ev, acc = runs[0]
+    for o, _, e, a in runs[1:]:
+        assert o[:1] + o[2:] == out[:1] + out[2:]
+        assert e.tobytes() == ev.tobytes()
+        assert a.tobytes() == acc.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments())
 def test_grid_and_coarse_steps_find_the_same_events(p):
-    # a step's length only decides where events are looked for, not what
-    # the trajectory is: stepping the grid (every grid instant recorded)
-    # and stepping coarsely (only the span's ends) must log the same
-    # events, each within tol_t of the same crossing; tol_t is the
-    # period driver's 1e-12 periods at 100 kHz
+    # recording every grid instant and recording only the span's ends
+    # step alike, so both must log the same events, each within tol_t of
+    # the same crossing (since rows stopped setting the steps, the same
+    # instants, in no more steps); tol_t is the period driver's 1e-12
+    # periods at 100 kHz
     p = dict(p, tol_t=1e-17)
     fine = run(dict(p, stride=1))
     coarse = run(dict(p, stride=1 << 30))
@@ -199,8 +214,9 @@ def mode_spans(draw):
 @given(mode_spans())
 def test_span_matches_matrix_exponential(p):
     # an event-free span in one mode ends where exp(M h) takes its start,
-    # with M the mode's augmented matrix, and its source energy is vin
-    # times the integral of iLr, from exp of [[M, I], [0, 0]] h
+    # with M the mode's augmented matrix, and records every row where
+    # exp(M (t_row - t0)) takes it; its source energy is vin times the
+    # integral of iLr, from exp of [[M, I], [0, 0]] h
     expm = pytest.importorskip("scipy.linalg").expm
     x = p["x0"]
     t0 = p["t0"]
@@ -217,14 +233,20 @@ def test_span_matches_matrix_exponential(p):
     e = expm(big * h)
     z0 = np.array(list(x) + [1.0])
     ref = e[:5, :5] @ z0
-    assume(p["load_kind"] == kernels.LOAD_RES or ref[3] > 0.0)
+    rows = rec[:out[1]]
+    ref_rows = (expm(m * (rows[:, :1, None] - t0)) @ z0)[:, :4]
+    assume(p["load_kind"] == kernels.LOAD_RES
+           or (ref[3] > 0.0 and np.all(ref_rows[:, 3] > 0.0)))
     # compare in energy coordinates, where all four states weigh alike
     scale = np.sqrt(np.array([LR, CR, LM, p["Cout"]]))
     err = np.max(np.abs(scale * (np.array(out[5:9]) - ref[:4])))
     size = max(np.max(np.abs(scale * ref[:4])), np.max(np.abs(scale * x)))
     assert err <= 1e-12 * size
+    size = max(size, np.max(np.abs(scale * ref_rows)))
+    assert np.max(np.abs(scale * (rows[:, 1:5] - ref_rows))) <= 1e-12 * size
     if p["rect"] == kernels.RECT_OFF:
         assert out[5] == out[7]
+        assert np.all(rows[:, 1] == rows[:, 3])
     if p["seg"] == kernels.SEG_HIGH:
         src = p["vin"] * (e[0, 5:] @ z0)
         assert abs(acc[0] - src) <= 1e-12 * (abs(src) + p["vin"] * h * (

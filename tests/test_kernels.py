@@ -236,6 +236,10 @@ class TestSinkCutoff:
         assert np.max(np.abs(rows[before, 4] - ramp)) < 1e-16
         assert np.all(rows[~before, 4] == 0.0)
         assert out[8] == 0.0
+        # the sink draws its setpoint until then; holding the output with
+        # the rectifier open, it carries nothing
+        assert np.all(rows[before, 6] == il)
+        assert np.all(rows[~before, 6] == 0.0)
         # the sink took the capacitor's charge: its energy, C v0^2 / 2
         assert abs(acc[1] - 0.5 * COUT * v0 * v0) < 1e-9 * 0.5 * COUT * v0 * v0
 
@@ -284,6 +288,10 @@ class TestSinkCutoff:
         assert 0 < np.count_nonzero(held) < rows.shape[0]
         assert np.all(rows[held, 4] == 0.0)
         assert np.all(rows[~held, 4] > 0.0)
+        # while it holds the output, the sink carries the rectifier's current
+        assert np.all(rows[held, 6] == N * np.abs(rows[held, 1] - rows[held, 3]))
+        assert np.all(rows[held, 6] <= il)
+        assert np.all(rows[~held, 6] == il)
         for t, ilr, vcr, ilm in rows[held, :4]:
             ei, ec, em = tank(t)
             assert abs(ilr - ei) < 1e-13 and abs(ilm - em) < 1e-13

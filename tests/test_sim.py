@@ -1,6 +1,8 @@
 """Switched-circuit simulation layer: drivers, events, measurements."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +435,55 @@ class TestWaveformCsv:
             for i in range(t.size))
         assert p.read_bytes() == expected.encode("utf-8")
 
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_read_back_is_bit_equal(self, tmp_path_factory, data):
+        # whatever float64 a channel holds (signed zeros, subnormals,
+        # values near the range ends, integral values) reads back as the
+        # same bits
+        value = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from((0.0, -0.0, 5e-324, -5e-324,
+                             2.2250738585072014e-308, -1e-310, 1e300,
+                             -1e300, 1.7976931348623157e308)),
+            st.integers(-2 ** 53, 2 ** 53).map(float))
+        rows = data.draw(st.integers(1, 40))
+        names = data.draw(st.lists(st.sampled_from(CHANNELS), min_size=1,
+                                   max_size=4, unique=True))
+        cols = [np.array(data.draw(st.lists(value, min_size=rows,
+                                            max_size=rows)))
+                for _ in range(len(names) + 1)]
+        wf = Waveform(t=cols[0], channels=dict(zip(names, cols[1:])))
+        p = tmp_path_factory.mktemp("csv") / "wave.csv"
+        wf.to_csv(p)
+        back = Waveform.from_csv(p)
+        assert back.names == wf.names
+        for name in ("t",) + wf.names:
+            assert back[name].tobytes() == wf[name].tobytes()
+
+    def test_reader_skips_blank_lines_and_rejects_bad_rows(self, tmp_path):
+        p = tmp_path / "wave.csv"
+        p.write_text("t,vOut\n0.0,1.5\n\n   \n1e-06,-2.0\n\n")
+        back = Waveform.from_csv(p)
+        assert back.t.tolist() == [0.0, 1e-06]
+        assert back["vOut"].tolist() == [1.5, -2.0]
+        for body in ("0.0,1.5\n1e-06\n", "0.0,1.5\n1e-06,x\n"):
+            p.write_text("t,vOut\n" + body)
+            with pytest.raises(ValueError):
+                Waveform.from_csv(p)
+        p.write_text("vOut,t\n1.0,0.0\n")
+        with pytest.raises(ValueError, match="must start with a t column"):
+            Waveform.from_csv(p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_reads_empty_channels(self, tmp_path):
+        p = tmp_path / "wave.csv"
+        p.write_text("t,iLr,vOut\n\n")
+        back = Waveform.from_csv(p)
+        assert back.names == ("iLr", "vOut")
+        assert back.t.size == 0 and back["vOut"].size == 0
+
     def test_zero_span_run_writes_header_only(self, tmp_path):
         cfg = full_load_cfg(F0, 0)
         wf = run_transient(cfg).waveform
@@ -454,6 +505,72 @@ class TestWaveformCsv:
         p = tmp_path / "subset.csv"
         wf.to_csv(p)
         assert Waveform.from_csv(p).names == wf.names
+
+
+def _drive(cfg, initial, record):
+    """run_transient's loop, on a driver that may leave the waveform out;
+    the result and the last period's peaks."""
+    drv = sim.PeriodDriver(cfg, initial, record=record)
+    while drv.t < cfg.t_end - 1e-15 * max(1.0, cfg.t_end):
+        drv.advance_period(cfg.fsw, t_stop=cfg.t_end)
+    return drv.result(), drv.last_period_peaks
+
+
+class TestRecordingLeavesTheRunAlone:
+    @pytest.mark.parametrize("load", [LoadSpec.resistance(RL),
+                                      LoadSpec.current(0.5)])
+    def test_strides_and_unrecorded_run_are_bit_identical(self, load):
+        # waveform rows are read off the steps, so a run recorded at every
+        # grid instant, at every 64th and not at all takes the same steps
+        # to the same bits
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=1.1 * F0, load=load,
+                        t_end=20.5 / (1.1 * F0), record_stride=1)
+        seed = warm_start_state(cfg)
+        ref = run_transient(cfg, seed)
+        runs = [_drive(cfg, seed, True),
+                _drive(replace(cfg, record_stride=64), seed, True),
+                _drive(cfg, seed, False)]
+        assert runs[0][0].waveform.t.tobytes() == ref.waveform.t.tobytes()
+        assert runs[0][0].waveform["iLr"].tobytes() \
+            == ref.waveform["iLr"].tobytes()
+        assert runs[2][0].waveform.t.size == 0
+        for res, peaks in runs:
+            assert repr(res.final_state) == repr(ref.final_state)
+            assert repr(res.energy) == repr(ref.energy)
+            assert res.events == ref.events
+            assert res.zvs == ref.zvs
+            assert res.counts == ref.counts
+            assert repr(peaks) == repr(runs[0][1])
+
+
+class TestSinkCurrent:
+    @pytest.mark.parametrize("stride", [1, 1 << 30])
+    def test_held_output_reads_the_rectifier_current(self, stride):
+        # a cold start of the reference project into its 0.5 A sink: while
+        # the output is held at 0 V the sink carries what the rectifier
+        # delivers, nothing through an open rectifier, and once the output
+        # is up its setpoint; every grid row and the few rows of an
+        # unrecorded run are summed along different paths
+        from llckit import cli
+        from llckit.config import load_config
+
+        project = load_config(Path(__file__).resolve().parent.parent
+                              / "configs" / "reference_design.json")
+        design = cli._sim_report(project)
+        vin, load, fsw, _ = cli._sim_inputs(project, design)
+        assert load.value_at(0.0) == 0.5
+        cfg = SimConfig(tank=design.tank, vin=vin, fsw=fsw, load=load,
+                        t_end=20e-6, record_stride=stride)
+        wf = run_transient(cfg).waveform
+        v, iout, rect = wf["vOut"], wf["iOut"], wf.aux["rect"]
+        n = design.tank.n
+        held = (v == 0.0) & (rect != RectPhase.OFF)
+        assert np.count_nonzero(held) > (10 if stride == 1 else 1)
+        assert np.all(iout[held]
+                      == n * np.abs(wf["iLr"][held] - wf["iLm"][held]))
+        assert np.all(iout[held] <= 0.5)
+        assert np.all(iout[(v == 0.0) & (rect == RectPhase.OFF)] == 0.0)
+        assert np.all(iout[v > 0.0] == 0.5)
 
 
 class TestTimebase:
