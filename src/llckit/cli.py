@@ -33,13 +33,12 @@ from .control import (
     run_load_step,
 )
 from .gain import (
+    SHORT_CIRCUIT_QE,
     BelowAsymptote,
     GainError,
-    GainPoleError,
     UnreachableGain,
     classify_region,
     gain_magnitude,
-    short_circuit_gain,
     solve_frequency,
 )
 from .sim import LoadSpec, SimConfig, SimError, run_transient
@@ -209,35 +208,30 @@ def _curve_qe_set(qe_full: float) -> list[float]:
     return [round(q, 6) for q in qes]
 
 
-def _short_circuit_point(ln: float, fn: float) -> float:
-    try:
-        return short_circuit_gain(ln, fn)
-    except GainPoleError:  # a grid sample landed on the series resonance
-        return math.inf
-
-
 def _gain_table(report: DesignReport, fn: np.ndarray, qes) -> list[tuple[str, np.ndarray]]:
     cols = [(f"Mg_Qe={q:g}", gain_magnitude(report.Ln, q, fn)) for q in qes]
-    sc = np.array([_short_circuit_point(report.Ln, float(f)) for f in fn])
+    # short_circuit_gain per sample, inf where it rejects the series resonance
+    sc = np.where(np.abs(fn - 1.0) < 1e-9, np.inf,
+                  gain_magnitude(report.Ln, SHORT_CIRCUIT_QE, fn))
     cols.append(("Mg_short_circuit", sc))
     return cols
 
 
 def _write_curve_csv(path: Path, fn: np.ndarray, cols) -> None:
+    texts = [map(repr, c.tolist()) for c in [fn] + [c for _, c in cols]]
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(["fn"] + [name for name, _ in cols]) + "\n")
-        for i in range(fn.size):
-            row = [repr(float(fn[i]))] + [repr(float(c[i])) for _, c in cols]
-            f.write(",".join(row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _write_curve_svg(path: Path, report: DesignReport, fn: np.ndarray, cols) -> None:
     ymax = max(1.5, 1.15 * report.Mg_peak)
     series = []
+    x = tuple(fn.tolist())
     for name, mg in cols:
         short = name == "Mg_short_circuit"
         label = "short circuit" if short else name[3:].replace("=", " = ")
-        series.append(Series(label=label, x=tuple(fn), y=tuple(mg),
+        series.append(Series(label=label, x=x, y=tuple(mg.tolist()),
                              dash="5 4" if short else None,
                              width=1.4 if short else 1.6))
     render_line_plot(
@@ -482,12 +476,12 @@ def cmd_sweep(args) -> int:
     fn = np.geomspace(args.fn_lo, args.fn_hi, args.samples)
     cols = _gain_table(design, fn, qes)
     csv_path = outdir / "sweep_gain.csv"
+    fn_text = list(map(repr, fn.tolist()))
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("label,fn,Mg\n")
         for name, mg in cols:
             label = "short_circuit" if name == "Mg_short_circuit" else name[3:]
-            for i in range(fn.size):
-                f.write(f"{label},{float(fn[i])!r},{float(mg[i])!r}\n")
+            f.writelines(f"{label},{x},{v!r}\n" for x, v in zip(fn_text, mg.tolist()))
     _write_curve_svg(outdir / "sweep_gain.svg", design, fn, cols)
     doc = {"schema_version": SCHEMA_VERSION, "curves": len(cols),
            "samples": int(fn.size),

@@ -205,7 +205,13 @@ def gain_magnitude(Ln: float, Qe: float, fn):
     """|Mg| evaluated elementwise; accepts scalars or numpy arrays.
 
     Poles map to inf (no exception), which keeps brute-force sweeps usable.
+    A float ``fn`` skips the array machinery, not numpy's complex absolute
+    value: ``math.hypot`` differs from it in the last bit on a third of points.
     """
+    if isinstance(fn, float):
+        fn = float(fn)
+        den = float(np.abs(np.complex128(_gain_den(Ln, Qe, fn))))
+        return math.inf if den < POLE_DEN_TOL else Ln * fn * fn / den
     fn = np.asarray(fn, dtype=float)
     den = np.abs(_gain_den(Ln, Qe, fn))
     num = Ln * fn * fn
@@ -448,4 +454,4 @@ def short_circuit_gain(Ln: float, fn: float) -> float:
     if abs(fn - 1.0) < 1e-9:
         raise GainPoleError(
             "shorted output at the series resonance: tank current diverges")
-    return float(gain_magnitude(Ln, SHORT_CIRCUIT_QE, fn))
+    return gain_magnitude(Ln, SHORT_CIRCUIT_QE, fn)

@@ -265,6 +265,8 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     period = 1.0 / cfg.fsw
     mcfg = replace(cfg, record_stride=1, channels=None)
     mdrv = PeriodDriver(mcfg, state, record=True)
+    # the step maps hang on (mode, step length) alone: reuse the solve's
+    mdrv._maps = drv._maps
     mdrv.advance_period(cfg.fsw)
     out = mdrv.result()
     return PopResult(

@@ -45,10 +45,6 @@ def _esc(s: str) -> str:
     return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _nice_step(span: float, target: int = 6) -> float:
     # 1-2-5 ladder
     if span <= 0:
@@ -91,9 +87,9 @@ def _log_ticks(lo: float, hi: float) -> tuple[list[float], list[float]]:
 def _finite_runs(xs, ys):
     """Split a sampled curve at non-finite values."""
     run = []
-    for x, y in zip(xs, ys):
-        if math.isfinite(float(x)) and math.isfinite(float(y)):
-            run.append((float(x), float(y)))
+    for x, y in zip(map(float, xs), map(float, ys)):
+        if math.isfinite(x) and math.isfinite(y):
+            run.append((x, y))
         elif run:
             yield run
             run = []
@@ -158,17 +154,17 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
     else:
         xmaj, xmin_t = _lin_ticks(x0, x1), []
     for v in xmin_t:
-        px = _fmt(tx(v))
+        px = f"{tx(v):.2f}"
         out.append(f'<line x1="{px}" y1="{_MT}" x2="{px}" '
                    f'y2="{height - _MB}" stroke="#f0f0f0" stroke-width="1"/>')
     for v in xmaj:
-        px = _fmt(tx(v))
+        px = f"{tx(v):.2f}"
         out.append(f'<line x1="{px}" y1="{_MT}" x2="{px}" '
                    f'y2="{height - _MB}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{px}" y="{height - _MB + 16}" {font} '
                    f'font-size="12" text-anchor="middle">{v:g}</text>')
     for v in _lin_ticks(y0, y1):
-        py = _fmt(ty(v))
+        py = f"{ty(v):.2f}"
         out.append(f'<line x1="{_ML}" y1="{py}" x2="{width - _MR}" '
                    f'y2="{py}" stroke="#dddddd" stroke-width="1"/>')
         out.append(f'<text x="{_ML - 6}" y="{py}" {font} font-size="12" '
@@ -178,7 +174,7 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
     for h in hlines:
         if not (y0 <= h.y <= y1):
             continue
-        py = _fmt(ty(h.y))
+        py = f"{ty(h.y):.2f}"
         out.append(f'<line x1="{_ML}" y1="{py}" x2="{width - _MR}" y2="{py}" '
                    f'stroke="{h.color}" stroke-width="1.2" '
                    'stroke-dasharray="7 4"/>')
@@ -186,13 +182,17 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
             out.append(f'<text x="{_ML + 6}" y="{float(py) - 4:.2f}" {font} '
                        f'font-size="11" fill="{h.color}">{_esc(h.label)}</text>')
 
-    # curves
+    # curves; series often share their x samples, so each x is formatted once
     out.append('<g clip-path="url(#plotclip)">')
+    x_text: dict[float, str] = {}
+    y_base, y_span = height - _MB, y1 - y0
     for i, s in enumerate(series):
         color = s.color or PALETTE[i % len(PALETTE)]
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         for run in _finite_runs(s.x, s.y):
-            pts = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in run)
+            x_text.update((x, f"{tx(x):.2f}") for x, _ in run if x not in x_text)
+            pts = " ".join([f"{x_text[x]},{y_base - (y - y0) / y_span * ph:.2f}"
+                            for x, y in run])
             out.append(f'<polyline points="{pts}" fill="none" '
                        f'stroke="{color}" stroke-width="{s.width}"{dash}/>')
     out.append('</g>')

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line layer: file outputs, exit codes,
 schema validity, and byte-level determinism."""
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -436,6 +437,43 @@ class TestDeterminism:
                 == (b / "wave_transient.csv").read_bytes())
         assert ((a / "metrics_transient.json").read_bytes()
                 == (b / "metrics_transient.json").read_bytes())
+
+    # SHA-256 of the FHA outputs as commit 6995f58 wrote them, before the
+    # scalar gain path and the column-wise CSV and SVG writers
+    FHA_OUTPUT_SHA256 = {
+        "reference_design": {
+            "design.json": "21bfa3c1fef8549e8b8e989d560e61ae579a99b2f99f08b17f86da898e4c1408",
+            "gain_curves.csv": "c53cafd093eb86dbfb7e4a207cf88cf700ff24792cf4a3974d0cb0fd0a404165",
+            "gain_curves.svg": "bdd327099558e53b80393b54a9e3f1f06b02eda87cf7feac9e8c003f966bf028",
+            "sweep_gain.csv": "a67455af69ac4f8242934db8c4d0194a540a6de1af613bb695e67c958dfdc417",
+            "sweep_gain.svg": "09d3d855ccceec9bb1de20d72f69f7f65231fa662c34508afab70dfab0cea0d8",
+            "solve": "f8a84f4781c2ba9000045967a7d66eb8551fd8932c667a6603e96d0965336f41",
+        },
+        "overload": {
+            "design.json": "63524b792c513d6237c51d9cbcfd73d5f315799ad768db717cdb0b7eed4140e2",
+            "gain_curves.csv": "86919553b68c8491022f444270cdc528a26545a50d27def50a020cdab03befbf",
+            "gain_curves.svg": "05abb1757720fe1b2d1c1b4a5dc6e54f3df0b5d316f11611d0976e32e54f724c",
+            "sweep_gain.csv": "ec7f9df980a16828054e6d3a5856c1c4cd15753860239255d91703efe795974c",
+            "sweep_gain.svg": "05abb1757720fe1b2d1c1b4a5dc6e54f3df0b5d316f11611d0976e32e54f724c",
+            "solve": "75ffe920800b7f269e935726ee7374b77f5664b5aee276810bd9048fbf1e0e9d",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(FHA_OUTPUT_SHA256))
+    def test_fha_outputs_are_pinned(self, name, tmp_path, run_llc):
+        """design, sweep and ``solve --json`` write the same bytes as at
+        commit 6995f58, the parent of the scalar gain path."""
+        cfg = str(REPO / "configs" / f"{name}.json")
+        rcs = [run_llc(cmd, "--config", cfg, "--out", str(tmp_path)).returncode
+               for cmd in ("design", "sweep")]
+        assert rcs == [EXIT_OK if name == "reference_design" else EXIT_INFEASIBLE,
+                       EXIT_OK]
+        solve = run_llc("solve", "--config", cfg, "--target-vout", "12", "--json")
+        assert solve.returncode == EXIT_OK, solve.stderr
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in self.FHA_OUTPUT_SHA256[name] if f != "solve"}
+        got["solve"] = hashlib.sha256(solve.stdout.encode()).hexdigest()
+        assert got == self.FHA_OUTPUT_SHA256[name]
 
     def test_cli_import_leaves_scipy_out(self, run_python):
         """Every ``llc`` start imports llckit.cli; scipy is not part of it."""

@@ -7,12 +7,14 @@ arithmetic) rather than by the functions under test.
 
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llckit import cli
 from llckit.gain import (
     BelowAsymptote,
     GainPoleError,
@@ -114,6 +116,23 @@ class TestGainPoint:
             a = gain_magnitude(ln, qe, fn)
             b = gain(NormalizedPoint(ln, qe, fn)).Mg
             assert abs(a - b) <= 4e-16 * b, (a, b)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0),
+           qe=st.one_of(st.just(0.0),
+                        st.floats(-3.0, 10.0).map(lambda e: 10.0 ** e)),
+           fn_kind=st.sampled_from(("grid", "resonance", "pole")),
+           log_fn=st.floats(-2.0, 2.0), as_numpy=st.booleans())
+    def test_scalar_path_matches_array_path(self, ln, qe, fn_kind, log_fn,
+                                            as_numpy):
+        """A scalar fn gives bit for bit the value of the same sample in an
+        array, on the poles (inf) and at resonance included."""
+        fn = {"grid": 10.0 ** log_fn, "resonance": 1.0,
+              "pole": 1.0 / math.sqrt(ln + 1.0)}[fn_kind]
+        expected = gain_magnitude(ln, qe, np.array([fn]))[0]
+        got = gain_magnitude(ln, qe, np.float64(fn) if as_numpy else fn)
+        assert type(got) is float
+        assert got.hex() == float(expected).hex(), (got, expected)
 
 
 class TestGainCurve:
@@ -413,6 +432,24 @@ class TestShortCircuit:
         grid = np.geomspace(1.001, 10.0, 1000)
         vals = np.array([short_circuit_gain(LN_REF, f) for f in grid])
         assert np.all(np.diff(vals) < 0)
+
+    def test_gain_table_column_matches_per_sample(self):
+        """The CLI's short-circuit column, built on the whole grid at once,
+        is short_circuit_gain sample by sample, and inf where that rejects
+        the series resonance."""
+        fn = np.concatenate([np.geomspace(0.1, 1.0, 240)[:-1],
+                             [1.0 - 5e-10, 1.0, 1.0 + 5e-10],
+                             np.geomspace(1.0, 10.0, 240)[1:]])
+        assert 1.0 in fn
+        _, (name, col) = cli._gain_table(SimpleNamespace(Ln=LN_REF), fn, [0.0])
+        assert name == "Mg_short_circuit"
+        for f, got in zip(fn.tolist(), col.tolist()):
+            try:
+                expected = short_circuit_gain(LN_REF, f)
+            except GainPoleError:
+                expected = math.inf
+            assert got.hex() == expected.hex(), (f, got, expected)
+        assert np.isinf(col).sum() == 3
 
 
 if __name__ == "__main__":

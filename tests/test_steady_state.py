@@ -1,6 +1,7 @@
 """Periodic-operating-point solvers and cycle metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestSolvedOperatingPoint:
         assert wf.t[0] == 0.0
         assert wf.t[-1] == 1.0 / pop_shooting.fsw
         assert np.all(np.diff(wf.t) > 0.0)
+
+    def test_recorded_period_matches_a_fresh_driver(self, pop_shooting):
+        """The recorded period reuses the solve's step maps; a driver that
+        builds its own from scratch writes the same samples bit for bit."""
+        cfg = replace(cfg_at(pop_shooting.fsw), record_stride=1, channels=None)
+        drv = PeriodDriver(cfg, pop_shooting.state, record=True)
+        drv.advance_period(pop_shooting.fsw)
+        wf = drv.result().waveform
+        assert wf.t.tobytes() == pop_shooting.waveform.t.tobytes()
+        for ch in wf.names:
+            assert wf[ch].tobytes() == pop_shooting.waveform[ch].tobytes(), ch
 
     def test_metrics_are_self_consistent(self, pop_shooting):
         m = pop_shooting.metrics
