@@ -305,6 +305,32 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
     :class:`UnreachableGain` when the target exceeds the available peak and
     :class:`BelowAsymptote` when even the top of the frequency bracket
     (fn = ``FN_SOLVE_MAX``) cannot get the gain down to the target.
+    """
+    if Mg_target <= 0:
+        raise ValueError("Mg_target must be positive")
+    if Qe < 0:
+        raise ValueError("Qe must be non-negative")
+    if Mg_target != 1.0:  # unity gain needs no peak (see _solve_branch)
+        if Qe == 0.0:
+            # No finite peak: the branch runs from the pole down to Ln/(Ln+1).
+            floor = asymptotic_gain(Ln)
+            if Mg_target <= floor:
+                raise BelowAsymptote(
+                    f"target {Mg_target!r} at or below no-load asymptote {floor!r}")
+        else:
+            fn_peak, mg_peak = peak_gain(Ln, Qe)
+            if Mg_target > mg_peak:
+                raise UnreachableGain(
+                    f"target {Mg_target!r} above peak {mg_peak!r} at fn={fn_peak!r}",
+                    fn_peak=fn_peak, Mg_peak=mg_peak)
+            if Mg_target == mg_peak:
+                return fn_peak
+    return _solve_branch(Ln, Qe, Mg_target)
+
+
+def _solve_branch(Ln: float, Qe: float, Mg_target: float) -> float:
+    """:func:`solve_frequency` past its input and peak checks: a positive
+    target no higher than the gain at any finite peak.
 
     With x = fn^2, a = Ln + 1, c = (Qe Ln)^2 and M = Mg_target, the answer
     is the largest real root of the cubic
@@ -317,33 +343,14 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
     opens the bracket, and the root is polished on the gain itself rather
     than on the expanded cubic; the answer depends on (Ln, Qe, M) alone.
     """
-    if Mg_target <= 0:
-        raise ValueError("Mg_target must be positive")
-    if Qe < 0:
-        raise ValueError("Qe must be non-negative")
     if Mg_target == 1.0:
         # unity gain sits at the series resonance for every load, and fn = 1
         # is always on the monotone branch, so return it without iterating
         return 1.0
-    if Qe == 0.0:
-        # No finite peak: the branch runs from the pole down to Ln/(Ln+1).
-        floor = asymptotic_gain(Ln)
-        if Mg_target <= floor:
-            raise BelowAsymptote(
-                f"target {Mg_target!r} at or below no-load asymptote {floor!r}")
-    else:
-        fn_peak, mg_peak = peak_gain(Ln, Qe)
-        if Mg_target > mg_peak:
-            raise UnreachableGain(
-                f"target {Mg_target!r} above peak {mg_peak!r} at fn={fn_peak!r}",
-                fn_peak=fn_peak, Mg_peak=mg_peak)
-        if Mg_target == mg_peak:
-            return fn_peak
-    hi = FN_SOLVE_MAX
-    if gain_magnitude(Ln, Qe, hi) >= Mg_target:
-        raise BelowAsymptote(
-            f"target {Mg_target!r} below gain {gain_magnitude(Ln, Qe, hi)!r} "
-            f"reachable at fn={hi!r}")
+    mg_hi = gain_magnitude(Ln, Qe, FN_SOLVE_MAX)
+    if mg_hi >= Mg_target:
+        raise BelowAsymptote(f"target {Mg_target!r} below gain {mg_hi!r} "
+                             f"reachable at fn={FN_SOLVE_MAX!r}")
     a = Ln + 1.0
     c = _load_term(Ln, Qe)
     r2 = (Ln / Mg_target) ** 2
@@ -360,7 +367,7 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
         return (Mg_target * math.hypot(Ln * x + (x - 1.0), (x - 1.0) * fn * Qe * Ln)
                 - Ln * x)
 
-    return _bisect(excess, lo, hi)
+    return _bisect(excess, lo, FN_SOLVE_MAX)
 
 
 def gain_band(req: DesignRequirements, n: float, Ln: float) -> GainBand:

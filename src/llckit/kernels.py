@@ -64,9 +64,13 @@ tank's gain (``_span_load``).  The peaks per component include the extrema
 inside a step, located where the component's rate changes sign.
 
 Gate transitions are segment boundaries handled by the caller; each call
-integrates one span of constant gate state.  The stepping is scalar
-float64 arithmetic in a fixed order, and the rows' numpy arithmetic is
-fixed by the call's inputs, so equal inputs give equal bits.
+integrates one span of constant gate state and hands back what it wrote:
+its waveform rows as one array sized to them, its events appended to the
+caller's list, and its source, load and diode energy.  A record stride of
+0 writes no grid rows, only the rows at the span's ends and at events.
+The stepping is scalar float64 arithmetic in a fixed order, and the rows'
+numpy arithmetic is fixed by the call's inputs, so equal inputs give
+equal bits.
 """
 
 from __future__ import annotations
@@ -92,9 +96,7 @@ ERR_OK = 0
 ERR_EVENT_LOC = 1
 ERR_CHATTER = 2
 ERR_MODE_VIOLATION = 3
-ERR_RECORD_FULL = 4
-ERR_EVENT_FULL = 5
-# event codes (written into the event log)
+# event codes (appended to the event log)
 EV_D1_ON = 1
 EV_D2_ON = 2
 EV_D1_OFF = 3
@@ -575,33 +577,6 @@ def _span_load(rect, e_src, e_dio, cap0, tank0, iLr, vCr, iLm, vOut,
     return e
 
 
-def _put_event(ev, ev_n, t, code):
-    """Append (t, code) to the event log; the new count, or -1 when full."""
-    if ev_n >= ev.shape[0]:
-        return -1
-    ev[ev_n, 0] = t
-    ev[ev_n, 1] = code
-    return ev_n + 1
-
-
-def _put_row(rec, rec_n, t, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
-             iout):
-    """Record the state at t; the new row count, or -1 when full.
-
-    A row already holding the same instant is overwritten, so the row
-    written last (post-transition mode) wins.
-    """
-    if rec_n > 0 and rec[rec_n - 1, 0] == t:
-        r = rec_n - 1
-    elif rec_n >= rec.shape[0]:
-        return -1
-    else:
-        r = rec_n
-        rec_n += 1
-    rec[r] = (t, iLr, vCr, iLm, vOut, vsw, iout, rect, seg_kind)
-    return rec_n
-
-
 def _grid_rows(t0, dt, k, stride, n_cells, t_end):
     """How many of the grid rows t0 + dt k, t0 + dt (k + stride), ...
     (indices below n_cells) lie at or before t_end; the first one does."""
@@ -690,38 +665,37 @@ def _quantize(h):
 
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
-                      dt_max, tol_t, stride, rec, rec_n, ev, ev_n, acc,
-                      maps=None):
+                      dt_max, tol_t, stride, events, maps=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
     The span is split into ceil(span / H) equal steps, whatever is
-    recorded.  rec is a (cap, 9) float64 record buffer filled from row
-    ``rec_n``; ev a (cap, 2) event log (t, code).  Rows are written at t0,
-    at the grid instants t0 + dt (k + 1) for k % stride == 0 (dt = span /
-    ceil(span / dt_max)), at every event and at t1.  A grid row comes from
-    the Taylor terms of the step it falls in (``_put_grid_rows``), so the
-    record never changes the steps taken; rows at events and at t1 hold
-    the state the steps carry.  acc[0] accumulates source energy, acc[1]
-    load energy and acc[2] diode loss, once the call completes; a call that
-    stops early leaves acc as it was.  maps is the propagator cache; pass
-    the same dict to every call of one run (a fresh one when None).
-    Returns
+    recorded.  Rows are written at t0, at the grid instants t0 + dt (k + 1)
+    for k % stride == 0 (dt = span / ceil(span / dt_max); none at stride
+    0), at every event and at t1, a later row replacing one at the same
+    instant.  A grid row comes from the Taylor terms of the step it falls
+    in (``_put_grid_rows``), so the record never changes the steps taken;
+    rows at events and at t1 hold the state the steps carry.  Each logged
+    event is appended to the list ``events`` as (t, code).  maps is the
+    propagator cache; pass the same dict to every call of one run (a fresh
+    one when None).  Returns
 
-        (err, rec_n, ev_n, rect, clamp_hi,
+        (err, rows, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
-         steps, loc_iters)
+         steps, loc_iters, e_src, e_load, e_dio)
 
-    with err one of the ERR_* codes, steps the propagation steps taken and
-    loc_iters the root-search iterations spent locating events; on err != 0
-    the state is whatever was reached and the caller is expected to abort,
-    or to grow the full buffer (ERR_RECORD_FULL, ERR_EVENT_FULL) and run the
-    span again.
+    with err one of the ERR_* codes, rows the (rows, ``REC_COLS``) float64
+    record, ev_n the events this call logged, steps the propagation steps
+    taken, loc_iters the root-search iterations spent locating events, and
+    the source energy, load energy and diode loss of the span; on
+    err != 0 the state is whatever was reached and the caller is expected
+    to abort.
     """
     if maps is None:
         maps = {}
     err = ERR_OK
     steps = 0
     loc_iters = 0
+    ev_0 = len(events)
     is_dead = seg_kind == SEG_DEAD_TO_LOW or seg_kind == SEG_DEAD_TO_HIGH
     if seg_kind == SEG_HIGH:
         node_hi = 1
@@ -736,30 +710,21 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_ilm = abs(iLm)
     max_vout = abs(vOut)
 
-    # entry settle, then the segment entry row (overwrites a sample left at
-    # the same t)
+    # entry settle, then the segment entry row
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     if code != 0:
-        j = _put_event(ev, ev_n, t0, code)
-        if j < 0:
-            err = ERR_EVENT_FULL
-        else:
-            ev_n = j
-    if err == ERR_OK:
-        j = _put_row(rec, rec_n, t0, iLr, vCr, iLm, vOut, vsw, rect,
-                     seg_kind, _iout(sink, rect, iLr, iLm, vOut, n,
-                                     load_kind, load_val))
-        if j < 0:
-            err = ERR_RECORD_FULL
-        else:
-            rec_n = j
+        events.append((t0, code))
+    row_0 = (t0, iLr, vCr, iLm, vOut, vsw,
+             _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
+             rect, seg_kind)
+    rec_n = 1
 
     span = t1 - t0
     count = 0
     n_cells = 0
     dt = hp = hq = cap = 0.0
-    if err == ERR_OK and span > 0.0:
+    if span > 0.0:
         n_cells = max(1, int(math.ceil(span / dt_max)))
         dt = span / n_cells
         cap = _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind,
@@ -768,10 +733,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         hp = span / count
         hq = _quantize(hp)
     # the grid rows t0 + dt k for k = 1, 1 + stride, ... below n_cells: k_row
-    # is the next one's index and t_row its instant (inf past the last).
-    # Each step reserves the rows it holds as a block; they are written at
-    # the end, and then the event rows, each over a row at its own instant
-    k_row = 1
+    # is the next one's index (past the grid at stride 0) and t_row its
+    # instant (inf past the last).  Each step reserves the rows it holds as
+    # a block; they are written at the end, and then the event rows, each
+    # over a row at its own instant
+    k_row = 1 if stride > 0 else n_cells
     t_row = t0 + dt * k_row if k_row < n_cells else math.inf
     while t_row <= t0:  # a grid below t0's resolution
         k_row += stride
@@ -800,8 +766,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     # the source energy and diode loss per unit integral of iLr and of
     # the secondary's primary-side current iLr - iLm, in the current mode
     f_src = f_dio = 0.0
-    # energy of this call, added to acc once at the end, and of the span
-    # since the last transition (see ``_span_load``)
+    # energy of this call up to the last transition, and of the span since
+    # then (see ``_span_load``)
     e_src = e_load = e_dio = 0.0
     sp_src = sp_dio = 0.0
     sp_cap = 0.5 * Cout * vOut * vOut
@@ -928,9 +894,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     t_end = t_b
             if t_row <= t_end:
                 c = _grid_rows(t0, dt, k_row, stride, n_cells, t_end)
-                if rec_n + c > rec.shape[0]:
-                    err = ERR_RECORD_FULL
-                    break
                 blocks.append((rec_n, t_cur, (iLr, vCr, iLm, vOut, 1.0), c,
                                m, vsw, rect, sink))
                 rec_n += c
@@ -1007,25 +970,14 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
             if is_dead:
                 node_hi = clamp_hi
-            for code in codes:
-                j = _put_event(ev, ev_n, t_ev, code)
-                if j < 0:
-                    err = ERR_EVENT_FULL
-                    break
-                ev_n = j
-            if err != ERR_OK:
-                break
             if codes:
-                r = rec_n - 1 if t_last == t_ev else rec_n
-                if r == rec_n:
-                    if rec_n >= rec.shape[0]:
-                        err = ERR_RECORD_FULL
-                        break
+                events.extend((t_ev, code) for code in codes)
+                if t_last != t_ev:
                     rec_n += 1
-                ev_rows.append((r, (t_ev, iLr, vCr, iLm, vOut, vsw,
-                                    _iout(sink, rect, iLr, iLm, vOut, n,
-                                          load_kind, load_val),
-                                    rect, seg_kind)))
+                ev_rows.append((rec_n - 1, (
+                    t_ev, iLr, vCr, iLm, vOut, vsw,
+                    _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
+                    rect, seg_kind)))
                 t_last = t_ev
 
             sp_src = sp_dio = 0.0
@@ -1039,24 +991,24 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         if err != ERR_OK:
             break
 
+    # the t1 row, over a row at t1
+    t1_row = err == ERR_OK and count > 0
+    if t1_row and t_last != t1:
+        rec_n += 1
+    rec = np.empty((rec_n, REC_COLS))
+    rec[0] = row_0
     if blocks:
         _put_grid_rows(rec, blocks, t0, dt, k_first, stride, cap, seg_kind,
                        n, load_kind, load_val)
     for r, row in ev_rows:
         rec[r] = row
-    if err == ERR_OK and count > 0:
-        j = _put_row(rec, rec_n, t1, iLr, vCr, iLm, vOut, vsw, rect, seg_kind,
-                     _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val))
-        if j < 0:
-            err = ERR_RECORD_FULL
-        else:
-            rec_n = j
-    if err == ERR_OK:
-        e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
-                             iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
-        acc[0] += e_src + sp_src
-        acc[1] += e_load
-        acc[2] += e_dio + sp_dio
-    return (err, rec_n, ev_n, rect, clamp_hi,
+    if t1_row:
+        rec[rec_n - 1] = (t1, iLr, vCr, iLm, vOut, vsw,
+                          _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
+                                load_val),
+                          rect, seg_kind)
+    e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
+                         iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
+    return (err, rec, len(events) - ev_0, rect, clamp_hi,
             iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
-            steps, loc_iters)
+            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio)

@@ -5,10 +5,13 @@ dead time into the low side, low switch on, dead time back to the high
 side.  Each segment is handed to the kernel (:mod:`llckit.kernels`), which
 steps the piecewise-linear circuit by each mode's exact propagator and
 locates rectifier, dead-time and sink events on the exact trajectory.  The
-driver keeps the kernel's propagator cache for the run, and counts the
-kernel's steps, its localization iterations and the events by kind
-(:attr:`PeriodDriver.counts`).  ``dt_max`` (default: a period over
-``STEPS_PER_PERIOD``) sets the grid that waveform rows sit on.
+driver keeps the kernel's propagator cache for the run, has each call append
+its events to the run's log, keeps the rows each call hands back, adds up
+its energies, and counts the kernel's steps, its localization iterations and
+the events by kind (:attr:`PeriodDriver.counts`).  ``dt_max`` (default: a
+period over ``STEPS_PER_PERIOD``) sets the grid that waveform rows sit on;
+an unrecorded driver (``record=False``, as the steady-state solvers run)
+asks the kernel for no grid rows.
 
 During dead time the switching node is clamped to a rail by whichever body
 diode the resonant current forces into conduction; a gate edge that finds
@@ -408,13 +411,11 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
     )
 
 
-_REC_CAP0 = 1 << 16
-_REC_CAP_MAX = 1 << 24
-_EV_CAP = 4096
+_REC_CAP_MAX = 1 << 24  # grid rows one kernel call may record
 
 
 class PeriodDriver:
-    """Owns the mutable run: state, buffers, event/ZVS logs, energy."""
+    """Owns the mutable run: state, waveform rows, event/ZVS logs, energy."""
 
     def __init__(self, cfg: SimConfig, initial: SimState | None = None,
                  record: bool = True):
@@ -431,9 +432,6 @@ class PeriodDriver:
         self._load0 = float(cfg.load.points[0][1])
         # mode propagators, shared by every kernel call of this run
         self._maps: dict = {}
-        self._rec = np.empty((_REC_CAP0, kernels.REC_COLS))
-        self._ev = np.empty((_EV_CAP, 2))
-        self._acc = np.zeros(3)
         self.reset(initial if initial is not None else zero_state())
 
     def reset(self, state: SimState) -> None:
@@ -444,7 +442,7 @@ class PeriodDriver:
         self._chunks: list = []
         self._events: list = []
         self._zvs: list = []
-        self._acc[:] = 0.0
+        self._energy = [0.0, 0.0, 0.0]  # source, load, diode
         self.periods = 0
         self._pmax = [0.0, 0.0, 0.0, 0.0]
         self._steps = 0
@@ -464,7 +462,7 @@ class PeriodDriver:
     def energy(self) -> dict:
         """Joules since the last reset: drawn from Vin, delivered to the
         load, and dropped across the rectifier diodes."""
-        src, load, diode = self._acc.tolist()
+        src, load, diode = self._energy
         return {"source": src, "load": load, "diode": diode}
 
     @property
@@ -478,38 +476,18 @@ class PeriodDriver:
                 "localization_iterations": self._loc_iters,
                 "events": events}
 
-    def _grow_rec(self) -> None:
-        cap = self._rec.shape[0] * 2
-        if cap > _REC_CAP_MAX:
-            raise RecordOverflow("record buffer exceeded hard cap")
-        self._rec = np.empty((cap, kernels.REC_COLS))
-
     def _run_piece(self, t_a: float, t_b: float, seg_kind: int, clamp: int,
                    load_val: float, dt_eff: float, tol_t: float,
                    stride: int) -> int:
         vin, Lr, Cr, Lm, n, Vf, Cout, kind = self._stage
-        span = t_b - t_a
-        n_est = int(math.ceil(span / dt_eff)) if span > 0.0 else 1
-        need = n_est // stride + 2 * kernels.EVENT_GUARD + 16
-        while need > self._rec.shape[0]:
-            self._grow_rec()
+        if stride and math.ceil((t_b - t_a) / dt_eff) // stride > _REC_CAP_MAX:
+            raise RecordOverflow("waveform rows of one span exceed the hard cap")
         x = self._x
-        while True:
-            # a call that stops on a full buffer leaves acc as it was
-            out = kernels.integrate_segment(
-                x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp,
-                self._rect, vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val,
-                dt_eff, tol_t, stride, self._rec, 0, self._ev, 0, self._acc,
-                self._maps)
-            err = out[0]
-            if err == kernels.ERR_RECORD_FULL:
-                self._grow_rec()
-            elif err == kernels.ERR_EVENT_FULL:
-                self._ev = np.empty((2 * self._ev.shape[0], 2))
-            else:
-                break
-        (_, rec_n, ev_n, rect, clamp_out,
-         iLr, vCr, iLm, vOut, m0, m1, m2, m3, steps, loc_iters) = out
+        (err, rows, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
+         steps, loc_iters, e_src, e_load, e_dio) = kernels.integrate_segment(
+            x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
+            vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
+            stride, self._events, self._maps)
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
                 f"could not localize a mode transition near t={t_a:.6e}")
@@ -525,6 +503,10 @@ class PeriodDriver:
         self._rect = rect
         self._steps += steps
         self._loc_iters += loc_iters
+        energy = self._energy
+        energy[0] += e_src
+        energy[1] += e_load
+        energy[2] += e_dio
         pmax = self._pmax
         if m0 > pmax[0]:
             pmax[0] = m0
@@ -534,11 +516,8 @@ class PeriodDriver:
             pmax[2] = m2
         if m3 > pmax[3]:
             pmax[3] = m3
-        if self.record and rec_n > 0:
-            self._chunks.append(self._rec[:rec_n].copy())
-        if ev_n:
-            self._events.extend((t, int(c))
-                                for t, c in self._ev[:ev_n].tolist())
+        if self.record:
+            self._chunks.append(rows)
         return clamp_out
 
     def _load_pieces(self, s_a: float, s_end: float):
@@ -573,7 +552,7 @@ class PeriodDriver:
                  kernels.EV_GATE_LS_OFF))
         dt_eff = cfg.dt_max if cfg.dt_max is not None else period / STEPS_PER_PERIOD
         tol_t = 1e-12 / fsw
-        stride = cfg.record_stride if self.record else 1 << 30
+        stride = cfg.record_stride if self.record else 0  # 0: no grid rows
         self._pmax = [0.0, 0.0, 0.0, 0.0]
 
         for seg_kind, s_a, s_b, gate_code in plan:

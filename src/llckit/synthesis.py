@@ -14,12 +14,13 @@ ends of the resulting frequency band must land in the inductive region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .gain import (
     GainBand,
     GainError,
     Region,
+    _solve_branch,
     classify_region,
     gain_band,
     peak_gain,
@@ -80,23 +81,14 @@ class DesignReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        def tank_dict(t: TankParams) -> dict:
-            return {"Lr": t.Lr, "Cr": t.Cr, "Lm": t.Lm, "n": t.n,
-                    "Vf": t.Vf, "Cout": t.Cout, "t_dead": t.t_dead}
-
-        r = self.requirements
+        # asdict keeps each dataclass's field order, which the JSON keeps
         return {
-            "requirements": {
-                "vin_min": r.vin_min, "vin_nom": r.vin_nom, "vin_max": r.vin_max,
-                "vout_min": r.vout_min, "vout_nom": r.vout_nom, "vout_max": r.vout_max,
-                "iout_min": r.iout_min, "iout_max": r.iout_max,
-                "f0_target": r.f0_target, "fsw_min": r.fsw_min, "fsw_max": r.fsw_max,
-            },
+            "requirements": asdict(self.requirements),
             "n": self.n,
             "Ln": self.Ln,
             "Qe": self.Qe,
-            "tank": tank_dict(self.tank),
-            "tank_rounded": tank_dict(self.tank_rounded),
+            "tank": asdict(self.tank),
+            "tank_rounded": asdict(self.tank_rounded),
             "band": {"Mg_min": self.band.Mg_min, "Mg_max": self.band.Mg_max,
                      "Mg_inf": self.band.Mg_inf},
             "peak": {"fn_peak": self.fn_peak, "Mg_peak": self.Mg_peak},
@@ -277,7 +269,8 @@ def search_design_point(req: DesignRequirements, n: float,
             if mg_peak < (1.0 + min_headroom) * band.Mg_max:
                 continue
             try:
-                fn_lo = solve_frequency(ln, qe, band.Mg_max)
+                # the headroom puts Mg_max below the peak just solved
+                fn_lo = _solve_branch(ln, qe, band.Mg_max)
                 fn_hi = solve_frequency(ln, qe * light, band.Mg_min)
             except GainError:
                 continue

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llckit.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from llckit import sim
+from llckit.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK,
+                        main)
 from llckit.config import ConfigError, load_config, parse_config
 from llckit.sim import Waveform
 
@@ -314,6 +316,20 @@ class TestSimulateCommand:
         assert set(np.unique(wf["gateHS"])) <= {0.0, 1.0}
         metrics = json.loads((tmp_path / "metrics_transient.json").read_text())
         assert metrics["energy"]["source"] > 0
+
+    def test_record_overflow_exits_3(self, tmp_path, monkeypatch, capsys):
+        # more grid rows in one span than the cap allows is a numeric
+        # failure of the run, not a crash
+        monkeypatch.setattr(sim, "_REC_CAP_MAX", 100)
+        doc = reference_doc()
+        doc["sim"]["t_end"] = 3e-5
+        doc["sim"]["record_stride"] = 1
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "transient", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_NUMERIC == 3
+        assert "simulation failed" in capsys.readouterr().err
+        assert not (tmp_path / "wave_transient.csv").exists()
 
     def test_pop_metrics(self, pop_out):
         rc, out = pop_out

@@ -22,20 +22,20 @@ RES = kernels.LOAD_RES
 
 
 def call_segment(x0, t0, t1, seg, clamp, rect, vin, load_val, dt_max,
-                 tol_t=1e-18, stride=1, rec_cap=65536, Vf=0.0, Cout=COUT):
-    rec = np.empty((rec_cap, kernels.REC_COLS))
-    ev = np.empty((256, 2))
-    acc = np.zeros(3)
+                 tol_t=1e-18, stride=1, Vf=0.0, Cout=COUT):
+    events = []
     out = kernels.integrate_segment(
         x0[0], x0[1], x0[2], x0[3], t0, t1, seg, clamp, rect,
         vin, LR, CR, LM, N, Vf, Cout, RES, load_val,
-        dt_max, tol_t, stride, rec, 0, ev, 0, acc)
-    err, rec_n, ev_n = out[0], out[1], out[2]
+        dt_max, tol_t, stride, events)
+    err = out[0]
     assert err == kernels.ERR_OK, f"kernel error code {err}"
+    assert out[2] == len(events)
     return {
         "rect": out[3], "clamp": out[4],
         "x": np.array(out[5:9]), "maxes": out[9:13],
-        "rec": rec[:rec_n].copy(), "ev": ev[:ev_n].copy(), "acc": acc,
+        "rec": out[1], "ev": np.array(events, dtype=float).reshape(-1, 2),
+        "acc": np.array(out[15:18]),
     }
 
 
@@ -50,7 +50,7 @@ class TestExactPropagator:
         zp = math.sqrt(L / CR)
         vin = 48.0
         x0 = np.array([0.0, 0.0, 0.0, 50.0])
-        for stride in (1, 1 << 30):
+        for stride in (1, 1 << 30, 0):
             out = call_segment(x0, 0.0, 20e-6, kernels.SEG_HIGH, 0,
                                kernels.RECT_OFF, vin, 1e12, 5e-9,
                                stride=stride, Cout=1.0)
@@ -220,16 +220,14 @@ class TestSinkCutoff:
         vin, il, vf = 48.0, 0.5, 0.5
         v0 = 1e-5
         t_cut = v0 * COUT / il
-        rec = np.empty((64, kernels.REC_COLS))
-        ev = np.empty((8, 2))
-        acc = np.zeros(3)
+        events = []
         out = kernels.integrate_segment(
             0.05, 47.5, 0.05, v0, 0.0, 20 * 5e-9, kernels.SEG_HIGH, 0,
             kernels.RECT_OFF, vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR,
-            il, 5e-9, 1e-18, 1, rec, 0, ev, 0, acc)
+            il, 5e-9, 1e-18, 1, events)
         assert out[0] == kernels.ERR_OK
-        assert out[2] == 0
-        rows = rec[:out[1]]
+        assert out[2] == 0 and events == []
+        rows = out[1]
         before = rows[:, 0] < t_cut
         assert 0 < np.count_nonzero(before) < rows.shape[0]
         ramp = v0 - il * rows[before, 0] / COUT
@@ -241,7 +239,7 @@ class TestSinkCutoff:
         assert np.all(rows[before, 6] == il)
         assert np.all(rows[~before, 6] == 0.0)
         # the sink took the capacitor's charge: its energy, C v0^2 / 2
-        assert abs(acc[1] - 0.5 * COUT * v0 * v0) < 1e-9 * 0.5 * COUT * v0 * v0
+        assert abs(out[16] - 0.5 * COUT * v0 * v0) < 1e-9 * 0.5 * COUT * v0 * v0
 
     def test_sink_holds_ground_until_the_rectifier_lifts_it(self):
         # D1 conducts into an output at 0 V while the secondary current is
@@ -274,16 +272,14 @@ class TestSinkCutoff:
             else:
                 lo = mid
         t_lift = hi
-        rec = np.empty((512, kernels.REC_COLS))
-        ev = np.empty((8, 2))
-        acc = np.zeros(3)
+        events = []
         out = kernels.integrate_segment(
             i0, c0, m0, 0.0, 0.0, 1e-6, kernels.SEG_HIGH, 0, kernels.RECT_D1,
             vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR, il, 5e-9, 1e-18,
-            1, rec, 0, ev, 0, acc)
+            1, events)
         assert out[0] == kernels.ERR_OK
-        assert out[2] == 0
-        rows = rec[:out[1]]
+        assert out[2] == 0 and events == []
+        rows = out[1]
         held = rows[:, 0] <= t_lift
         assert 0 < np.count_nonzero(held) < rows.shape[0]
         assert np.all(rows[held, 4] == 0.0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from llckit import sim
+from llckit import kernels, sim
 from llckit.gain import gain
 from llckit.sim import (
     CHANNELS,
@@ -17,6 +17,7 @@ from llckit.sim import (
     ModeChatter,
     ModeViolation,
     NotSettled,
+    RecordOverflow,
     RectPhase,
     SimConfig,
     SimState,
@@ -282,22 +283,17 @@ class TestEnergyBalance:
             <= 1e-9 * scale
 
 
-class TestBufferGrowth:
-    def test_event_log_overflow_grows_the_event_log(self, monkeypatch):
-        # a one-row event log fills at the first transition; the driver must
-        # grow it and rerun the span, leaving every output as a default run
-        cfg = SimConfig(tank=TANK, vin=VIN, fsw=F0,
-                        load=LoadSpec.resistance(RL), t_end=50e-6)
-        ref = run_transient(cfg, warm_start_state(cfg))
-        monkeypatch.setattr(sim, "_EV_CAP", 1)
-        res = run_transient(cfg, warm_start_state(cfg))
-        assert res.events == ref.events
-        assert res.zvs == ref.zvs
-        assert res.energy == ref.energy
-        assert res.final_state == ref.final_state
-        assert np.array_equal(res.waveform.t, ref.waveform.t)
-        for name in CHANNELS:
-            assert np.array_equal(res.waveform[name], ref.waveform[name])
+class TestRecordOverflow:
+    def test_rows_past_the_cap_raise_before_the_span_runs(self, monkeypatch):
+        # a stride-1 half period holds about a thousand grid rows; with the
+        # cap at 100 the driver refuses the span, while a coarser stride
+        # and an unrecorded run fit under it
+        monkeypatch.setattr(sim, "_REC_CAP_MAX", 100)
+        cfg = full_load_cfg(F0, 2, record_stride=1)
+        with pytest.raises(RecordOverflow):
+            run_transient(cfg, warm_start_state(cfg))
+        assert run_transient(replace(cfg, record_stride=64)).periods == 2
+        assert _drive(cfg, warm_start_state(cfg), False)[0].periods == 2
 
 
 class TestNumpyScalarInputs:
@@ -541,6 +537,27 @@ class TestRecordingLeavesTheRunAlone:
             assert res.zvs == ref.zvs
             assert res.counts == ref.counts
             assert repr(peaks) == repr(runs[0][1])
+
+
+    def test_unrecorded_periods_sum_no_grid_rows(self, monkeypatch):
+        # a driver that keeps no waveform has the kernel sum no grid rows;
+        # a recorded period, as the control, does
+        calls = []
+        put = kernels._put_grid_rows
+
+        def counting(*args):
+            calls.append(args[2])
+            return put(*args)
+
+        monkeypatch.setattr(kernels, "_put_grid_rows", counting)
+        cfg = full_load_cfg(F0, 1.0)
+        drv = sim.PeriodDriver(cfg, warm_start_state(cfg), record=False)
+        for _ in range(5):
+            drv.advance_period(F0)
+        assert drv.periods == 5
+        assert calls == []
+        sim.PeriodDriver(cfg, warm_start_state(cfg)).advance_period(F0)
+        assert len(calls) == 4
 
 
 class TestSinkCurrent:
