@@ -258,6 +258,25 @@ class TestSearchDesignPoint:
         _, mg_peak = peak_gain(ln, qe_full)
         assert mg_peak >= 1.2 * band.Mg_max
 
+    def test_each_peak_is_solved_once(self, monkeypatch):
+        # the candidates that clear the headroom solve their band edge
+        # from the peak the search already has, not by solving it again
+        import importlib
+
+        from llckit import synthesis
+        gain = importlib.import_module("llckit.gain")
+        calls = []
+        peak_gain = gain.peak_gain
+
+        def counting(ln, qe):
+            calls.append((ln, qe))
+            return peak_gain(ln, qe)
+
+        monkeypatch.setattr(gain, "peak_gain", counting)
+        monkeypatch.setattr(synthesis, "peak_gain", counting)
+        assert search_design_point(REQ, N_REF) == (1.5, 0.1)
+        assert len(calls) == len(set(calls))
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
