@@ -67,10 +67,21 @@ Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:
 its waveform rows as one array sized to them, its events appended to the
 caller's list, and its source, load and diode energy.  A record stride of
-0 writes no grid rows, only the rows at the span's ends and at events.
-The stepping is scalar float64 arithmetic in a fixed order, and the rows'
-numpy arithmetic is fixed by the call's inputs, so equal inputs give
-equal bits.
+0 writes no rows at all.  The stepping is scalar float64 arithmetic in a
+fixed order, and the rows' numpy arithmetic is fixed by the call's
+inputs, so equal inputs give equal bits.
+
+On request a call also carries the sensitivity S = dx/dx0 of the state to
+an earlier one, as a 4x4 array: the exact derivative of the map the steps
+compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  A full
+step multiplies it by the Jacobian of its cached map carried on by its end
+rate, (I + dh A)(I + D); a part of a step of length tau by Phi(tau), summed
+from the mode's Taylor terms over the step cap; and a state event, whose
+instant moves with x0, by its saltation matrix (Leine & Nijmeijer,
+Dynamics and Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate
+edges and the entry settle sit at fixed instants and leave S alone.
+Without the request a step's arithmetic is the same, at the cost of one
+branch.
 """
 
 from __future__ import annotations
@@ -154,6 +165,11 @@ _ROWS_SCALAR = 8
 
 # record row layout
 REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
+# the powers 0 .. _ROW_K of a step fraction (``_phi``)
+_POWERS = np.arange(_ROW_K + 1.0)
+# what a call at stride 0 hands back for its rows
+_NO_ROWS = np.empty((0, REC_COLS))
+_NO_ROWS.flags.writeable = False
 
 # event-function slots: (slot, c0, c1, c2, c3, d, side) for
 # g = c0 iLr + c1 vCr + c2 iLm + c3 vOut + d, firing when side * g turns
@@ -185,12 +201,13 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
     Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps, row_terms]: rho is the largest row sum of |A| in the
-    energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
+    dead_slots, maps, row_terms, phi_terms]: rho is the largest row sum of
+    |A| in the energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
     sqrt(Cout) vOut), which bounds every eigenvalue; slots lists the mode's
     rectifier and sink event functions in slot order, and dead_slots adds
-    the dead-time one; maps caches the step maps by step length, and
-    row_terms the ``_row_terms`` array once built (None until then).
+    the dead-time one; maps caches the step maps by step length, row_terms
+    the ``_row_terms`` array and phi_terms the ``_phi`` array once built
+    (None until then).
     """
     a10 = 1.0 / Cr
     kq = Lm / (Lr + Lm)
@@ -229,7 +246,7 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
               abs(a21) * sm / sc + abs(a23) * sm / so,
               abs(a30) * (so / sl + so / sm) + abs(a33))
     return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}, None]
+            sorted(slots + [_DEAD_SLOT]), {}, None, None]
 
 
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
@@ -349,14 +366,65 @@ def _row_terms(m, h):
     return terms.reshape(5, -1)
 
 
+def _phi(m, s, cap):
+    """The mode's Phi(s cap) = exp(A s cap) as a 4x4 array, summed from its
+    Taylor terms over the step cap (``_row_terms``)."""
+    if m[15] is None:
+        if m[14] is None:
+            m[14] = _row_terms(m, cap)
+        # [unit state j, power k, component i] to [power k, (i, j)]
+        m[15] = np.ascontiguousarray(
+            m[14][:4].reshape(4, _ROW_K + 1, 4).transpose(1, 2, 0)
+        ).reshape(_ROW_K + 1, 16)
+    return (np.power(s, _POWERS) @ m[15]).reshape(4, 4)
+
+
+def _step_jacobian(m, rows):
+    """(I + D, A (I + D)) of a step map with D by rows, as 4x4 arrays: a
+    full step carried on by dh at its end rate has the Jacobian
+    (I + dh A)(I + D)."""
+    a01, a03, a10, a21, a23, a30, a33 = m[:7]
+    p = np.array(rows).reshape(4, 4) + np.eye(4)
+    a = np.array(((0.0, a01, 0.0, a03), (a10, 0.0, 0.0, 0.0),
+                  (0.0, a21, 0.0, a23), (a30, 0.0, -a30, a33)))
+    return p, a @ p
+
+
+def _saltation(slot, fa, fb):
+    """The saltation matrix of a state event (Leine & Nijmeijer),
+
+        S_e = R + (f+ - R f-) grad^T / (grad . f-),
+
+    as a 4x4 array: grad is the event function's gradient and fa = f-,
+    fb = f+ the rates just before the event and just after it.  R is the
+    Jacobian of the transition's reset.  The two resets, iLm := iLr at a
+    diode turn-off and vOut := 0 where the sink starts holding, leave every
+    point of their event surface g = 0 where it is, so R is I on the
+    surface's tangent space; and S_e, which maps that space by R and f- to
+    f+, is the same as with R = I.  At a diode turn-on and where the sink
+    lets go, the rate is continuous (the new branch starts from zero
+    current), so there S_e is I up to rounding.
+    """
+    _, c0, c1, c2, c3, _, _ = slot
+    den = c0 * fa[0] + c1 * fa[1] + c2 * fa[2] + c3 * fa[3]
+    u0, u1, u2, u3 = ((b - a) / den if den != 0.0 else 0.0
+                      for a, b in zip(fa, fb))
+    return np.array(((1.0 + u0 * c0, u0 * c1, u0 * c2, u0 * c3),
+                     (u1 * c0, 1.0 + u1 * c1, u1 * c2, u1 * c3),
+                     (u2 * c0, u2 * c1, 1.0 + u2 * c2, u2 * c3),
+                     (u3 * c0, u3 * c1, u3 * c2, 1.0 + u3 * c3)))
+
+
 def _step_map(m, h, vin, node_hi, rect, n, Vf):
     """The cached maps of one mode over a step of length h.
 
-    Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
-    source energy src . (x, 1) while the node is high and diode loss
+    Returns [D by rows, q, src, dio, jac]: x(h) = x + D x + q, and the
+    step's source energy src . (x, 1) while the node is high and diode loss
     dio . (x, 1) while a diode conducts (None otherwise).  Column j of
     D and of the integral map is the series of the unit state e_j with the
-    inputs off; q and the input column are the series of b from rest.
+    inputs off; q and the input column are the series of b from rest.  jac
+    holds the ``_step_jacobian`` arrays once a sensitivity asks for them
+    (None until then).
     """
     cols = []
     int0 = []
@@ -380,7 +448,7 @@ def _step_map(m, h, vin, node_hi, rect, n, Vf):
     if rect != RECT_OFF and Vf != 0.0:
         f = Vf * n if rect == RECT_D1 else -Vf * n
         dio = tuple(f * (a - b) for a, b in zip(int0, int2))
-    return rows, q, src, dio
+    return [rows, q, src, dio, None]
 
 
 def _peval(P, s):
@@ -665,30 +733,39 @@ def _quantize(h):
 
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
-                      dt_max, tol_t, stride, events, maps=None):
+                      dt_max, tol_t, stride, events, maps=None,
+                      sens=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
     The span is split into ceil(span / H) equal steps, whatever is
     recorded.  Rows are written at t0, at the grid instants t0 + dt (k + 1)
-    for k % stride == 0 (dt = span / ceil(span / dt_max); none at stride
-    0), at every event and at t1, a later row replacing one at the same
-    instant.  A grid row comes from the Taylor terms of the step it falls
-    in (``_put_grid_rows``), so the record never changes the steps taken;
-    rows at events and at t1 hold the state the steps carry.  Each logged
-    event is appended to the list ``events`` as (t, code).  maps is the
-    propagator cache; pass the same dict to every call of one run (a fresh
-    one when None).  Returns
+    for k % stride == 0 (dt = span / ceil(span / dt_max)), at every event
+    and at t1, a later row replacing one at the same instant; stride 0
+    writes no rows at all.  A grid row comes from the Taylor terms of the
+    step it falls in (``_put_grid_rows``), so the record never changes the
+    steps taken; rows at events and at t1 hold the state the steps carry.
+    Each logged event is appended to the list ``events`` as (t, code).
+    maps is the propagator cache; pass the same dict to every call of one
+    run (a fresh one when None).
+
+    sens, when given, is a 4x4 array S = dx/dx0: the derivative of the
+    state at t0 with respect to some earlier state x0.  The call carries it
+    to t1 as the exact derivative of the map it computes: a full step
+    multiplies it by (I + dh A)(I + D), a part of a step of length tau by
+    Phi(tau) from the mode's Taylor terms, and each state event by its
+    saltation matrix (``_saltation``).  The entry settle and the gate edges
+    sit at fixed times and move nothing.  Returns
 
         (err, rows, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
-         steps, loc_iters, e_src, e_load, e_dio)
+         steps, loc_iters, e_src, e_load, e_dio, sens)
 
     with err one of the ERR_* codes, rows the (rows, ``REC_COLS``) float64
-    record, ev_n the events this call logged, steps the propagation steps
-    taken, loc_iters the root-search iterations spent locating events, and
-    the source energy, load energy and diode loss of the span; on
-    err != 0 the state is whatever was reached and the caller is expected
-    to abort.
+    record (no rows at stride 0), ev_n the events this call logged, steps
+    the propagation steps taken, loc_iters the root-search iterations spent
+    locating events, the source energy, load energy and diode loss of the
+    span, and S at t1 (None without sens); on err != 0 the state is
+    whatever was reached and the caller is expected to abort.
     """
     if maps is None:
         maps = {}
@@ -715,9 +792,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     if code != 0:
         events.append((t0, code))
-    row_0 = (t0, iLr, vCr, iLm, vOut, vsw,
-             _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
-             rect, seg_kind)
+    rows_on = stride > 0
+    if rows_on:
+        row_0 = (t0, iLr, vCr, iLm, vOut, vsw,
+                 _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
+                 rect, seg_kind)
     rec_n = 1
 
     span = t1 - t0
@@ -753,6 +832,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     stale = True
     m = None
     mmaps = None
+    mp = None
     slots = ()
     g_a = []
     d_a = []
@@ -813,7 +893,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         mmaps[hq] = mp
                     ((d00, d01, d02, d03, d10, d11, d12, d13,
                       d20, d21, d22, d23, d30, d31, d32, d33),
-                     (q0, q1, q2, q3), src, dio) = mp
+                     (q0, q1, q2, q3), src, dio, _) = mp
                     hq_map = hq
                 ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
                             + d03 * vOut + q0)
@@ -902,7 +982,15 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 t_row = t0 + dt * k_row if k_row < n_cells else math.inf
 
             if hit < 0:
-                # accepted step: energy, extrema, invariants
+                # accepted step: sensitivity, energy, extrema, invariants
+                if sens is not None:
+                    if not full:
+                        sens = _phi(m, h / cap, cap) @ sens
+                    else:
+                        if mp[4] is None:
+                            mp[4] = _step_jacobian(m, mp[0])
+                        pj, apj = mp[4]
+                        sens = (pj + dh * apj) @ sens
                 sp_src += de_src
                 sp_dio += de_dio
                 if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \
@@ -946,6 +1034,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 w, s, (r0, r1, r2, r3), _rate_at(w, s, h),
                 (max_ilr, max_vcr, max_ilm, max_vout))
             iLr, vCr, iLm, vOut = _at(w, s)
+            if sens is not None:
+                sens = _phi(m, s * h / cap, cap) @ sens
+                f_a = (a01 * vCr + a03 * vOut + b0, a10 * iLr,
+                       a21 * vCr + a23 * vOut + b2,
+                       a30 * (iLr - iLm) + a33 * vOut + b3)
             if abs(iLr) > max_ilr:
                 max_ilr = abs(iLr)
             if abs(vCr) > max_vcr:
@@ -970,15 +1063,25 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
             if is_dead:
                 node_hi = clamp_hi
+            if sens is not None:
+                # the rate just after the event, in the mode it leads to
+                m_b = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
+                               n, Vf, Cout, load_kind, load_val)
+                sens = _saltation(slots[hit], f_a, (
+                    m_b[0] * vCr + m_b[1] * vOut + m_b[7], m_b[2] * iLr,
+                    m_b[3] * vCr + m_b[4] * vOut + m_b[8],
+                    m_b[5] * (iLr - iLm) + m_b[6] * vOut + m_b[9])) @ sens
             if codes:
                 events.extend((t_ev, code) for code in codes)
-                if t_last != t_ev:
-                    rec_n += 1
-                ev_rows.append((rec_n - 1, (
-                    t_ev, iLr, vCr, iLm, vOut, vsw,
-                    _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
-                    rect, seg_kind)))
-                t_last = t_ev
+                if rows_on:
+                    if t_last != t_ev:
+                        rec_n += 1
+                    ev_rows.append((rec_n - 1, (
+                        t_ev, iLr, vCr, iLm, vOut, vsw,
+                        _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
+                              load_val),
+                        rect, seg_kind)))
+                    t_last = t_ev
 
             sp_src = sp_dio = 0.0
             sp_cap = 0.5 * Cout * vOut * vOut
@@ -991,24 +1094,26 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         if err != ERR_OK:
             break
 
-    # the t1 row, over a row at t1
-    t1_row = err == ERR_OK and count > 0
-    if t1_row and t_last != t1:
-        rec_n += 1
-    rec = np.empty((rec_n, REC_COLS))
-    rec[0] = row_0
-    if blocks:
-        _put_grid_rows(rec, blocks, t0, dt, k_first, stride, cap, seg_kind,
-                       n, load_kind, load_val)
-    for r, row in ev_rows:
-        rec[r] = row
-    if t1_row:
-        rec[rec_n - 1] = (t1, iLr, vCr, iLm, vOut, vsw,
-                          _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
-                                load_val),
-                          rect, seg_kind)
+    rec = _NO_ROWS
+    if rows_on:
+        # the t1 row, over a row at t1
+        t1_row = err == ERR_OK and count > 0
+        if t1_row and t_last != t1:
+            rec_n += 1
+        rec = np.empty((rec_n, REC_COLS))
+        rec[0] = row_0
+        if blocks:
+            _put_grid_rows(rec, blocks, t0, dt, k_first, stride, cap,
+                           seg_kind, n, load_kind, load_val)
+        for r, row in ev_rows:
+            rec[r] = row
+        if t1_row:
+            rec[rec_n - 1] = (t1, iLr, vCr, iLm, vOut, vsw,
+                              _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
+                                    load_val),
+                              rect, seg_kind)
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
     return (err, rec, len(events) - ev_0, rect, clamp_hi,
             iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
-            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio)
+            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens)

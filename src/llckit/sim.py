@@ -11,7 +11,10 @@ its energies, and counts the kernel's steps, its localization iterations and
 the events by kind (:attr:`PeriodDriver.counts`).  ``dt_max`` (default: a
 period over ``STEPS_PER_PERIOD``) sets the grid that waveform rows sit on;
 an unrecorded driver (``record=False``, as the steady-state solvers run)
-asks the kernel for no grid rows.
+asks the kernel for no rows at all.  Reset with ``jacobian=True``, a
+driver also has the kernel carry the derivative of the state with respect
+to the reset state (:attr:`PeriodDriver.jacobian`), which after one period
+is the Jacobian of the period map.
 
 During dead time the switching node is clamped to a rail by whichever body
 diode the resonant current forces into conduction; a gate edge that finds
@@ -135,19 +138,19 @@ def consistent_rect(state: SimState) -> SimState:
 
     A state assembled from arithmetic (a solver trial, a perturbed seed) can
     carry a conduction tag its currents no longer support, and integrating
-    the mismatched pair trips the conduction invariant.  A nonzero
-    primary-secondary current difference identifies the pair that is still
-    carrying it, so tag by its sign; at exactly zero leave the rectifier
-    off and let the integrator's entry settle engage whichever pair the
-    voltages demand.
+    the mismatched pair trips the conduction invariant.  A primary-secondary
+    current difference past rounding identifies the pair that is still
+    carrying it, so tag by its sign; within rounding of zero (the kernel's
+    event-function bound) leave the rectifier off and let the integrator's
+    entry settle engage whichever pair the voltages demand.
     """
     isec = state.iLr - state.iLm
-    if isec > 0.0:
-        rect = RectPhase.D1
-    elif isec < 0.0:
-        rect = RectPhase.D2
-    else:
+    if abs(isec) <= kernels._NOISE * (abs(state.iLr) + abs(state.iLm)):
         rect = RectPhase.OFF
+    elif isec > 0.0:
+        rect = RectPhase.D1
+    else:
+        rect = RectPhase.D2
     if rect == state.rect:
         return state
     return replace(state, rect=rect)
@@ -434,7 +437,10 @@ class PeriodDriver:
         self._maps: dict = {}
         self.reset(initial if initial is not None else zero_state())
 
-    def reset(self, state: SimState) -> None:
+    def reset(self, state: SimState, jacobian: bool = False) -> None:
+        """Start over from ``state``; with ``jacobian``, also carry the
+        derivative of the state with respect to this one (see
+        :attr:`jacobian`)."""
         self.t = float(state.t)
         self._x = [float(state.iLr), float(state.vCr), float(state.iLm),
                    float(state.vOut)]
@@ -447,6 +453,7 @@ class PeriodDriver:
         self._pmax = [0.0, 0.0, 0.0, 0.0]
         self._steps = 0
         self._loc_iters = 0
+        self._sens = np.eye(4) if jacobian else None
 
     @property
     def state(self) -> SimState:
@@ -457,6 +464,13 @@ class PeriodDriver:
     def last_period_peaks(self) -> tuple:
         """(max |iLr|, max |vCr|, max |iLm|, max |vOut|) over the last period."""
         return tuple(self._pmax)
+
+    @property
+    def jacobian(self) -> np.ndarray | None:
+        """d(iLr, vCr, iLm, vOut) / d(the same at the last reset), a 4x4
+        array, when that reset asked for it (None otherwise).  After one
+        period from the reset it is the Jacobian of the period map."""
+        return self._sens
 
     @property
     def energy(self) -> dict:
@@ -484,10 +498,11 @@ class PeriodDriver:
             raise RecordOverflow("waveform rows of one span exceed the hard cap")
         x = self._x
         (err, rows, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
-         steps, loc_iters, e_src, e_load, e_dio) = kernels.integrate_segment(
+         steps, loc_iters, e_src, e_load, e_dio,
+         self._sens) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
             vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
-            stride, self._events, self._maps)
+            stride, self._events, self._maps, self._sens)
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
                 f"could not localize a mode transition near t={t_a:.6e}")
@@ -552,7 +567,7 @@ class PeriodDriver:
                  kernels.EV_GATE_LS_OFF))
         dt_eff = cfg.dt_max if cfg.dt_max is not None else period / STEPS_PER_PERIOD
         tol_t = 1e-12 / fsw
-        stride = cfg.record_stride if self.record else 0  # 0: no grid rows
+        stride = cfg.record_stride if self.record else 0  # 0: no rows
         self._pmax = [0.0, 0.0, 0.0, 0.0]
 
         for seg_kind, s_a, s_b, gate_code in plan:

@@ -5,9 +5,19 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
 * cycle iteration: integrate whole switching periods until the state at the
   period boundary stops moving.  Robust, but slow when the output capacitor
   pole is much slower than the switching period.
-* shooting: Newton's method on the period map with a finite-difference
-  Jacobian, warmed up by a few plain cycles.  Handles the slow-pole cases in
-  a handful of period evaluations.
+* shooting: Newton's method on the period map, warmed up by a few plain
+  cycles.  Each period-map evaluation also carries the map's exact
+  Jacobian through the kernel: the sensitivity of the state to the
+  period's start state, across every step and, by its saltation matrix,
+  every rectifier, dead-time and sink event (Aprille & Trick 1972; Leine &
+  Nijmeijer 2004).  So a Newton iteration costs one period, and the slow
+  output pole, whose multiplier sits near one, costs no more than the rest.
+  The map is only piecewise smooth: a conduction edge near the period
+  boundary kinks it, and the residual can rise on the way across a kink.
+  So a full step that raises the residual is taken once on watch, the
+  line search damps the rest, and a plain cycle moves on from a piece
+  whose Newton step leads nowhere.  Once the Newton iterations are spent a
+  contraction finish by cycle iteration takes over.
 
 Residuals are normalized per state component by the peak excursion of that
 component over the last integrated period, so volts and amperes are judged
@@ -38,6 +48,7 @@ __all__ = [
     "Divergence",
     "PopMetrics",
     "PopResult",
+    "PopTrace",
     "find_pop",
     "pop_metrics",
     "METHODS",
@@ -76,6 +87,21 @@ class PopMetrics:
     zvs_all: bool
 
 
+@dataclass(frozen=True)
+class PopTrace:
+    """Where a solve's periods went: warm + newton_periods + contraction is
+    the result's ``cycles``."""
+
+    warm: int  # plain periods before the first Newton iterate
+    # the residual at each Newton iterate, the warmed-up state's first
+    residuals: tuple[float, ...]
+    newton_periods: int  # period maps Newton evaluated: iterates and trials
+    halvings: int  # line-search step halvings
+    # cycle-iteration periods: the whole solve by that method, shooting's
+    # contraction finish otherwise (0 when Newton converged)
+    contraction: int
+
+
 @dataclass
 class PopResult:
     state: SimState  # start-of-period fixed point (t = 0)
@@ -87,6 +113,7 @@ class PopResult:
     zvs: ZvsReport
     energy: dict  # joules over that one period
     metrics: PopMetrics
+    trace: PopTrace
 
 
 def _residual(delta: np.ndarray, peaks) -> float:
@@ -137,71 +164,109 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                     tol: float, warm_cycles: int, newton_max: int,
                     max_cycles: int):
     cycles = 0
+    halvings = 0
 
     def period_map(st: SimState):
+        """The iterate at st: (residual, x, st, P(x), peaks over the
+        period, rectifier phase at its end, Jacobian of P at x)."""
         nonlocal cycles
-        drv.reset(consistent_rect(replace(st, t=0.0)))
+        drv.reset(consistent_rect(replace(st, t=0.0)), jacobian=True)
         drv.advance_period(fsw)
         cycles += 1
-        return drv.state.vector(), drv.last_period_peaks, drv.state.rect
+        x = st.vector()
+        px = drv.state.vector()
+        peaks = drv.last_period_peaks
+        return (_residual(px - x, peaks), x, st, px, peaks, drv.state.rect,
+                drv.jacobian)
+
+    def trial(x):
+        """The iterate at state vector x, or None if its period fails."""
+        try:
+            return period_map(replace(warm, iLr=x[0], vCr=x[1], iLm=x[2],
+                                      vOut=x[3]))
+        except SimError:
+            return None
+
+    def line_search(cur, delta):
+        """Halve the step from 1/2 until the trial's residual drops to 0.9
+        of cur's; the best trial, or None if none integrated."""
+        nonlocal halvings
+        best = None
+        step = 1.0
+        for _ in range(8):
+            step *= 0.5
+            halvings += 1
+            new = trial(cur[1] + step * delta)
+            if new is not None and (best is None or new[0] < best[0]):
+                best = new
+                if new[0] <= 0.9 * cur[0]:
+                    break
+        return best
+
+    def trace(contraction=0):
+        return PopTrace(warm_cycles, tuple(residuals),
+                        cycles - warm_cycles, halvings, contraction)
 
     # a few plain cycles pull the seed onto the right conduction pattern
     drv.reset(replace(state0, t=0.0))
     for _ in range(warm_cycles):
         drv.advance_period(fsw)
         cycles += 1
-    st = replace(drv.state, t=0.0)
-    norm_ref = max(float(np.linalg.norm(st.vector())), drv.cfg.vin, 1.0)
+    warm = replace(drv.state, t=0.0)
+    norm_ref = max(float(np.linalg.norm(warm.vector())), drv.cfg.vin, 1.0)
 
-    x = st.vector()
-    px, peaks, rect_out = period_map(st)
-    res = _residual(px - x, peaks)
+    cur = period_map(warm)
+    residuals = [cur[0]]
+    # the iterate a watchdog step left, with its Newton step (None when the
+    # last step was an ordinary one)
+    ref = None
     for _ in range(newton_max):
-        if res < tol:
-            return replace(st, t=0.0, rect=rect_out), res, cycles
-        jac = np.empty((4, 4))
-        for i in range(4):
-            h = 1e-6 * max(abs(x[i]), peaks[i], _PEAK_FLOOR)
-            xp = x.copy()
-            xp[i] += h
-            pxp, _, _ = period_map(
-                replace(st, iLr=xp[0], vCr=xp[1], iLm=xp[2], vOut=xp[3]))
-            jac[:, i] = (pxp - px) / h
-        delta = np.linalg.solve(jac - np.eye(4), -(px - x))
-        # damped update: the map Jacobian has an eigenvalue near one when
-        # the output pole is slow, so the raw Newton direction can be wild;
-        # halve the step until the trial state integrates cleanly and the
-        # residual actually drops
-        best = None
-        step = 1.0
-        for _ in range(9):
-            x_t = x + step * delta
-            st_t = replace(st, iLr=x_t[0], vCr=x_t[1], iLm=x_t[2],
-                           vOut=x_t[3])
-            try:
-                px_t, peaks_t, rect_t = period_map(st_t)
-            except SimError:
-                step *= 0.5
-                continue
-            res_t = _residual(px_t - x_t, peaks_t)
-            if best is None or res_t < best[0]:
-                best = (res_t, x_t, st_t, px_t, peaks_t, rect_t)
-            if res_t <= 0.9 * res:
-                break
-            step *= 0.5
-        if best is None or best[0] >= res:
-            break  # Newton exhausted; finish by contraction below
-        res, x, st, px, peaks, rect_out = best
-        _check_norm(x, norm_ref)
+        if cur[0] < tol:
+            break
+        delta = np.linalg.solve(cur[6] - np.eye(4), cur[1] - cur[3])
+        new = trial(cur[1] + delta)
+        goal = 0.9 * (cur if ref is None else ref[0])[0]
+        if new is not None and new[0] <= goal:
+            ref = None
+        elif (new is not None and ref is None
+              and _residual(delta, cur[4]) <= 1.0):
+            # watchdog (Chamberlain et al. 1982): a conduction edge near the
+            # period boundary kinks the map, and a full step across it can
+            # raise the residual on its way to the fixed point, so take it
+            # if it moves no state by more than the period's own excursion,
+            # and ask the next full step to land below 0.9 of here
+            ref = (cur, delta)
+        else:
+            # back to where the watchdog step started, if one did, and damp:
+            # on a piece of the map with a multiplier near one (a
+            # commutation held at a gate edge, say) the raw Newton
+            # direction can be wild
+            if ref is not None:
+                cur, delta = ref
+                ref = None
+            new = line_search(cur, delta)
+            if new is None or new[0] >= cur[0]:
+                # no step along the Newton direction helps (the Jacobian of
+                # a piece of the map the fixed point is not on): go on from
+                # the plain cycle's end, on another piece
+                new = trial(cur[3])
+                if new is None:
+                    break
+        cur = new
+        residuals.append(cur[0])
+        _check_norm(cur[1], norm_ref)
         if cycles > max_cycles:
             break
+    if ref is not None and ref[0][0] < cur[0]:
+        cur = ref[0]
+    res, _, st, _, _, rect_out, _ = cur
     if res < tol:
-        return replace(st, t=0.0, rect=rect_out), res, cycles
+        return replace(st, t=0.0, rect=rect_out), res, cycles, trace()
 
     # Newton cannot finish when the cycle map is not smooth at the fixed
     # point (a rectifier conduction flip can sit exactly on the period
-    # boundary, which both kinks the map and poisons the finite-difference
-    # Jacobian), so hand the polished state to the contraction iteration
+    # boundary), so once its iterations are spent hand the polished state
+    # to the contraction iteration
     budget = max_cycles - cycles
     if budget < 1:
         raise NoConvergence(
@@ -215,7 +280,7 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
             f"shooting stalled at residual {res:.3e}; contraction finish "
             f"still at {exc.residual:.3e} after {cycles + exc.cycles} "
             f"periods", exc.residual, cycles + exc.cycles) from exc
-    return state, res, cycles + extra
+    return state, res, cycles + extra, trace(extra)
 
 
 def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
@@ -256,10 +321,10 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     if method == "cycle_iteration":
         state, res, cycles = _solve_cycle_iteration(drv, cfg.fsw, tol,
                                                     max_cycles)
+        trace = PopTrace(0, (), 0, 0, cycles)
     else:
-        state, res, cycles = _solve_shooting(drv, state0, cfg.fsw, tol,
-                                             warm_cycles, newton_max,
-                                             max_cycles)
+        state, res, cycles, trace = _solve_shooting(
+            drv, state0, cfg.fsw, tol, warm_cycles, newton_max, max_cycles)
 
     # one fully recorded period at the fixed point for waveform and metrics
     period = 1.0 / cfg.fsw
@@ -279,4 +344,5 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
         zvs=out.zvs,
         energy=out.energy,
         metrics=pop_metrics(out.waveform, out.energy, out.zvs, period),
+        trace=trace,
     )

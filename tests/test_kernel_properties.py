@@ -11,13 +11,17 @@ What is recorded must not move the run: every record stride takes the
 same steps to the same end, events and energy.  An event-free span must
 end, and record every row, where the matrix exponential of its mode takes
 it, in every rectifier phase, on both rails and for both load kinds.
+
+The sensitivity a call carries is the derivative of its end state: where
+the end state is differentiable in the start state, it matches central
+differences.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from llckit import kernels
@@ -213,6 +217,11 @@ def mode_spans(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mode_spans())
+@example(p={"x0": (1.0, 2.2250738585e-313, 1.0, 12.0), "seg": 0, "rect": 0,
+            "vin": 2.2250738585e-313, "vsw": 2.2250738585e-313, "Vf": 0.0,
+            "Cout": 6.311761673462242e-05, "load_kind": 0, "load_val": 1.0,
+            "span": 2.297623015483926e-06, "dt_max": 8.062620804781005e-09,
+            "stride": 1, "t0": 0.0})
 def test_span_matches_matrix_exponential(p):
     # an event-free span in one mode ends where exp(M h) takes its start,
     # with M the mode's augmented matrix, and records every row where
@@ -249,8 +258,59 @@ def test_span_matches_matrix_exponential(p):
         assert out[5] == out[7]
         assert np.all(rows[:, 1] == rows[:, 3])
     if p["seg"] == kernels.SEG_HIGH:
+        # the relative bound underflows on subnormal energies (the example
+        # above: 9 subnormal ulps apart), so it has a floor of 64 of them
         src = p["vin"] * (e[0, 5:] @ z0)
-        assert abs(acc[0] - src) <= 1e-12 * (abs(src) + p["vin"] * h * (
-            abs(x[0]) + size / math.sqrt(LR)))
+        assert abs(acc[0] - src) <= max(1e-12 * (abs(src) + p["vin"] * h * (
+            abs(x[0]) + size / math.sqrt(LR))), 64 * 2.0 ** -1074)
     else:
         assert acc[0] == 0.0
+
+
+def end_state(p, x, sens=None):
+    """An unrecorded call from state x: its outputs and its events."""
+    events = []
+    out = kernels.integrate_segment(
+        x[0], x[1], x[2], x[3], p["t0"], p["t1"], p["seg"], p["clamp"],
+        p["rect"], p["vin"], LR, CR, LM, N, p["Vf"], p["Cout"],
+        p["load_kind"], p["load_val"], p["dt_max"], 1e-18, 0, events, None,
+        sens)
+    return out, events
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments())
+def test_sensitivity_matches_central_differences(p):
+    # where the end state is differentiable in the start state, the carried
+    # S = d(end)/d(start) is its derivative: compare with central
+    # differences at a smooth draw, one with no logged event within 1e-3
+    # of the span of its ends, the same events on both sides of every
+    # perturbation, and one-sided differences that agree (so that an
+    # unlogged sink change sits on no kink either).  In energy coordinates,
+    # where all four states weigh alike; a step of 1e-5 keeps the noise of
+    # event localization (tol_t times a rate, over the step) near 1e-7
+    x0 = np.array(p["x0"])
+    out, events = end_state(p, x0, np.eye(4))
+    span = p["t1"] - p["t0"]
+    assume(out[0] == kernels.ERR_OK and span > 0.0)
+    margin = 1e-3 * span
+    assume(all(p["t0"] + margin < t < p["t1"] - margin for t, _ in events))
+    codes = [c for _, c in events]
+    w = np.sqrt(np.array([LR, CR, LM, p["Cout"]]))
+    x1 = np.array(out[5:9])
+    sens = out[18] * w[:, None] / w[None, :]
+    size = max(1.0, float(np.max(np.abs(sens))))
+    central = np.empty((4, 4))
+    for j in range(4):
+        h = 1e-5 * max(abs(x0[j]), 1.0)
+        ends = []
+        for sign in (1.0, -1.0):
+            x = x0.copy()
+            x[j] += sign * h
+            o, ev = end_state(p, x)
+            assume(o[0] == kernels.ERR_OK and [c for _, c in ev] == codes)
+            ends.append(np.array(o[5:9]))
+        kink = (ends[0] - x1) - (x1 - ends[1])
+        assume(np.max(np.abs(kink * w)) <= 1e-3 * size * h * w[j])
+        central[:, j] = (ends[0] - ends[1]) / (2.0 * h) * w / w[j]
+    assert np.max(np.abs(sens - central)) <= 1e-5 * size

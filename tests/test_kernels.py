@@ -57,12 +57,16 @@ class TestExactPropagator:
             assert out["rect"] == kernels.RECT_OFF
             assert out["ev"].shape[0] == 0
             rows = out["rec"]
-            t = rows[:, 0]
-            assert np.all(rows[:, 1] == rows[:, 3])  # series constraint
-            assert np.max(np.abs(rows[:, 1] - vin / zp * np.sin(wp * t))) \
-                < 1e-13 * vin / zp
-            assert np.max(np.abs(rows[:, 2] - vin * (1.0 - np.cos(wp * t)))) \
-                < 1e-13 * vin
+            if stride == 0:
+                assert rows.shape == (0, kernels.REC_COLS)  # no rows at all
+            else:
+                t = rows[:, 0]
+                assert np.all(rows[:, 1] == rows[:, 3])  # series constraint
+                assert np.max(np.abs(rows[:, 1] - vin / zp * np.sin(wp * t))) \
+                    < 1e-13 * vin / zp
+                assert np.max(np.abs(rows[:, 2]
+                                     - vin * (1.0 - np.cos(wp * t)))) \
+                    < 1e-13 * vin
             assert abs(out["x"][0] - vin / zp * math.sin(wp * 20e-6)) \
                 < 1e-13 * vin / zp
             # the peaks include the crest between records: 2 vin for vCr
@@ -292,3 +296,122 @@ class TestSinkCutoff:
             ei, ec, em = tank(t)
             assert abs(ilr - ei) < 1e-13 and abs(ilm - em) < 1e-13
             assert abs(vcr - ec) < 1e-11
+
+
+def sensitivity(x0, t1, seg, clamp, rect, vin, load_val, dt_max,
+                load_kind=RES, Vf=0.0, Cout=COUT):
+    """A span's carried sensitivity S and its central differences, both in
+    energy coordinates, its end state and its logged events."""
+    def run(x, sens=None):
+        events = []
+        out = kernels.integrate_segment(
+            x[0], x[1], x[2], x[3], 0.0, t1, seg, clamp, rect, vin,
+            LR, CR, LM, N, Vf, Cout, load_kind, load_val, dt_max, 1e-18, 0,
+            events, None, sens)
+        assert out[0] == kernels.ERR_OK
+        return out, events
+
+    out, events = run(x0, np.eye(4))
+    w = np.sqrt(np.array([LR, CR, LM, Cout]))
+    central = np.empty((4, 4))
+    for j in range(4):
+        h = 1e-5 * max(abs(x0[j]), 1.0)
+        ends = []
+        for sign in (1.0, -1.0):
+            x = np.array(x0, dtype=float)
+            x[j] += sign * h
+            o, ev = run(x)
+            assert [c for _, c in ev] == [c for _, c in events]
+            ends.append(np.array(o[5:9]))
+        central[:, j] = (ends[0] - ends[1]) / (2.0 * h) * w / w[j]
+    return (out[18] * w[:, None] / w[None, :], central, np.array(out[5:9]),
+            events)
+
+
+class TestSensitivity:
+    """Each kind of state event carries S across by its saltation matrix:
+    S matches central differences over a span with the event inside."""
+
+    def check(self, sens, central, cols=4):
+        size = max(1.0, float(np.max(np.abs(sens))))
+        assert np.max(np.abs(sens - central)[:, :cols]) <= 1e-6 * size
+
+    def test_event_free_span_is_the_matrix_exponential(self):
+        # the open-rectifier series ring: (iLr, vCr) turn through w t, iLm
+        # keeps its offset from iLr, and vOut decays through 1e12 ohm; a
+        # full step carried by its end rate keeps S exact to rounding
+        L = LR + LM
+        wp = 1.0 / math.sqrt(L * CR)
+        zp = math.sqrt(L / CR)
+        t1 = 20e-6
+        events = []
+        out = kernels.integrate_segment(
+            0.0, 0.0, 0.0, 50.0, 0.0, t1, kernels.SEG_HIGH, 0,
+            kernels.RECT_OFF, 48.0, LR, CR, LM, N, 0.0, 1.0, RES, 1e12,
+            5e-9, 1e-18, 0, events, None, np.eye(4))
+        assert out[0] == kernels.ERR_OK and events == []
+        c, s = math.cos(wp * t1), math.sin(wp * t1)
+        exact = np.array([[c, -s / zp, 0.0, 0.0],
+                          [zp * s, c, 0.0, 0.0],
+                          [c - 1.0, -s / zp, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, math.exp(-t1 / 1e12)]])
+        w = np.sqrt(np.array([LR, CR, LM, 1.0]))
+        err = (out[18] - exact) * w[:, None] / w[None, :]
+        assert np.max(np.abs(err)) < 1e-13
+
+    def test_diode_turn_on(self):
+        # the closed-form turn-on of TestEventLocation, and its mirror
+        for x0, seg, code in (([0.5, 48.0, 0.5, 5.0], kernels.SEG_HIGH,
+                               kernels.EV_D2_ON),
+                              ([-0.5, 0.0, -0.5, 5.0], kernels.SEG_LOW,
+                               kernels.EV_D1_ON)):
+            sens, central, _, events = sensitivity(
+                x0, 3e-6, seg, 0, kernels.RECT_OFF, 48.0, 1e12, 3e-9,
+                Cout=1.0)
+            assert [c for _, c in events] == [code]
+            self.check(sens, central)
+
+    def test_diode_turn_off(self):
+        # a conducting pair whose secondary current falls through zero
+        for x0, seg, rect, code in (
+                ([0.2, 10.0, 0.1, 5.0], kernels.SEG_LOW, kernels.RECT_D1,
+                 kernels.EV_D1_OFF),
+                ([-0.2, 38.0, -0.1, 5.0], kernels.SEG_HIGH, kernels.RECT_D2,
+                 kernels.EV_D2_OFF)):
+            sens, central, x1, events = sensitivity(
+                x0, 2e-6, seg, 0, rect, 48.0, 24.0, 2e-9)
+            assert [c for _, c in events] == [code]
+            assert x1[0] == x1[2]  # open since the turn-off
+            self.check(sens, central)
+
+    def test_dead_time_clamp(self):
+        # the node swaps rails where iLr reverses (TestEventLocation)
+        sens, central, _, events = sensitivity(
+            [0.05, 60.0, 0.05, 30.0], 4e-6, kernels.SEG_DEAD_TO_LOW, 0,
+            kernels.RECT_OFF, 48.0, 1e12, 2e-9, Cout=1.0)
+        assert [c for _, c in events] == [kernels.EV_CLAMP_HIGH]
+        self.check(sens, central)
+
+    def test_sink_starts_holding(self):
+        # D1 delivers less than the sink draws, so the output falls to 0 V
+        # about 30 ns in and is held there; the secondary current keeps
+        # below the sink's to the end
+        sens, central, x1, events = sensitivity(
+            [0.2, 40.0, 0.1, 1e-4], 2e-7, kernels.SEG_HIGH, 0,
+            kernels.RECT_D1, 48.0, 0.5, 5e-9, load_kind=kernels.LOAD_CUR,
+            Vf=0.5)
+        assert events == [] and x1[3] == 0.0
+        assert np.all(sens[3] == 0.0)  # a held output forgets its start
+        self.check(sens, central)
+
+    def test_sink_lifts_off(self):
+        # the held output of TestSinkCutoff lifts off where the rectifier
+        # current passes the sink's; a start held at exactly 0 V sits on
+        # the sink's own kink in the vOut direction, so that column is left
+        # out
+        sens, central, x1, events = sensitivity(
+            [0.3, 20.0, 0.1, 0.0], 1e-6, kernels.SEG_HIGH, 0,
+            kernels.RECT_D1, 48.0, 0.5, 5e-9, load_kind=kernels.LOAD_CUR,
+            Vf=0.5)
+        assert events == [] and x1[3] > 0.0
+        self.check(sens, central, cols=3)

@@ -184,6 +184,35 @@ class TestConductionPattern:
         assert set(np.unique(pattern_run.waveform.aux["rect"])) == {0, 1, 2}
 
 
+class TestConsistentRect:
+    def test_tags_by_the_sign_of_the_current_difference(self):
+        assert consistent_rect(SimState(iLr=0.3, iLm=0.1)).rect == RectPhase.D1
+        assert consistent_rect(SimState(iLr=0.1, iLm=0.3)).rect == RectPhase.D2
+        on = SimState(iLr=0.3, iLm=0.3, rect=RectPhase.D1)
+        assert consistent_rect(on).rect == RectPhase.OFF
+
+    def test_one_ulp_apart_logs_no_zero_length_conduction(self):
+        # a trial state on a conduction edge, its magnetizing voltage inside
+        # both clamps: currents one ulp apart are rounding, not a conducting
+        # pair, so the period logs what it logs from equal currents (tagged
+        # by the sign alone, the pair would turn off again at once)
+        exact = SimState(iLr=0.3, vCr=24.0, iLm=0.3, vOut=12.0)
+        cfg = full_load_cfg(F0, 1)
+
+        def events(state):
+            start = consistent_rect(state)
+            drv = sim.PeriodDriver(cfg, start, record=False)
+            drv.advance_period(F0)
+            return start.rect, drv.result().events
+
+        rect, ref = events(exact)
+        assert rect == RectPhase.OFF
+        for ilm in (math.nextafter(0.3, 1.0), math.nextafter(0.3, 0.0)):
+            rect, ev = events(replace(exact, iLm=ilm))
+            assert rect == RectPhase.OFF
+            assert [e.kind for e in ev] == [e.kind for e in ref]
+
+
 class TestFundamentalComponent:
     def _wf(self, t, y):
         return Waveform(t=t, channels={"y": y})

@@ -59,6 +59,44 @@ class TestSolvedOperatingPoint:
         assert pop_shooting.cycles < 100
         assert pop_shooting.method == "shooting"
 
+    def test_trace_accounts_for_every_period(self, pop_shooting, pop_cycle):
+        tr = pop_shooting.trace
+        assert tr.warm == 20
+        assert tr.residuals[-1] == pop_shooting.residual
+        assert tr.residuals[0] > TOL
+        assert len(tr.residuals) - 1 <= tr.newton_periods
+        assert tr.warm + tr.newton_periods + tr.contraction \
+            == pop_shooting.cycles
+        assert tr.contraction == 0  # Newton finished on its own
+        tr = pop_cycle.trace
+        assert (tr.warm, tr.residuals, tr.newton_periods, tr.halvings) \
+            == (0, (), 0, 0)
+        assert tr.contraction == pop_cycle.cycles
+
+    def test_period_map_jacobian_is_asked_for(self, pop_shooting):
+        drv = PeriodDriver(cfg_at(pop_shooting.fsw), pop_shooting.state,
+                           record=False)
+        assert drv.jacobian is None
+        drv.reset(pop_shooting.state, jacobian=True)
+        assert np.all(drv.jacobian == np.eye(4))
+        drv.advance_period(pop_shooting.fsw)
+        jac = drv.jacobian
+        assert jac.shape == (4, 4)
+        # at the fixed point the period map contracts: every multiplier
+        # lies inside the unit circle
+        assert np.max(np.abs(np.linalg.eigvals(jac))) < 1.0
+        drv.reset(pop_shooting.state)
+        assert drv.jacobian is None
+
+    def test_rounding_level_changes_move_shooting_by_rounding(self):
+        # with the exact Jacobian, a one-ulp change of the input voltage
+        # moves the shooting state at 115 kHz into 24 ohm by no more than
+        # the final Newton step's own error (a finite-difference Jacobian
+        # turned the rounding of each period into some 1e-10 of it)
+        a = find_pop(cfg_at(115e3)).state.vector()
+        b = find_pop(cfg_at(115e3, vin=math.nextafter(VIN, 100.0))).state
+        assert np.max(np.abs(b.vector() - a) / np.abs(a)) < 5e-11
+
     def test_output_voltage_regression(self, pop_shooting):
         # frozen from a converged run; guards the integrator and solver
         assert abs(pop_shooting.metrics.vout_mean - 11.72921626202277) < 1e-6
