@@ -14,9 +14,10 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
   output pole, whose multiplier sits near one, costs no more than the rest.
   The map is only piecewise smooth: a conduction edge near the period
   boundary kinks it, and the residual can rise on the way across a kink.
-  So a full step that raises the residual is taken once on watch, the
-  line search damps the rest, and a plain cycle moves on from a piece
-  whose Newton step leads nowhere.  Once the Newton iterations are spent a
+  So a full step that raises the residual is taken once on watch, a short
+  line search damps the rest, and where no step along the Newton
+  direction helps, plain cycles (twice as many at each such failure) move
+  on to another piece of the map.  Once the Newton iterations are spent a
   contraction finish by cycle iteration takes over.
 
 Residuals are normalized per state component by the peak excursion of that
@@ -95,7 +96,9 @@ class PopTrace:
     warm: int  # plain periods before the first Newton iterate
     # the residual at each Newton iterate, the warmed-up state's first
     residuals: tuple[float, ...]
-    newton_periods: int  # period maps Newton evaluated: iterates and trials
+    # period maps Newton evaluated: iterates, trials and the plain cycles
+    # it fell back on
+    newton_periods: int
     halvings: int  # line-search step halvings
     # cycle-iteration periods: the whole solve by that method, shooting's
     # contraction finish otherwise (0 when Newton converged)
@@ -188,20 +191,17 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
             return None
 
     def line_search(cur, delta):
-        """Halve the step from 1/2 until the trial's residual drops to 0.9
-        of cur's; the best trial, or None if none integrated."""
+        """The first of the steps 1/2, 1/4, 1/8 and 1/16 along delta whose
+        trial lands at or below 0.9 of cur's residual, or None."""
         nonlocal halvings
-        best = None
         step = 1.0
-        for _ in range(8):
+        for _ in range(4):
             step *= 0.5
             halvings += 1
             new = trial(cur[1] + step * delta)
-            if new is not None and (best is None or new[0] < best[0]):
-                best = new
-                if new[0] <= 0.9 * cur[0]:
-                    break
-        return best
+            if new is not None and new[0] <= 0.9 * cur[0]:
+                return new
+        return None
 
     def trace(contraction=0):
         return PopTrace(warm_cycles, tuple(residuals),
@@ -220,6 +220,7 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
     # the iterate a watchdog step left, with its Newton step (None when the
     # last step was an ordinary one)
     ref = None
+    plain = 1  # plain cycles the next failed Newton step falls back on
     for _ in range(newton_max):
         if cur[0] < tol:
             break
@@ -245,13 +246,23 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                 cur, delta = ref
                 ref = None
             new = line_search(cur, delta)
-            if new is None or new[0] >= cur[0]:
+            if new is None:
                 # no step along the Newton direction helps (the Jacobian of
-                # a piece of the map the fixed point is not on): go on from
-                # the plain cycle's end, on another piece
+                # a piece of the map the fixed point is not on): go on by
+                # plain cycles, twice as many as at the last such failure,
+                # which land on other pieces and, where Newton cannot
+                # finish, do the contraction's work
                 new = trial(cur[3])
+                for _ in range(min(plain, max_cycles - cycles) - 1):
+                    if new is None or new[0] < tol:
+                        break
+                    nxt = trial(new[3])
+                    if nxt is None:
+                        break
+                    new = nxt
                 if new is None:
                     break
+                plain *= 2
         cur = new
         residuals.append(cur[0])
         _check_norm(cur[1], norm_ref)
@@ -300,7 +311,7 @@ def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
 
 
 def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
-             max_cycles: int = 2000, warm_cycles: int = 20,
+             max_cycles: int = 2000, warm_cycles: int = 2,
              newton_max: int = 25,
              initial: SimState | None = None) -> PopResult:
     """Find the periodic operating point at ``cfg.fsw``.

@@ -61,7 +61,7 @@ class TestSolvedOperatingPoint:
 
     def test_trace_accounts_for_every_period(self, pop_shooting, pop_cycle):
         tr = pop_shooting.trace
-        assert tr.warm == 20
+        assert tr.warm == 2
         assert tr.residuals[-1] == pop_shooting.residual
         assert tr.residuals[0] > TOL
         assert len(tr.residuals) - 1 <= tr.newton_periods
@@ -155,6 +155,23 @@ class TestPowerBalance:
         assert abs(m.p_source - m.p_load) < 0.005 * m.p_source
         # the integrator does far better than the contract asks
         assert abs(m.p_source - m.p_load) < 1e-4 * m.p_source
+
+
+class TestNearTheRegionBoundary:
+    def test_newton_finishes_where_cycle_iteration_crawls(self):
+        # 70 kHz at 0.5 A, near the region-1/2 boundary: the output pole's
+        # multiplier sits near one, so cycle iteration needs hundreds of
+        # periods; Newton on the exact Jacobian finishes in a handful, with
+        # no contraction finish (a finite-difference Jacobian took 642)
+        cfg = cfg_at(70e3, load=LoadSpec.current(0.5))
+        pop = find_pop(cfg)
+        assert pop.residual < TOL
+        assert pop.trace.contraction == 0
+        assert pop.cycles < 20
+        slow = find_pop(cfg, method="cycle_iteration")
+        assert slow.cycles > 10 * pop.cycles
+        assert abs(pop.metrics.vout_mean - slow.metrics.vout_mean) \
+            < 10.0 * TOL * slow.metrics.vout_mean
 
 
 class TestTrivialFixedPoints:
