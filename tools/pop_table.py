@@ -63,7 +63,8 @@ def solve_points(repeat: int, warm_cycles: list[int]) -> list[dict]:
                             load=sim.LoadSpec(kind, ((0.0, value),)),
                             t_end=1.0)
         solves = [("cycle_iteration", {})]
-        solves += [("shooting", {"warm_cycles": w}) for w in warm_cycles]
+        solves += [("shooting", {} if w is None else {"warm_cycles": w})
+                   for w in warm_cycles]
         for method, kw in solves:
             best = float("inf")
             for _ in range(repeat):
@@ -83,10 +84,11 @@ def solve_points(repeat: int, warm_cycles: list[int]) -> list[dict]:
 def run_checkout(checkout: Path, repeat: int, warm_cycles: list[int]):
     """The solves of one checkout, from a process of its own."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    r = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--worker",
-         "--repeat", str(repeat), "--warm-cycles", *map(str, warm_cycles)],
-        env=env, capture_output=True, text=True)
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
+           "--repeat", str(repeat)]
+    if warm_cycles != [None]:
+        cmd += ["--warm-cycles", *map(str, warm_cycles)]
+    r = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if r.returncode != 0:
         raise SystemExit(f"solves failed in {checkout}:\n{r.stderr[-2000:]}")
     return json.loads(r.stdout)
@@ -95,6 +97,8 @@ def run_checkout(checkout: Path, repeat: int, warm_cycles: list[int]):
 def label(row: dict) -> str:
     if row["method"] == "cycle_iteration":
         return "cycle iteration"
+    if row["warm_cycles"] is None:
+        return "shooting"
     return f"shooting, warm {row['warm_cycles']}"
 
 
@@ -115,8 +119,9 @@ def main(argv=None) -> None:
                     help="another checkout to solve the same points in")
     ap.add_argument("--repeat", type=int, default=3,
                     help="timed solves per point and method (best is kept)")
-    ap.add_argument("--warm-cycles", type=int, nargs="+", default=[20],
-                    help="shooting's warm-up periods, one solve per value")
+    ap.add_argument("--warm-cycles", type=int, nargs="+", default=[None],
+                    help="shooting's warm-up periods, one solve per value "
+                    "(default: find_pop's)")
     ap.add_argument("--json", type=Path, help="also write the rows here")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
