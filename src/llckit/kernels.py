@@ -72,14 +72,16 @@ fixed order, and the rows' numpy arithmetic is fixed by the call's
 inputs, so equal inputs give equal bits.
 
 On request a call also carries the sensitivity S = dx/dx0 of the state to
-an earlier one, as a 4x4 array: the exact derivative of the map the steps
-compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  A full
-step multiplies it by the Jacobian of its cached map carried on by its end
-rate, (I + dh A)(I + D); a part of a step of length tau by Phi(tau), summed
-from the mode's Taylor terms over the step cap; and a state event, whose
-instant moves with x0, by its saltation matrix (Leine & Nijmeijer,
-Dynamics and Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate
-edges and the entry settle sit at fixed instants and leave S alone.
+an earlier one, as a 4x4 array: the derivative of the map the steps
+compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  Every
+step, whole or a part of length tau, multiplies it by Phi(tau) = exp(A tau),
+summed from the mode's Taylor terms over the step cap.  A whole step's map
+runs to the quantized length and on by dh at its end rate, whose Jacobian
+(I + dh A)(I + D) is Phi(tau) to O((dh rho)^2), dh rho below 2^-32.  A
+state event, whose instant moves with x0, multiplies S by its saltation
+matrix (Leine & Nijmeijer, Dynamics and Bifurcations of Non-Smooth
+Mechanical Systems, 2004).  Gate edges and the entry settle sit at fixed
+instants and leave S alone.
 Without the request a step's arithmetic is the same, at the cost of one
 branch.
 """
@@ -379,17 +381,6 @@ def _phi(m, s, cap):
     return (np.power(s, _POWERS) @ m[15]).reshape(4, 4)
 
 
-def _step_jacobian(m, rows):
-    """(I + D, A (I + D)) of a step map with D by rows, as 4x4 arrays: a
-    full step carried on by dh at its end rate has the Jacobian
-    (I + dh A)(I + D)."""
-    a01, a03, a10, a21, a23, a30, a33 = m[:7]
-    p = np.array(rows).reshape(4, 4) + np.eye(4)
-    a = np.array(((0.0, a01, 0.0, a03), (a10, 0.0, 0.0, 0.0),
-                  (0.0, a21, 0.0, a23), (a30, 0.0, -a30, a33)))
-    return p, a @ p
-
-
 def _saltation(slot, fa, fb):
     """The saltation matrix of a state event (Leine & Nijmeijer),
 
@@ -418,13 +409,11 @@ def _saltation(slot, fa, fb):
 def _step_map(m, h, vin, node_hi, rect, n, Vf):
     """The cached maps of one mode over a step of length h.
 
-    Returns [D by rows, q, src, dio, jac]: x(h) = x + D x + q, and the
-    step's source energy src . (x, 1) while the node is high and diode loss
-    dio . (x, 1) while a diode conducts (None otherwise).  Column j of
-    D and of the integral map is the series of the unit state e_j with the
-    inputs off; q and the input column are the series of b from rest.  jac
-    holds the ``_step_jacobian`` arrays once a sensitivity asks for them
-    (None until then).
+    Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
+    source energy src . (x, 1) while the node is high and diode loss
+    dio . (x, 1) while a diode conducts (None otherwise).  Column j of D
+    and of the integral map is the series of the unit state e_j with the
+    inputs off; q and the input column are the series of b from rest.
     """
     cols = []
     int0 = []
@@ -448,7 +437,7 @@ def _step_map(m, h, vin, node_hi, rect, n, Vf):
     if rect != RECT_OFF and Vf != 0.0:
         f = Vf * n if rect == RECT_D1 else -Vf * n
         dio = tuple(f * (a - b) for a, b in zip(int0, int2))
-    return [rows, q, src, dio, None]
+    return rows, q, src, dio
 
 
 def _peval(P, s):
@@ -750,11 +739,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
     sens, when given, is a 4x4 array S = dx/dx0: the derivative of the
     state at t0 with respect to some earlier state x0.  The call carries it
-    to t1 as the exact derivative of the map it computes: a full step
-    multiplies it by (I + dh A)(I + D), a part of a step of length tau by
-    Phi(tau) from the mode's Taylor terms, and each state event by its
-    saltation matrix (``_saltation``).  The entry settle and the gate edges
-    sit at fixed times and move nothing.  Returns
+    to t1 as the derivative of the map it computes: every step, or part of
+    a step, of length tau multiplies it by Phi(tau) from the mode's Taylor
+    terms (``_phi``), and each state event by its saltation matrix
+    (``_saltation``).  The entry settle and the gate edges sit at fixed
+    times and move nothing.  Returns
 
         (err, rows, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
@@ -832,7 +821,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     stale = True
     m = None
     mmaps = None
-    mp = None
     slots = ()
     g_a = []
     d_a = []
@@ -893,7 +881,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         mmaps[hq] = mp
                     ((d00, d01, d02, d03, d10, d11, d12, d13,
                       d20, d21, d22, d23, d30, d31, d32, d33),
-                     (q0, q1, q2, q3), src, dio, _) = mp
+                     (q0, q1, q2, q3), src, dio) = mp
                     hq_map = hq
                 ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
                             + d03 * vOut + q0)
@@ -984,13 +972,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             if hit < 0:
                 # accepted step: sensitivity, energy, extrema, invariants
                 if sens is not None:
-                    if not full:
-                        sens = _phi(m, h / cap, cap) @ sens
-                    else:
-                        if mp[4] is None:
-                            mp[4] = _step_jacobian(m, mp[0])
-                        pj, apj = mp[4]
-                        sens = (pj + dh * apj) @ sens
+                    sens = _phi(m, h / cap, cap) @ sens
                 sp_src += de_src
                 sp_dio += de_dio
                 if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \

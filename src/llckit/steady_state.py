@@ -5,20 +5,20 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
 * cycle iteration: integrate whole switching periods until the state at the
   period boundary stops moving.  Robust, but slow when the output capacitor
   pole is much slower than the switching period.
-* shooting: Newton's method on the period map, warmed up by a few plain
-  cycles.  Each period-map evaluation also carries the map's exact
-  Jacobian through the kernel: the sensitivity of the state to the
-  period's start state, across every step and, by its saltation matrix,
-  every rectifier, dead-time and sink event (Aprille & Trick 1972; Leine &
-  Nijmeijer 2004).  So a Newton iteration costs one period, and the slow
-  output pole, whose multiplier sits near one, costs no more than the rest.
+* shooting: Newton's method on the period map, starting at the seed.
+  Each period-map evaluation also carries the map's exact Jacobian
+  through the kernel: the sensitivity of the state to the period's start
+  state, across every step and, by its saltation matrix, every rectifier,
+  dead-time and sink event (Aprille & Trick 1972; Leine & Nijmeijer
+  2004).  So a Newton iteration costs one period, and the slow output
+  pole, whose multiplier sits near one, costs no more than the rest.
   The map is only piecewise smooth: a conduction edge near the period
   boundary kinks it, and the residual can rise on the way across a kink.
   So a full step that raises the residual is taken once on watch, a short
   line search damps the rest, and where no step along the Newton
   direction helps, plain cycles (twice as many at each such failure) move
-  on to another piece of the map.  Once the Newton iterations are spent a
-  contraction finish by cycle iteration takes over.
+  on to another piece of the map.  Newton runs until the residual is
+  below the tolerance or the period budget is spent.
 
 Residuals are normalized per state component by the peak excursion of that
 component over the last integrated period, so volts and amperes are judged
@@ -90,19 +90,14 @@ class PopMetrics:
 
 @dataclass(frozen=True)
 class PopTrace:
-    """Where a solve's periods went: warm + newton_periods + contraction is
-    the result's ``cycles``."""
+    """Where a solve's periods went."""
 
-    warm: int  # plain periods before the first Newton iterate
-    # the residual at each Newton iterate, the warmed-up state's first
+    # the residual at each Newton iterate, the seed's first
     residuals: tuple[float, ...]
-    # period maps Newton evaluated: iterates, trials and the plain cycles
-    # it fell back on
-    newton_periods: int
     halvings: int  # line-search step halvings
-    # cycle-iteration periods: the whole solve by that method, shooting's
-    # contraction finish otherwise (0 when Newton converged)
-    contraction: int
+    # periods run as plain cycles: shooting's fallback where no Newton step
+    # helps, and every period of cycle iteration
+    plain: int
 
 
 @dataclass
@@ -164,10 +159,10 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
 
 
 def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
-                    tol: float, warm_cycles: int, newton_max: int,
-                    max_cycles: int):
+                    tol: float, max_cycles: int):
     cycles = 0
     halvings = 0
+    plain = 0
 
     def period_map(st: SimState):
         """The iterate at st: (residual, x, st, P(x), peaks over the
@@ -185,7 +180,7 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
     def trial(x):
         """The iterate at state vector x, or None if its period fails."""
         try:
-            return period_map(replace(warm, iLr=x[0], vCr=x[1], iLm=x[2],
+            return period_map(replace(state0, iLr=x[0], vCr=x[1], iLm=x[2],
                                       vOut=x[3]))
         except SimError:
             return None
@@ -203,27 +198,14 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                 return new
         return None
 
-    def trace(contraction=0):
-        return PopTrace(warm_cycles, tuple(residuals),
-                        cycles - warm_cycles, halvings, contraction)
-
-    # a few plain cycles pull the seed onto the right conduction pattern
-    drv.reset(replace(state0, t=0.0))
-    for _ in range(warm_cycles):
-        drv.advance_period(fsw)
-        cycles += 1
-    warm = replace(drv.state, t=0.0)
-    norm_ref = max(float(np.linalg.norm(warm.vector())), drv.cfg.vin, 1.0)
-
-    cur = period_map(warm)
+    norm_ref = max(float(np.linalg.norm(state0.vector())), drv.cfg.vin, 1.0)
+    cur = period_map(state0)
     residuals = [cur[0]]
     # the iterate a watchdog step left, with its Newton step (None when the
     # last step was an ordinary one)
     ref = None
-    plain = 1  # plain cycles the next failed Newton step falls back on
-    for _ in range(newton_max):
-        if cur[0] < tol:
-            break
+    run = 1  # plain cycles the next failed Newton step falls back on
+    while cur[0] >= tol and cycles < max_cycles:
         delta = np.linalg.solve(cur[6] - np.eye(4), cur[1] - cur[3])
         new = trial(cur[1] + delta)
         goal = 0.9 * (cur if ref is None else ref[0])[0]
@@ -251,47 +233,30 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                 # a piece of the map the fixed point is not on): go on by
                 # plain cycles, twice as many as at the last such failure,
                 # which land on other pieces and, where Newton cannot
-                # finish, do the contraction's work
+                # finish, contract towards the fixed point
                 new = trial(cur[3])
-                for _ in range(min(plain, max_cycles - cycles) - 1):
+                plain += 1
+                for _ in range(min(run, max_cycles - cycles) - 1):
                     if new is None or new[0] < tol:
                         break
                     nxt = trial(new[3])
+                    plain += 1
                     if nxt is None:
                         break
                     new = nxt
                 if new is None:
                     break
-                plain *= 2
+                run *= 2
         cur = new
         residuals.append(cur[0])
         _check_norm(cur[1], norm_ref)
-        if cycles > max_cycles:
-            break
-    if ref is not None and ref[0][0] < cur[0]:
-        cur = ref[0]
     res, _, st, _, _, rect_out, _ = cur
-    if res < tol:
-        return replace(st, t=0.0, rect=rect_out), res, cycles, trace()
-
-    # Newton cannot finish when the cycle map is not smooth at the fixed
-    # point (a rectifier conduction flip can sit exactly on the period
-    # boundary), so once its iterations are spent hand the polished state
-    # to the contraction iteration
-    budget = max_cycles - cycles
-    if budget < 1:
+    if res >= tol:
         raise NoConvergence(
             f"shooting still at residual {res:.3e} after {cycles} periods",
             res, cycles)
-    drv.reset(consistent_rect(replace(st, t=0.0)))
-    try:
-        state, res, extra = _solve_cycle_iteration(drv, fsw, tol, budget)
-    except NoConvergence as exc:
-        raise NoConvergence(
-            f"shooting stalled at residual {res:.3e}; contraction finish "
-            f"still at {exc.residual:.3e} after {cycles + exc.cycles} "
-            f"periods", exc.residual, cycles + exc.cycles) from exc
-    return state, res, cycles + extra, trace(extra)
+    return (replace(st, t=0.0, rect=rect_out), res, cycles,
+            PopTrace(tuple(residuals), halvings, plain))
 
 
 def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
@@ -311,9 +276,7 @@ def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
 
 
 def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
-             max_cycles: int = 2000, warm_cycles: int = 2,
-             newton_max: int = 25,
-             initial: SimState | None = None) -> PopResult:
+             max_cycles: int = 2000) -> PopResult:
     """Find the periodic operating point at ``cfg.fsw``.
 
     The load must be time-invariant (a single point); soft-start settings
@@ -326,16 +289,16 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     if cfg.load.switch_times:
         raise ValueError("periodic steady state needs a time-invariant load")
 
-    state0 = initial if initial is not None else warm_start_state(cfg)
+    state0 = warm_start_state(cfg)
     drv = PeriodDriver(cfg, state0, record=False)
 
     if method == "cycle_iteration":
         state, res, cycles = _solve_cycle_iteration(drv, cfg.fsw, tol,
                                                     max_cycles)
-        trace = PopTrace(0, (), 0, 0, cycles)
+        trace = PopTrace((), 0, cycles)
     else:
-        state, res, cycles, trace = _solve_shooting(
-            drv, state0, cfg.fsw, tol, warm_cycles, newton_max, max_cycles)
+        state, res, cycles, trace = _solve_shooting(drv, state0, cfg.fsw,
+                                                    tol, max_cycles)
 
     # one fully recorded period at the fixed point for waveform and metrics
     period = 1.0 / cfg.fsw

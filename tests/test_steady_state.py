@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from llckit.gain import solve_frequency
-from llckit.sim import LoadSpec, PeriodDriver, SimConfig, Waveform, ZvsReport
+from llckit.sim import (
+    LoadSpec,
+    PeriodDriver,
+    RectPhase,
+    SimConfig,
+    Waveform,
+    ZvsReport,
+    warm_start_state,
+)
 from llckit.steady_state import (
     Divergence,
     NoConvergence,
@@ -16,6 +24,7 @@ from llckit.steady_state import (
     find_pop,
     pop_metrics,
 )
+from llckit.synthesis import DesignRequirements, synthesize_tank
 from llckit.tank import TankParams, effective_load, normalize, series_resonance
 
 TANK = TankParams(Lr=37e-6, Cr=68e-9, Lm=75e-6, n=1.83)
@@ -61,17 +70,14 @@ class TestSolvedOperatingPoint:
 
     def test_trace_accounts_for_every_period(self, pop_shooting, pop_cycle):
         tr = pop_shooting.trace
-        assert tr.warm == 2
-        assert tr.residuals[-1] == pop_shooting.residual
+        # Newton starts at the seed: its residual is the first iterate's
         assert tr.residuals[0] > TOL
-        assert len(tr.residuals) - 1 <= tr.newton_periods
-        assert tr.warm + tr.newton_periods + tr.contraction \
-            == pop_shooting.cycles
-        assert tr.contraction == 0  # Newton finished on its own
+        assert tr.residuals[-1] == pop_shooting.residual
+        assert len(tr.residuals) <= pop_shooting.cycles
+        assert tr.plain <= pop_shooting.cycles
         tr = pop_cycle.trace
-        assert (tr.warm, tr.residuals, tr.newton_periods, tr.halvings) \
-            == (0, (), 0, 0)
-        assert tr.contraction == pop_cycle.cycles
+        assert (tr.residuals, tr.halvings, tr.plain) \
+            == ((), 0, pop_cycle.cycles)
 
     def test_period_map_jacobian_is_asked_for(self, pop_shooting):
         drv = PeriodDriver(cfg_at(pop_shooting.fsw), pop_shooting.state,
@@ -162,16 +168,37 @@ class TestNearTheRegionBoundary:
         # 70 kHz at 0.5 A, near the region-1/2 boundary: the output pole's
         # multiplier sits near one, so cycle iteration needs hundreds of
         # periods; Newton on the exact Jacobian finishes in a handful, with
-        # no contraction finish (a finite-difference Jacobian took 642)
+        # no plain cycles (a finite-difference Jacobian took 642 periods)
         cfg = cfg_at(70e3, load=LoadSpec.current(0.5))
         pop = find_pop(cfg)
         assert pop.residual < TOL
-        assert pop.trace.contraction == 0
+        assert pop.trace.plain == 0
         assert pop.cycles < 20
         slow = find_pop(cfg, method="cycle_iteration")
         assert slow.cycles > 10 * pop.cycles
         assert abs(pop.metrics.vout_mean - slow.metrics.vout_mean) \
             < 10.0 * TOL * slow.metrics.vout_mean
+
+
+class TestSeedConductionTag:
+    def test_shooting_tags_the_seed_by_its_currents(self):
+        # at 130 kHz into 6 ohm on the reference tank the warm-start seed is
+        # tagged open although iLr and iLm differ by 0.58 A; a period from
+        # the seed as tagged breaches the conduction invariant at t = 0, so
+        # Newton's first period map starts from the tag its currents give
+        req = DesignRequirements(
+            vin_min=39.0, vin_nom=48.0, vin_max=48.0, vout_min=12.0,
+            vout_nom=12.0, vout_max=12.0, iout_min=0.0, iout_max=0.5,
+            f0_target=100e3, fsw_min=60e3, fsw_max=130e3)
+        cfg = SimConfig(tank=synthesize_tank(req, 1.83, 2.05, 0.36),
+                        vin=48.0, fsw=130e3, load=LoadSpec.resistance(6.0),
+                        t_end=1.0)
+        seed = warm_start_state(cfg)
+        assert seed.rect == RectPhase.OFF
+        assert abs(seed.iLr - seed.iLm) > 0.5
+        pop = find_pop(cfg)
+        assert pop.residual < TOL
+        assert pop.cycles < 20
 
 
 class TestTrivialFixedPoints:
@@ -218,9 +245,11 @@ class TestFailureModes:
         assert exc.value.residual > 1e-13
 
     def test_newton_budget_exhaustion(self):
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence) as exc:
             find_pop(cfg_at(solved_fsw()), method="shooting",
-                     tol=1e-15, newton_max=1)
+                     tol=1e-15, max_cycles=3)
+        assert exc.value.cycles == 3
+        assert exc.value.residual > 1e-15
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
