@@ -7,7 +7,10 @@ kernel steps, events and event-localization iterations, and the wall time
 per step and per switching period.  Then, from the periodic operating
 point at the same frequency, it times one period recorded at every grid
 instant and one unrecorded, the last thing ``find_pop`` does, and prints
-rows, steps and the wall time of each.
+rows, steps and the wall time of each.  Last, from the same point, it
+times 64 unrecorded periods at 110 kHz (1 + 1e-5 k), k = 0 .. 63: like
+the closed loop, which moves the frequency every period, each period has
+a new length, so each builds its own step maps.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -78,6 +81,19 @@ def main() -> int:
         rows = drv.result().waveform.t.size
         print(f"  {label:<10} {rows} rows, {drv.counts['steps']} steps, "
               f"{best * 1e6:.0f} us")
+
+    periods = 64
+    best = float("inf")
+    for _ in range(args.repeat):
+        drv = PeriodDriver(period_cfg, state, record=False)
+        t0 = time.perf_counter()
+        for k in range(periods):
+            drv.advance_period(cfg.fsw * (1.0 + 1e-5 * k))
+        best = min(best, time.perf_counter() - t0)
+    print(f"{periods} unrecorded periods from the operating point, a new "
+          f"length each, best of {args.repeat}")
+    print(f"  {drv.counts['steps'] / periods:.1f} steps/period, "
+          f"{best / periods * 1e6:.0f} us/period")
     return 0
 
 

@@ -18,10 +18,15 @@ Each mode is stepped by its exact affine propagator
 
     x(t + h) = x + D(h) x + q(h),    D = Phi(h) - I,
 
-taken from the Taylor series of exp(A h) summed to double precision
-(``_series``).  The maps of one (mode, step length) are built once and
-kept in the caller's ``maps`` cache, along with the integral rows that
-give the source and diode energy of a step exactly.
+taken from the Taylor series of exp(A h) summed to double precision.
+Each mode keeps one Taylor table (``_terms``): the series over the step
+cap H of each unit state and of the inputs from rest.  The series over
+a step of length s H is the table's with its k-th term scaled by s^k
+(the scaling step of Moler & Van Loan, SIAM Review 45, 2003), so the
+table gives the waveform rows, the sensitivity's Phi and every step map.
+The maps of one mode and exact step length are built once and kept in
+the caller's ``maps`` cache, along with the integral rows that give the
+source and diode energy of a step exactly.
 
 Since a step is exact at any length, the length is set by event detection
 alone: a span is split into ceil(span / H) equal steps, whatever is
@@ -75,13 +80,13 @@ On request a call also carries the sensitivity S = dx/dx0 of the state to
 an earlier one, as a 4x4 array: the derivative of the map the steps
 compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  Every
 step, whole or a part of length tau, multiplies it by Phi(tau) = exp(A tau),
-summed from the mode's Taylor terms over the step cap.  A whole step's map
-runs to the quantized length and on by dh at its end rate, whose Jacobian
-(I + dh A)(I + D) is Phi(tau) to O((dh rho)^2), dh rho below 2^-32.  A
-state event, whose instant moves with x0, multiplies S by its saltation
-matrix (Leine & Nijmeijer, Dynamics and Bifurcations of Non-Smooth
-Mechanical Systems, 2004).  Gate edges and the entry settle sit at fixed
-instants and leave S alone.
+summed from the mode's Taylor table.  A whole step's map runs to the
+call's step length and on by dh, the few ulps of t by which the step's
+own length differs, at its end rate; its Jacobian (I + dh A)(I + D) is
+Phi(tau) to O((dh rho)^2).  A state event, whose instant moves with x0,
+multiplies S by its saltation matrix (Leine & Nijmeijer, Dynamics and
+Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate edges and
+the entry settle sit at fixed instants and leave S alone.
 Without the request a step's arithmetic is the same, at the cost of one
 branch.
 """
@@ -140,11 +145,6 @@ _EXT_TOL = 2.0 ** -30
 _NOISE = 2.0 ** -50
 # a Taylor series stops once its term bound theta^k / k! drops below this
 _TERM_TOL = 2.0 ** -56
-# cached step lengths keep this many mantissa bits, so that spans which
-# differ in their last bits (t1 - t0 at different t0) share one map; a step
-# is carried across the rounding by its end rate, which leaves an error of
-# (2^-33 rho h)^2 / 2 of the state
-_Q_BITS = 32
 # entries per propagator cache, and step lengths per mode
 _MAPS_MAX = 64
 
@@ -203,13 +203,13 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
     Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps, row_terms, phi_terms]: rho is the largest row sum of
-    |A| in the energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
+    dead_slots, maps, terms]: rho is the largest row sum of |A| in the
+    energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
     sqrt(Cout) vOut), which bounds every eigenvalue; slots lists the mode's
     rectifier and sink event functions in slot order, and dead_slots adds
-    the dead-time one; maps caches the step maps by step length, row_terms
-    the ``_row_terms`` array and phi_terms the ``_phi`` array once built
-    (None until then).
+    the dead-time one; maps caches the step maps by exact step length, and
+    terms holds the mode's Taylor table (``_terms``) once built (None until
+    then).
     """
     a10 = 1.0 / Cr
     kq = Lm / (Lr + Lm)
@@ -248,7 +248,7 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
               abs(a21) * sm / sc + abs(a23) * sm / so,
               abs(a30) * (so / sl + so / sm) + abs(a33))
     return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}, None, None]
+            sorted(slots + [_DEAD_SLOT]), {}, None]
 
 
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
@@ -345,40 +345,34 @@ def _integrals(w, s, h):
     return i0 * s * h, i2 * s * h
 
 
-def _unit_series(m, h):
-    """The Taylor terms over a step of length h of each unit state e_j
-    with the inputs off, then of rest with the inputs (b) on: the series
-    of x(s h) from any (x, 1) is their combination with those weights."""
-    b0, b2, b3 = m[7:10]
-    return (_series(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, h, m),
-            _series(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, h, m),
-            _series(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, h, m),
-            _series(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, h, m),
-            _series(0.0, 0.0, 0.0, 0.0, b0, b2, b3, h, m))
+def _terms(m, cap):
+    """The mode's Taylor table W over the step cap, built on first use.
 
-
-def _row_terms(m, h):
-    """The mode's Taylor terms w_0 .. w_ROW_K over a step of length h, as a
-    (5, 4 (``_ROW_K`` + 1)) array T: from a state x the step's terms are
-    (x, 1) . T, reshaped to (``_ROW_K`` + 1, 4), and x(t + s h) is
-    sum_k s^k w_k."""
-    series = np.array(_unit_series(m, h))[:, :_ROW_K + 1]
-    terms = np.zeros((5, _ROW_K + 1, 4))
-    terms[:, :series.shape[1]] = series
-    return terms.reshape(5, -1)
+    W is a (5, ``_ROW_K`` + 1, 4) array: W[j] holds the terms w_0 ..
+    w_ROW_K over a step of length cap of the unit state e_j with the inputs
+    off (j < 4), and W[4] those of rest with the inputs (b) on.  From a
+    state x the terms of a step of length s cap are those of (x, 1) . W,
+    the k-th scaled by s^k, and x(t + s cap) is their sum.
+    """
+    w = m[14]
+    if w is None:
+        b0, b2, b3 = m[7:10]
+        w = np.zeros((5, _ROW_K + 1, 4))
+        for j, x in enumerate(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                               (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, 0.0, 0.0, b0, b2, b3))):
+            series = _series(*x, cap, m)[:_ROW_K + 1]
+            w[j, :len(series)] = series
+        m[14] = w
+    return w
 
 
 def _phi(m, s, cap):
     """The mode's Phi(s cap) = exp(A s cap) as a 4x4 array, summed from its
-    Taylor terms over the step cap (``_row_terms``)."""
-    if m[15] is None:
-        if m[14] is None:
-            m[14] = _row_terms(m, cap)
-        # [unit state j, power k, component i] to [power k, (i, j)]
-        m[15] = np.ascontiguousarray(
-            m[14][:4].reshape(4, _ROW_K + 1, 4).transpose(1, 2, 0)
-        ).reshape(_ROW_K + 1, 16)
-    return (np.power(s, _POWERS) @ m[15]).reshape(4, 4)
+    Taylor table (``_terms``)."""
+    return (np.power(s, _POWERS) @ _terms(m, cap)[:4]).T
 
 
 def _saltation(slot, fa, fb):
@@ -406,37 +400,31 @@ def _saltation(slot, fa, fb):
                      (u3 * c0, u3 * c1, u3 * c2, 1.0 + u3 * c3)))
 
 
-def _step_map(m, h, vin, node_hi, rect, n, Vf):
-    """The cached maps of one mode over a step of length h.
+def _step_map(m, h, cap, vin, node_hi, rect, n, Vf):
+    """The maps of one mode over a step of length h, read off its Taylor
+    table (``_terms``) at s = h / cap.
 
     Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
     source energy src . (x, 1) while the node is high and diode loss
     dio . (x, 1) while a diode conducts (None otherwise).  Column j of D
-    and of the integral map is the series of the unit state e_j with the
-    inputs off; q and the input column are the series of b from rest.
+    and of the integral map comes from W[j], the unit state e_j with the
+    inputs off; q and the input column from W[4], the inputs from rest.
+    One product sums the terms twice: with weights s^k past k = 0, which
+    gives D = Phi - I without cancellation, and with h s^k / (k + 1),
+    which gives the integrals of the state over the step.
     """
-    cols = []
-    int0 = []
-    int2 = []
-    for w in _unit_series(m, h):
-        d0 = d1 = d2 = d3 = 0.0
-        for k in range(len(w) - 1, 0, -1):
-            c = w[k]
-            d0 += c[0]
-            d1 += c[1]
-            d2 += c[2]
-            d3 += c[3]
-        cols.append((d0, d1, d2, d3))
-        i0, i2 = _integrals(w, 1.0, h)
-        int0.append(i0)
-        int2.append(i2)
+    p = np.empty((2, _ROW_K + 1))
+    p[0] = np.power(h / cap, _POWERS)
+    p[1] = p[0] * h / (_POWERS + 1.0)
+    p[0, 0] = 0.0
+    cols, ints = (p @ _terms(m, cap)).transpose(1, 0, 2).tolist()
     rows = tuple(cols[j][i] for i in range(4) for j in range(4))
-    q = cols[4]
-    src = tuple(vin * v for v in int0) if node_hi == 1 else None
+    q = tuple(cols[4])
+    src = tuple(vin * c[0] for c in ints) if node_hi == 1 else None
     dio = None
     if rect != RECT_OFF and Vf != 0.0:
         f = Vf * n if rect == RECT_D1 else -Vf * n
-        dio = tuple(f * (a - b) for a, b in zip(int0, int2))
+        dio = tuple(f * (c[0] - c[2]) for c in ints)
     return rows, q, src, dio
 
 
@@ -655,8 +643,8 @@ def _put_grid_rows(rec, blocks, t0, dt, k, stride, cap, seg_kind, n,
     that starts at t_a from state x; each row is the step's Taylor series
     at its own instant.  A few rows are summed in plain Python from the
     series over t_a to the block's last row; more go through numpy at
-    once, the terms of every block from its mode's ``_row_terms`` over the
-    step cap, x(t_a + tau) = sum_k (tau / cap)^k w_k.
+    once, the terms of every block from its mode's Taylor table over the
+    step cap (``_terms``), x(t_a + tau) = sum_k (tau / cap)^k w_k.
     """
     total = sum(b[3] for b in blocks)
     if total <= _ROWS_SCALAR:
@@ -673,11 +661,10 @@ def _put_grid_rows(rec, blocks, t0, dt, k, stride, cap, seg_kind, n,
                               rect, seg_kind)
         return
     rows, ta, xs, cnt, ms, vsw, rect, sink = zip(*blocks)
-    for m in ms:
-        if m[14] is None:
-            m[14] = _row_terms(m, cap)
-    # each block's terms, (x, 1) . T of its mode
-    w = np.matmul(np.array(xs)[:, None, :], np.array([m[14] for m in ms]))
+    # each block's terms, (x, 1) . W of its mode
+    w = np.matmul(np.array(xs)[:, None, :],
+                  np.array([_terms(m, cap) for m in ms]).reshape(
+                      len(blocks), 5, -1))
     w = w.reshape(len(blocks), _ROW_K + 1, 4)
     t = t0 + dt * np.arange(k, k + stride * total, stride)
     # the powers of s = tau / cap, one row per power, doubling the filled
@@ -714,34 +701,31 @@ def _put_grid_rows(rec, blocks, t0, dt, k, stride, cap, seg_kind, n,
         a += c
 
 
-def _quantize(h):
-    """h rounded to ``_Q_BITS`` mantissa bits."""
-    f, e = math.frexp(h)
-    return math.ldexp(round(f * (1 << _Q_BITS)), e - _Q_BITS)
-
-
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
                       dt_max, tol_t, stride, events, maps=None,
                       sens=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
-    The span is split into ceil(span / H) equal steps, whatever is
-    recorded.  Rows are written at t0, at the grid instants t0 + dt (k + 1)
-    for k % stride == 0 (dt = span / ceil(span / dt_max)), at every event
-    and at t1, a later row replacing one at the same instant; stride 0
-    writes no rows at all.  A grid row comes from the Taylor terms of the
-    step it falls in (``_put_grid_rows``), so the record never changes the
-    steps taken; rows at events and at t1 hold the state the steps carry.
+    The span is split into count = ceil(span / H) equal steps of length
+    hp = span / count, whatever is recorded; a whole step applies its
+    mode's map over hp (``_step_map``), read off the mode's Taylor table and
+    cached per mode by hp.  Rows are written at t0, at the grid instants
+    t0 + dt (k + 1) for k % stride == 0 (dt = span / ceil(span / dt_max)),
+    at every event and at t1, a later row replacing one at the same
+    instant; stride 0 writes no rows at all.  A grid row comes from the
+    Taylor terms of the step it falls in (``_put_grid_rows``), so the
+    record never changes the steps taken; rows at events and at t1 hold
+    the state the steps carry.
     Each logged event is appended to the list ``events`` as (t, code).
-    maps is the propagator cache; pass the same dict to every call of one
-    run (a fresh one when None).
+    maps is the cache of mode records, with their tables and step maps;
+    pass the same dict to every call of one run (a fresh one when None).
 
     sens, when given, is a 4x4 array S = dx/dx0: the derivative of the
     state at t0 with respect to some earlier state x0.  The call carries it
     to t1 as the derivative of the map it computes: every step, or part of
     a step, of length tau multiplies it by Phi(tau) from the mode's Taylor
-    terms (``_phi``), and each state event by its saltation matrix
+    table (``_phi``), and each state event by its saltation matrix
     (``_saltation``).  The entry settle and the gate edges sit at fixed
     times and move nothing.  Returns
 
@@ -791,7 +775,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     span = t1 - t0
     count = 0
     n_cells = 0
-    dt = hp = hq = cap = 0.0
+    dt = hp = cap = 0.0
     if span > 0.0:
         n_cells = max(1, int(math.ceil(span / dt_max)))
         dt = span / n_cells
@@ -799,7 +783,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         load_val)
         count = max(1, int(math.ceil(span / cap)))
         hp = span / count
-        hq = _quantize(hp)
     # the grid rows t0 + dt k for k = 1, 1 + stride, ... below n_cells: k_row
     # is the next one's index (past the grid at stride 0) and t_row its
     # instant (inf past the last).  Each step reserves the rows it holds as
@@ -826,7 +809,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     d_a = []
     r0 = r1 = r2 = r3 = 0.0
     a01 = a03 = a10 = a21 = a23 = a30 = a33 = b0 = b2 = b3 = 0.0
-    hq_map = -1.0
+    mapped = False  # the mode's step map over hp is loaded
     d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = 0.0
     d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = 0.0
     q0 = q1 = q2 = q3 = 0.0
@@ -853,7 +836,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
                 slots = m[12] if is_dead else m[11]
                 mmaps = m[13]
-                hq_map = -1.0
+                mapped = False
                 f_src = vin if node_hi == 1 else 0.0
                 f_dio = 0.0
                 if rect == RECT_D1:
@@ -872,17 +855,17 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             w = None
             h = t_b - t_cur
             if full:
-                if hq_map != hq:
-                    mp = mmaps.get(hq)
+                if not mapped:
+                    mp = mmaps.get(hp)
                     if mp is None:
                         if len(mmaps) >= _MAPS_MAX:
                             mmaps.clear()
-                        mp = _step_map(m, hq, vin, node_hi, rect, n, Vf)
-                        mmaps[hq] = mp
+                        mp = _step_map(m, hp, cap, vin, node_hi, rect, n, Vf)
+                        mmaps[hp] = mp
                     ((d00, d01, d02, d03, d10, d11, d12, d13,
                       d20, d21, d22, d23, d30, d31, d32, d33),
                      (q0, q1, q2, q3), src, dio) = mp
-                    hq_map = hq
+                    mapped = True
                 ni = iLr + (d00 * iLr + d01 * vCr + d02 * iLm
                             + d03 * vOut + q0)
                 nc = vCr + (d10 * iLr + d11 * vCr + d12 * iLm
@@ -911,10 +894,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             rb2 = a21 * nc + a23 * no + b2
             rb3 = a30 * (ni - nm) + a33 * no + b3
             if full:
-                # the map spans hq: carry the state and the integrals on
-                # to h by the rate there (the rates, which only signal
-                # sign changes, keep a relative error of dh rho)
-                dh = h - hq
+                # the map spans hp, and t_b - t_cur differs from it by
+                # rounding of t: carry the state and the integrals on to h
+                # by the rate there (the rates, which only signal sign
+                # changes, keep a relative error of dh rho)
+                dh = h - hp
                 ni += dh * rb0
                 nc += dh * rb1
                 nm += dh * rb2

@@ -223,7 +223,6 @@ class SimConfig:
     dt_max: float | None = None  # default: period / STEPS_PER_PERIOD
     record_stride: int = 8  # record every k-th grid instant
     soft_start: float = 0.0  # frequency-ramp duration from cold start
-    channels: tuple[str, ...] | None = None  # None keeps all channels
 
     def __post_init__(self):
         if self.vin < 0.0:
@@ -240,10 +239,6 @@ class SimConfig:
             raise ValueError("record_stride must be >= 1")
         if self.soft_start < 0.0:
             raise ValueError("soft_start must be nonnegative")
-        if self.channels is not None:
-            bad = set(self.channels) - set(CHANNELS)
-            if bad:
-                raise ValueError(f"unknown channels {sorted(bad)}")
 
 
 @dataclass(frozen=True)
@@ -607,20 +602,19 @@ class PeriodDriver:
             rows = rows[keep]
         else:
             rows = np.empty((0, kernels.REC_COLS))
-        names = self.cfg.channels if self.cfg.channels is not None else CHANNELS
-        full = {
+        channels = {  # in the order of CHANNELS
+            "vsw": rows[:, 5],
             "iLr": rows[:, 1],
             "vCr": rows[:, 2],
             "iLm": rows[:, 3],
             "vOut": rows[:, 4],
-            "vsw": rows[:, 5],
             "iOut": rows[:, 6],
             "gateHS": (rows[:, 8] == kernels.SEG_HIGH).astype(float),
             "gateLS": (rows[:, 8] == kernels.SEG_LOW).astype(float),
         }
         wf = Waveform(
             t=rows[:, 0],
-            channels={nm: full[nm] for nm in CHANNELS if nm in names},
+            channels=channels,
             aux={"rect": rows[:, 7].astype(np.int8),
                  "seg": rows[:, 8].astype(np.int8)},
         )

@@ -302,7 +302,7 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
 
     # one fully recorded period at the fixed point for waveform and metrics
     period = 1.0 / cfg.fsw
-    mcfg = replace(cfg, record_stride=1, channels=None)
+    mcfg = replace(cfg, record_stride=1)
     mdrv = PeriodDriver(mcfg, state, record=True)
     # the step maps hang on (mode, step length) alone: reuse the solve's
     mdrv._maps = drv._maps

@@ -10,7 +10,8 @@ point must still obey the invariants.
 What is recorded must not move the run: every record stride takes the
 same steps to the same end, events and energy.  An event-free span must
 end, and record every row, where the matrix exponential of its mode takes
-it, in every rectifier phase, on both rails and for both load kinds.
+it, in every rectifier phase, on both rails and for both load kinds, and
+its source energy and diode loss are those of its integral.
 
 The sensitivity a call carries is the derivative of its end state: where
 the end state is differentiable in the start state, it matches central
@@ -226,7 +227,8 @@ def test_span_matches_matrix_exponential(p):
     # an event-free span in one mode ends where exp(M h) takes its start,
     # with M the mode's augmented matrix, and records every row where
     # exp(M (t_row - t0)) takes it; its source energy is vin times the
-    # integral of iLr, from exp of [[M, I], [0, 0]] h
+    # integral of iLr, and its diode loss while D1 or D2 conducts is
+    # +/- Vf n times that of iLr - iLm, from exp of [[M, I], [0, 0]] h
     expm = pytest.importorskip("scipy.linalg").expm
     x = p["x0"]
     t0 = p["t0"]
@@ -265,6 +267,13 @@ def test_span_matches_matrix_exponential(p):
             abs(x[0]) + size / math.sqrt(LR))), 64 * 2.0 ** -1074)
     else:
         assert acc[0] == 0.0
+    if p["rect"] != kernels.RECT_OFF and p["Vf"] != 0.0:
+        f = p["Vf"] * N if p["rect"] == kernels.RECT_D1 else -p["Vf"] * N
+        dio = f * ((e[0, 5:] - e[2, 5:]) @ z0)
+        assert abs(acc[2] - dio) <= max(1e-12 * (abs(dio) + p["Vf"] * N * h * (
+            size / math.sqrt(LR) + size / math.sqrt(LM))), 64 * 2.0 ** -1074)
+    else:
+        assert acc[2] == 0.0
 
 
 def end_state(p, x, sens=None):

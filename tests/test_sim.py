@@ -108,10 +108,6 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             full_load_cfg(F0, 1, dt_max=0.0)
 
-    def test_rejects_unknown_channel(self):
-        with pytest.raises(ValueError):
-            full_load_cfg(F0, 1, channels=("vOut", "bogus"))
-
 
 class TestOpenRectifierCoast:
     def test_series_currents_stay_identical(self):
@@ -293,7 +289,12 @@ class TestEnergyBalance:
     @given(stage_runs())
     def test_whole_run_power_balance(self, run):
         # the source energy goes to the load, the diodes and the stored
-        # field energy, to rounding, over whole runs of random stages
+        # field energy, to rounding, over whole runs of random stages; and
+        # the logged events walk the conduction modes consistently from the
+        # start state's tag: a diode turns on only while neither conducts
+        # and off only while it conducts, the node swaps rails only in dead
+        # time (between a gate turn-off and the next turn-on), and the walk
+        # ends in the final state's tag
         cfg, start = run
         try:
             res = run_transient(cfg, start)
@@ -310,6 +311,22 @@ class TestEnergyBalance:
         assert e["diode"] >= 0.0
         assert abs(e["source"] - e["load"] - e["diode"] - stored) \
             <= 1e-9 * scale
+        rect = start.rect
+        dead = False
+        for ev in res.events:
+            if ev.kind.startswith("gate_"):
+                dead = ev.kind.endswith("_off")
+            elif ev.kind.startswith("node_clamp_"):
+                assert dead, f"{ev.kind} outside dead time at t={ev.t}"
+            elif ev.kind.endswith("_on"):
+                assert rect == RectPhase.OFF, \
+                    f"{ev.kind} while {rect.name} conducts at t={ev.t}"
+                rect = RectPhase[ev.kind[:2]]
+            else:
+                assert rect == RectPhase[ev.kind[:2]], \
+                    f"{ev.kind} while {rect.name} at t={ev.t}"
+                rect = RectPhase.OFF
+        assert res.final_state.rect == rect
 
 
 class TestRecordOverflow:
@@ -521,15 +538,6 @@ class TestWaveformCsv:
         back = Waveform.from_csv(p)
         assert back.names == wf.names
         assert back.t.size == 0
-
-    def test_channel_subset_is_respected(self, tmp_path):
-        cfg = full_load_cfg(F0, 3, record_stride=16,
-                            channels=("vOut", "iLr"))
-        wf = run_transient(cfg, warm_start_state(cfg)).waveform
-        assert wf.names == ("iLr", "vOut")  # declaration order of CHANNELS
-        p = tmp_path / "subset.csv"
-        wf.to_csv(p)
-        assert Waveform.from_csv(p).names == wf.names
 
 
 def _drive(cfg, initial, record):

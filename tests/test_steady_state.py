@@ -136,7 +136,7 @@ class TestSolvedOperatingPoint:
     def test_recorded_period_matches_a_fresh_driver(self, pop_shooting):
         """The recorded period reuses the solve's step maps; a driver that
         builds its own from scratch writes the same samples bit for bit."""
-        cfg = replace(cfg_at(pop_shooting.fsw), record_stride=1, channels=None)
+        cfg = replace(cfg_at(pop_shooting.fsw), record_stride=1)
         drv = PeriodDriver(cfg, pop_shooting.state, record=True)
         drv.advance_period(pop_shooting.fsw)
         wf = drv.result().waveform
