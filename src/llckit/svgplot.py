@@ -85,16 +85,19 @@ def _log_ticks(lo: float, hi: float) -> tuple[list[float], list[float]]:
 
 
 def _finite_runs(xs, ys):
-    """Split a sampled curve at non-finite values."""
-    run = []
+    """Split a sampled curve at non-finite values into runs of finite
+    samples, yielding each run as an (xs, ys) pair of float lists."""
+    rx, ry = [], []
+    isfinite = math.isfinite
     for x, y in zip(map(float, xs), map(float, ys)):
-        if math.isfinite(x) and math.isfinite(y):
-            run.append((x, y))
-        elif run:
-            yield run
-            run = []
-    if run:
-        yield run
+        if isfinite(x) and isfinite(y):
+            rx.append(x)
+            ry.append(y)
+        elif rx:
+            yield rx, ry
+            rx, ry = [], []
+    if rx:
+        yield rx, ry
 
 
 def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
@@ -102,18 +105,25 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
                      xlim: tuple[float, float] | None = None,
                      ylim: tuple[float, float] | None = None,
                      width: int = 880, height: int = 540) -> None:
-    """Write a line plot of ``series`` (iterable of :class:`Series`) to ``path``."""
+    """Write a line plot of ``series`` (iterable of :class:`Series`) to ``path``.
+
+    Each finite run of a series becomes one polyline.  Its points are
+    written by one ``%`` format on a template that holds the run's x
+    pixels; series sampled on the same x run share that template, so each
+    x is placed and formatted once.  Limits left as None span the finite
+    samples (and, for y, the reference lines) with a 5 % y margin.
+    """
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
 
     if xlim is None:
-        xs = [float(v) for s in series for v in s.x if math.isfinite(float(v))]
+        xs = [v for s in series for v in map(float, s.x) if math.isfinite(v)]
         if not xs:
             raise ValueError("no finite x samples")
         xlim = (min(xs), max(xs))
     if ylim is None:
-        ys = [float(v) for s in series for v in s.y if math.isfinite(float(v))]
+        ys = [v for s in series for v in map(float, s.y) if math.isfinite(v)]
         ys += [h.y for h in hlines]
         if not ys:
             raise ValueError("no finite y samples")
@@ -182,17 +192,21 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
             out.append(f'<text x="{_ML + 6}" y="{float(py) - 4:.2f}" {font} '
                        f'font-size="11" fill="{h.color}">{_esc(h.label)}</text>')
 
-    # curves; series often share their x samples, so each x is formatted once
+    # curves; series often share their x samples, so each x run's template
+    # of formatted x pixels is built once
     out.append('<g clip-path="url(#plotclip)">')
-    x_text: dict[float, str] = {}
+    colors = [s.color or PALETTE[i % len(PALETTE)] for i, s in enumerate(series)]
+    templates: dict[tuple, str] = {}
     y_base, y_span = height - _MB, y1 - y0
-    for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+    for s, color in zip(series, colors):
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
-        for run in _finite_runs(s.x, s.y):
-            x_text.update((x, f"{tx(x):.2f}") for x, _ in run if x not in x_text)
-            pts = " ".join([f"{x_text[x]},{y_base - (y - y0) / y_span * ph:.2f}"
-                            for x, y in run])
+        for rx, ry in _finite_runs(s.x, s.y):
+            key = tuple(rx)
+            tmpl = templates.get(key)
+            if tmpl is None:
+                tmpl = templates[key] = " ".join(
+                    [f"{tx(x):.2f},%.2f" for x in rx])
+            pts = tmpl % tuple([y_base - (y - y0) / y_span * ph for y in ry])
             out.append(f'<polyline points="{pts}" fill="none" '
                        f'stroke="{color}" stroke-width="{s.width}"{dash}/>')
     out.append('</g>')
@@ -202,15 +216,15 @@ def render_line_plot(path, series, *, title: str = "", xlabel: str = "",
                'fill="none" stroke="#333333" stroke-width="1"/>')
 
     # legend, top right inside the frame
-    labeled = [s for s in series if s.label]
+    labeled = [(s, color) for s, color in zip(series, colors) if s.label]
     if labeled:
-        lw, lh = 10 + 8 * max(len(s.label) for s in labeled) + 36, 18 * len(labeled) + 10
+        lw = 10 + 8 * max(len(s.label) for s, _ in labeled) + 36
+        lh = 18 * len(labeled) + 10
         lx, ly = width - _MR - lw - 8, _MT + 8
         out.append(f'<rect x="{lx}" y="{ly}" width="{lw}" height="{lh}" '
                    'fill="#ffffff" fill-opacity="0.85" stroke="#999999" '
                    'stroke-width="0.8"/>')
-        for i, s in enumerate(labeled):
-            color = s.color or PALETTE[series.index(s) % len(PALETTE)]
+        for i, (s, color) in enumerate(labeled):
             dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
             cy = ly + 14 + 18 * i
             out.append(f'<line x1="{lx + 8}" y1="{cy}" x2="{lx + 32}" '

@@ -20,6 +20,7 @@ from .gain import (
     GainBand,
     GainError,
     Region,
+    _load_term,
     _solve_branch,
     classify_region,
     gain_band,
@@ -61,6 +62,11 @@ SERIES_NAMES = tuple(_SERIES)
 # than this fraction.
 HEADROOM_WARN = 0.10
 F0_DRIFT_LIMIT = 0.05
+# The solved peak gain can rise by a few ulps where the exact one falls
+# with Qe (up to 9e-16 relative between nearby Qe, measured), so the
+# design-point search prunes only after a peak that misses the headroom by
+# more than this fraction.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,18 @@ def search_design_point(req: DesignRequirements, n: float,
     step 0.05.  Each candidate is judged in (Ln, Qe) alone:
     :func:`synthesize_tank` builds a tank whose full-load Qe is the
     candidate's, so its light-load Qe is Qe * iout_min / iout_max.
+
+    Per Ln, every Qe at or above the smallest one whose peak missed the
+    headroom is rejected without solving its peak.  That is exact: in
+    ``|Mg(fn)| = Ln fn^2 / |(Ln fn^2 + fn^2 - 1) + j (fn^2 - 1) fn Qe Ln|``
+    the real part of the denominator does not depend on Qe and the
+    imaginary part grows in magnitude with it wherever fn != 1, so |Mg| at
+    every fn, and with it the peak, can only fall as Qe rises.  A peak
+    that misses by less than ``_PRUNE_MARGIN`` (relative) sets no skip, so
+    the rounding of the solved peaks cannot move a pick.  The skip does
+    not depend on the grid order, so unsorted grids keep their pick, and a
+    skipped Qe still raises the ValueError of :func:`peak_gain` when
+    (Qe Ln)^2 overflows.
     """
     if ln_values is None:
         ln_values = [1.5 + 0.5 * k for k in range(18)]
@@ -264,9 +282,17 @@ def search_design_point(req: DesignRequirements, n: float,
     best_width = math.inf
     for ln in ln_values:
         band = gain_band(req, n, ln)
+        need = (1.0 + min_headroom) * band.Mg_max
+        qe_miss = math.inf
         for qe in qe_values:
+            if qe >= qe_miss:
+                # raise the ValueError peak_gain would for an overflowing Qe
+                _load_term(ln, qe)
+                continue
             _, mg_peak = peak_gain(ln, qe)
-            if mg_peak < (1.0 + min_headroom) * band.Mg_max:
+            if mg_peak < need:
+                if mg_peak < need * (1.0 - _PRUNE_MARGIN):
+                    qe_miss = qe
                 continue
             try:
                 # the headroom puts Mg_max below the peak just solved

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,65 @@ class TestSearchDesignPoint:
         monkeypatch.setattr(synthesis, "peak_gain", counting)
         assert search_design_point(REQ, N_REF) == (1.5, 0.1)
         assert len(calls) == len(set(calls))
+
+    def test_peaks_at_or_above_a_miss_are_not_solved(self, monkeypatch):
+        # the peak falls as Qe rises, so past the smallest Qe whose peak
+        # misses the headroom no peak is solved (342 calls before, 153 now)
+        import importlib
+
+        from llckit import synthesis
+        gain = importlib.import_module("llckit.gain")
+        peak_gain = gain.peak_gain
+        calls = []
+
+        def counting(ln, qe):
+            calls.append((ln, qe))
+            return peak_gain(ln, qe)
+
+        monkeypatch.setattr(synthesis, "peak_gain", counting)
+        assert search_design_point(REQ, N_REF) == (1.5, 0.1)
+        ln_values = [1.5 + 0.5 * k for k in range(18)]
+        qe_values = [0.1 + 0.05 * k for k in range(19)]
+        expected = []
+        for ln in ln_values:
+            need = 1.2 * gain.gain_band(REQ, N_REF, ln).Mg_max
+            misses = [qe for qe in qe_values if peak_gain(ln, qe)[1] < need]
+            qe_miss = min(misses, default=math.inf)
+            expected += [(ln, qe) for qe in qe_values if qe <= qe_miss]
+        assert calls == expected
+        assert len(calls) == 153
+
+    @pytest.mark.parametrize("huge", [math.inf, 1e160])
+    def test_a_skipped_qe_still_raises_out_of_range(self, huge):
+        # Qe = 5 misses the headroom at every Ln, so ``huge`` is skipped;
+        # its (Qe Ln)^2 still overflows as it would in peak_gain
+        with pytest.raises(ValueError,
+                           match=re.escape(f"Qe = {huge!r} is out of range")):
+            search_design_point(REQ, N_REF, [2.0], [0.2, 5.0, huge])
+
+    def test_shuffled_grids_keep_their_picks(self):
+        # the skip does not depend on the grid order: the default grid and
+        # each seeded grid, shuffled, give the pick of the sorted grid
+        ln_values = [1.5 + 0.5 * k for k in range(18)]
+        qe_values = [0.1 + 0.05 * k for k in range(19)]
+        rng = random.Random(7)
+        rng.shuffle(ln_values)
+        rng.shuffle(qe_values)
+        assert search_design_point(REQ, N_REF, ln_values, qe_values) == (1.5, 0.1)
+        wrong = []
+        for seed, pick in SEEDED_PICKS.items():
+            req, n, ln_values, qe_values = seeded_search(seed)
+            want = pick and (ln_values[pick[0]], qe_values[pick[1]])
+            rng = random.Random(seed)
+            rng.shuffle(ln_values)
+            rng.shuffle(qe_values)
+            try:
+                got = search_design_point(req, n, ln_values, qe_values)
+            except ValueError:
+                got = None
+            if got != want:
+                wrong.append((seed, got, want))
+        assert not wrong
 
 
 if __name__ == "__main__":

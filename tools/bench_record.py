@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def revision(checkout: Path) -> dict:
-    """Git revision, dirty flag and a SHA-256 over the ``src/`` files."""
+    """Git revision, dirty flag (changes to tracked files other than
+    ``BENCH_*.json``) and a SHA-256 over the ``src/`` files."""
     def git(*args):
         r = subprocess.run(["git", "-C", str(checkout), *args],
                            capture_output=True, text=True)
@@ -39,7 +40,9 @@ def revision(checkout: Path) -> dict:
         if p.is_file() and "__pycache__" not in p.parts:
             digest.update(str(p.relative_to(checkout)).encode() + b"\0")
             digest.update(p.read_bytes())
-    status = git("status", "--porcelain", "--untracked-files=no")
+    # the records this tool writes do not make the code they time dirty
+    status = git("status", "--porcelain", "--untracked-files=no", "--",
+                 ".", ":(exclude)BENCH_*.json")
     return {"rev": git("rev-parse", "HEAD"),
             "dirty": None if status is None else bool(status),
             "src_sha256": digest.hexdigest()}
