@@ -313,6 +313,21 @@ class TestSearchDesignPoint:
                            match=re.escape(f"Qe = {huge!r} is out of range")):
             search_design_point(REQ, N_REF, [2.0], [0.2, 5.0, huge])
 
+    def test_peaks_that_rise_by_rounding_keep_their_pick(self):
+        # the solved peak rises by an ulp from qe to the next float up,
+        # and the headroom threshold sits between the two: the miss at qe
+        # is within rounding, so it must not skip the candidate above it
+        from llckit.gain import peak_gain
+        ln, qe = 2.399502047661044, 0.4736106535436214
+        qe_up = math.nextafter(qe, math.inf)
+        vout = 1.469097242671303
+        req = DesignRequirements(vin_min=2.0, vin_nom=2.0, vin_max=2.0,
+                                 vout_min=1.0874682569205119, vout_nom=vout,
+                                 vout_max=vout, iout_min=0.1, iout_max=1.0,
+                                 f0_target=100e3, fsw_min=1e3, fsw_max=1e7)
+        assert peak_gain(ln, qe)[1] < 1.2 * vout <= peak_gain(ln, qe_up)[1]
+        assert search_design_point(req, 1.0, [ln], [qe, qe_up]) == (ln, qe_up)
+
     def test_shuffled_grids_keep_their_picks(self):
         # the skip does not depend on the grid order: the default grid and
         # each seeded grid, shuffled, give the pick of the sorted grid
