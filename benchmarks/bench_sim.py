@@ -6,11 +6,16 @@ times and prints the best wall time with the period driver's counts:
 kernel steps, events and event-localization iterations, and the wall time
 per step and per switching period.  Then, from the periodic operating
 point at the same frequency, it times one period recorded at every grid
-instant and one unrecorded, the last thing ``find_pop`` does, and prints
-rows, steps and the wall time of each.  Last, from the same point, it
-times 64 unrecorded periods at 110 kHz (1 + 1e-5 k), k = 0 .. 63: like
-the closed loop, which moves the frequency every period, each period has
-a new length, so each builds its own step maps.
+instant and one unrecorded, each with its ``result()``, the last thing
+``find_pop`` does, and prints rows, steps and the wall time of each.
+Next, from the same point, it times 64 unrecorded periods at 110 kHz
+(1 + 1e-5 k), k = 0 .. 63: like the closed loop, which moves the frequency
+every period, each period has a new length, so each builds its own step
+maps.  Last, it times 64 periods from the same point recorded at strides
+8 and 32 (the strides of the ``transient`` and ``step`` benchmark
+workloads) and unrecorded, at 110 kHz and at a new length each period,
+each with the driver's ``result()``, which builds the rows, and prints
+the us per period with rows and without.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -77,8 +82,8 @@ def main() -> int:
             drv = PeriodDriver(period_cfg, state, record=record)
             t0 = time.perf_counter()
             drv.advance_period(cfg.fsw)
+            rows = drv.result().waveform.t.size
             best = min(best, time.perf_counter() - t0)
-        rows = drv.result().waveform.t.size
         print(f"  {label:<10} {rows} rows, {drv.counts['steps']} steps, "
               f"{best * 1e6:.0f} us")
 
@@ -94,6 +99,24 @@ def main() -> int:
           f"length each, best of {args.repeat}")
     print(f"  {drv.counts['steps'] / periods:.1f} steps/period, "
           f"{best / periods * 1e6:.0f} us/period")
+
+    print(f"{periods} periods from the operating point with their result, "
+          f"us/period, best of {args.repeat}")
+    for label, step in (("110 kHz", 0.0), ("new length", 1e-5)):
+        cells = []
+        for stride in (8, 32, 0):
+            run_cfg = dataclasses.replace(cfg, record_stride=max(stride, 1))
+            best = float("inf")
+            for _ in range(args.repeat):
+                drv = PeriodDriver(run_cfg, state, record=stride > 0)
+                t0 = time.perf_counter()
+                for k in range(periods):
+                    drv.advance_period(cfg.fsw * (1.0 + step * k))
+                rows = drv.result().waveform.t.size
+                best = min(best, time.perf_counter() - t0)
+            cells.append(f"{f'stride {stride}' if stride else 'no rows'} "
+                         f"{best / periods * 1e6:.0f} ({rows} rows)")
+        print(f"  {label:<10} " + ", ".join(cells))
     return 0
 
 

@@ -26,7 +26,9 @@ from .sim import (
     SimState,
     warm_start_state,
 )
-from .steady_state import find_pop
+# find_pop stays importable from here for callers that take it from this
+# module; the load step seeds from the solve alone
+from .steady_state import _solve_pop, find_pop  # noqa: F401
 from .synthesis import DesignReport
 from .tank import (
     effective_load,
@@ -255,14 +257,16 @@ def run_load_step(design: DesignReport, scenario: LoadSpec,
         last = scenario.switch_times[-1] if scenario.switch_times else 0.0
         t_end = last + 5e-3
 
+    # the run starts from the operating point's state alone, so the seed
+    # records no period and computes no metrics
     base = LoadSpec(scenario.kind, (scenario.points[0],))
-    pop = find_pop(
+    seed = _solve_pop(
         SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=base,
                   t_end=1.0, dt_max=dt_max),
-        method="shooting")
+        method="shooting")[0]
     cfg = SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=scenario,
                     t_end=t_end, dt_max=dt_max, record_stride=record_stride)
-    out = run_closed_loop(cfg, ctrl, initial=pop.state, fsw0=fsw0)
+    out = run_closed_loop(cfg, ctrl, initial=seed, fsw0=fsw0)
 
     tr = out.trace
     t_first = scenario.switch_times[0] if scenario.switch_times else 0.0

@@ -36,11 +36,16 @@ largest row sum of |A| in energy coordinates).  On the reference tank the
 bound is 9.5 us against the 10.0 us D1/D2 series resonance, so H is
 1.19 us and a switching period at 110 kHz takes 12 steps.
 
-Waveform rows on the record grid never end a step.  Each is the Taylor
-series of the step it falls in, summed at its own instant
-(``_put_grid_rows``): with numpy for all the rows of a call at once, or in
-plain Python when a call holds only a few.  The state carried from step to
-step is the map's, so what is recorded cannot move the trajectory.
+Waveform rows on the record grid never end a step, and a call does not
+evaluate them: it hands back its row plan, the rows at its entry, its
+events and its end, and for each step the grid rows that fall in it with
+the step's start, state and mode.  ``build_rows`` turns the plans of a
+whole run into its record in one numpy pass: each grid row is the Taylor
+series of its step, from the mode's table, summed at its own instant by
+Horner's rule.  Its numpy calls grow with the run's modes and chunks of
+rows, not with its calls, and each row depends on its own step alone.
+The state carried from step to step is the map's, so what is recorded
+cannot move the trajectory.
 
 Mode boundaries are event-function zeros, located by a safeguarded Newton
 iteration on the step's Taylor polynomial (``_root``):
@@ -70,11 +75,11 @@ inside a step, located where the component's rate changes sign.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:
-its waveform rows as one array sized to them, its events appended to the
-caller's list, and its source, load and diode energy.  A record stride of
-0 writes no rows at all.  The stepping is scalar float64 arithmetic in a
-fixed order, and the rows' numpy arithmetic is fixed by the call's
-inputs, so equal inputs give equal bits.
+its row plan, its events appended to the caller's list, and its source,
+load and diode energy.  A record stride of 0 plans no rows at all.  The
+stepping is scalar float64 arithmetic in a fixed order, and each row's
+numpy arithmetic is fixed by its own step, so equal inputs give equal
+bits.
 
 On request a call also carries the sensitivity S = dx/dx0 of the state to
 an earlier one, as a 4x4 array: the derivative of the map the steps
@@ -161,17 +166,15 @@ def _term_count(theta):
 
 # Taylor terms past w_0 that a step of the cap length H sums (rho H = pi/4)
 _ROW_K = _term_count(STEP_FRACTION * 2.0 * math.pi)
-# a call with at most this many grid rows sums them in plain Python: below
-# it, numpy's fixed cost per call outweighs its saving per row
-_ROWS_SCALAR = 8
+# grid rows, and grid blocks, that ``build_rows`` evaluates at once: its
+# temporaries stay within about 1 MB
+_ROW_CHUNK = 1024
+_BLOCK_CHUNK = 256
 
 # record row layout
 REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
 # the powers 0 .. _ROW_K of a step fraction (``_phi``)
 _POWERS = np.arange(_ROW_K + 1.0)
-# what a call at stride 0 hands back for its rows
-_NO_ROWS = np.empty((0, REC_COLS))
-_NO_ROWS.flags.writeable = False
 
 # event-function slots: (slot, c0, c1, c2, c3, d, side) for
 # g = c0 iLr + c1 vCr + c2 iLm + c3 vOut + d, firing when side * g turns
@@ -634,71 +637,114 @@ def _grid_rows(t0, dt, k, stride, n_cells, t_end):
     return j + 1
 
 
-def _put_grid_rows(rec, blocks, t0, dt, k, stride, cap, seg_kind, n,
-                   load_kind, load_val):
-    """Write the grid rows t0 + dt k, t0 + dt (k + stride), ... of a call.
+def _put_point(points, rec_n, same, row):
+    """Add a point row after the call's last row, or, when it falls at the
+    last row's instant (``same``), in its place.  Returns the row count."""
+    if not same:
+        rec_n += 1
+    elif points[-1][0] == rec_n - 1:
+        points.pop()  # a point row at that instant: this one replaces it
+    points.append((rec_n - 1, row))
+    return rec_n
 
-    Each block (row, t_a, (x, 1), count, m, vsw, rect, sink) holds the next
-    ``count`` of them, from rec row ``row`` on, inside one step of mode m
-    that starts at t_a from state x; each row is the step's Taylor series
-    at its own instant.  A few rows are summed in plain Python from the
-    series over t_a to the block's last row; more go through numpy at
-    once, the terms of every block from its mode's Taylor table over the
-    step cap (``_terms``), x(t_a + tau) = sum_k (tau / cap)^k w_k.
+
+def build_rows(plans):
+    """The (rows, ``REC_COLS``) float64 record of the row plans that
+    consecutive ``integrate_segment`` calls hand back, in call order.
+
+    A plan is (rows, points, blocks, grid): the call's row count; its point
+    rows as (row, values), the entry row, the event rows and the end row;
+    its grid blocks as its steps reserve them, (row, t_a, (x, 1), count,
+    m, vsw, rect, sink): the next ``count`` grid rows from row ``row`` on
+    lie inside one step of mode m that starts at t_a from state x; and
+    grid = (t0, dt, k_first, stride, cap, seg_kind, n, load_kind,
+    load_val): the call's grid rows sit at t0 + dt k for k = k_first,
+    k_first + stride, ...  A call's first row replaces the last row of the
+    call before when the two share an instant.
+
+    Each grid row is its step's Taylor series at its own instant s cap
+    past the step start, x(t_a + s cap) = sum_k s^k w_k, with the step's
+    terms w_k = (x, 1) . W from its mode's table over the step cap
+    (``_terms``), formed mode by mode, and the sum taken by Horner's rule
+    for all the rows at once.  So the numpy calls grow with the modes and
+    with the rows over ``_ROW_CHUNK``, not with the calls, and every
+    operation on a row is elementwise, so its bits depend on its own step
+    alone.  Point rows are written last, over a grid row at their own
+    instant.
     """
-    total = sum(b[3] for b in blocks)
-    if total <= _ROWS_SCALAR:
-        for r, ta, x, cnt, m, vsw, rect, sink in blocks:
-            h = t0 + dt * (k + (cnt - 1) * stride) - ta
-            w = _series(*x[:4], m[7], m[8], m[9], h, m)
-            for i in range(cnt):
-                t = t0 + dt * k
-                k += stride
-                x0, x1, x2, x3 = _at(w, (t - ta) / h)
-                rec[r + i] = (t, x0, x1, x2, x3, vsw,
-                              _iout(sink, rect, x0, x2, x3, n, load_kind,
-                                    load_val),
-                              rect, seg_kind)
-        return
-    rows, ta, xs, cnt, ms, vsw, rect, sink = zip(*blocks)
-    # each block's terms, (x, 1) . W of its mode
-    w = np.matmul(np.array(xs)[:, None, :],
-                  np.array([_terms(m, cap) for m in ms]).reshape(
-                      len(blocks), 5, -1))
-    w = w.reshape(len(blocks), _ROW_K + 1, 4)
-    t = t0 + dt * np.arange(k, k + stride * total, stride)
-    # the powers of s = tau / cap, one row per power, doubling the filled
-    # rows each time
-    p = np.empty((_ROW_K + 1, total))
-    p[0] = 1.0
-    p[1] = (t - np.repeat(ta, cnt)) / cap
-    j = 1
-    while j < _ROW_K:
-        c = min(j, _ROW_K - j)
-        np.multiply(p[1:c + 1], p[j], out=p[j + 1:j + c + 1])
-        j += c
-    out = np.empty((total, REC_COLS))
-    a = 0
-    for j, c in enumerate(cnt):
-        out[a:a + c, 1:5] = p[:, a:a + c].T @ w[j]
-        a += c
-    out[:, 0] = t
-    out[:, 5] = np.repeat(vsw, cnt)
-    if load_kind == LOAD_RES:
-        out[:, 6] = out[:, 4] / load_val
-    else:
-        held = [sk == SINK_HELD and rc != RECT_OFF
-                for sk, rc in zip(sink, rect)]
-        level = [0.0 if sk == SINK_HELD else load_val for sk in sink]
-        out[:, 6] = np.where(np.repeat(held, cnt),
-                             n * np.abs(out[:, 1] - out[:, 3]),
-                             np.repeat(level, cnt))
-    out[:, 7] = np.repeat(rect, cnt)
-    out[:, 8] = seg_kind
-    a = 0
-    for r, c in zip(rows, cnt):
-        rec[r:r + c] = out[a:a + c]
-        a += c
+    n_rows = 0
+    at, points, blocks = [], [], []
+    modes = {}  # id of a mode record -> its index in tables
+    tables = []  # each mode's Taylor table as (unit state, power, component)
+    for rec_n, pts, grid_blocks, grid in plans:
+        if at and at[-1] == n_rows - 1 and points[-1][0] == pts[0][1][0]:
+            at.pop()
+            points.pop()
+            n_rows -= 1
+        at += [n_rows + r for r, _ in pts]
+        points += [row for _, row in pts]
+        t0, dt, k, stride, cap, seg_kind, n, load_kind, load_val = grid
+        for r, ta, x, cnt, m, vsw, rect, sink in grid_blocks:
+            if id(m) not in modes:
+                modes[id(m)] = len(tables)
+                tables.append(_terms(m, cap).reshape(5, -1))
+            held = sink == SINK_HELD
+            blocks.append((modes[id(m)], n_rows + r, cnt, k, stride, t0, dt,
+                           ta, cap, *x, vsw, rect, seg_kind, n,
+                           held and rect != RECT_OFF,
+                           0.0 if held else load_val, load_val,
+                           load_kind == LOAD_RES))
+            k += cnt * stride
+        n_rows += rec_n
+    out = np.empty((n_rows, REC_COLS))
+    if blocks:
+        _put_grid_rows(out, np.array(blocks, dtype=float).T, tables)
+    if at:
+        out[at] = points
+    return out
+
+
+def _put_grid_rows(out, f, tables):
+    """Write the grid rows of the blocks f (by field, then block: see
+    ``build_rows``) into the record out."""
+    end = np.cumsum(f[2])  # past each block's last grid row
+    # grid row r of the run: record row r + f[1], grid index f[3] + r f[4]
+    f[1] -= end - f[2]
+    f[3] -= (end - f[2]) * f[4]
+    for b0 in range(0, f.shape[1], _BLOCK_CHUNK):
+        fc = f[:, b0:b0 + _BLOCK_CHUNK]
+        ends = end[b0:b0 + _BLOCK_CHUNK]
+        # the blocks' terms (x, 1) . W, mode by mode, as (power, component,
+        # block)
+        w = np.empty((4 * (_ROW_K + 1), fc.shape[1]))
+        for g, table in enumerate(tables):
+            sel = fc[0] == g
+            if sel.any():
+                x = fc[9:14, sel]
+                wg = table[0][:, None] * x[0]
+                for i in range(1, 5):
+                    wg += table[i][:, None] * x[i]
+                w[:, sel] = wg
+        w = w.reshape(_ROW_K + 1, 4, -1)
+        for a in range(int(ends[0] - fc[2, 0]), int(ends[-1]), _ROW_CHUNK):
+            r = np.arange(a, min(a + _ROW_CHUNK, ends[-1]))
+            i = np.searchsorted(ends, r, side="right")
+            fb = np.take(fc, i, axis=1)
+            rows = np.empty((REC_COLS, r.size))
+            rows[0] = fb[5] + fb[6] * (fb[3] + r * fb[4])
+            s = (rows[0] - fb[7]) / fb[8]
+            # x(t_a + s cap) by Horner's rule, as ``_at``
+            x = rows[1:5]
+            np.take(w[_ROW_K], i, axis=1, out=x)
+            for k in range(_ROW_K - 1, -1, -1):
+                x *= s
+                x += np.take(w[k], i, axis=1)
+            rows[5] = fb[14]
+            rows[6] = np.where(fb[18] != 0.0,
+                               fb[17] * np.abs(x[0] - x[2]), fb[19])
+            np.divide(x[3], fb[20], out=rows[6], where=fb[21] != 0.0)
+            rows[7:] = fb[15:17]
+            out[(r + fb[1]).astype(np.intp)] = rows.T
 
 
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
@@ -710,13 +756,13 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     The span is split into count = ceil(span / H) equal steps of length
     hp = span / count, whatever is recorded; a whole step applies its
     mode's map over hp (``_step_map``), read off the mode's Taylor table and
-    cached per mode by hp.  Rows are written at t0, at the grid instants
+    cached per mode by hp.  Rows are planned at t0, at the grid instants
     t0 + dt (k + 1) for k % stride == 0 (dt = span / ceil(span / dt_max)),
     at every event and at t1, a later row replacing one at the same
-    instant; stride 0 writes no rows at all.  A grid row comes from the
-    Taylor terms of the step it falls in (``_put_grid_rows``), so the
-    record never changes the steps taken; rows at events and at t1 hold
-    the state the steps carry.
+    instant; stride 0 plans no rows at all.  A grid row is planned as the
+    step it falls in, and ``build_rows`` sums it from that step's Taylor
+    terms, so the record never changes the steps taken; rows at events and
+    at t1 hold the state the steps carry.
     Each logged event is appended to the list ``events`` as (t, code).
     maps is the cache of mode records, with their tables and step maps;
     pass the same dict to every call of one run (a fresh one when None).
@@ -729,16 +775,16 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     (``_saltation``).  The entry settle and the gate edges sit at fixed
     times and move nothing.  Returns
 
-        (err, rows, ev_n, rect, clamp_hi,
+        (err, plan, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
          steps, loc_iters, e_src, e_load, e_dio, sens)
 
-    with err one of the ERR_* codes, rows the (rows, ``REC_COLS``) float64
-    record (no rows at stride 0), ev_n the events this call logged, steps
-    the propagation steps taken, loc_iters the root-search iterations spent
-    locating events, the source energy, load energy and diode loss of the
-    span, and S at t1 (None without sens); on err != 0 the state is
-    whatever was reached and the caller is expected to abort.
+    with err one of the ERR_* codes, plan the call's row plan for
+    ``build_rows`` (None at stride 0), ev_n the events this call logged,
+    steps the propagation steps taken, loc_iters the root-search
+    iterations spent locating events, the source energy, load energy and
+    diode loss of the span, and S at t1 (None without sens); on err != 0
+    the state is whatever was reached and the caller is expected to abort.
     """
     if maps is None:
         maps = {}
@@ -766,10 +812,12 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     if code != 0:
         events.append((t0, code))
     rows_on = stride > 0
+    points = []  # (row, values) of the entry, event and end rows
     if rows_on:
-        row_0 = (t0, iLr, vCr, iLm, vOut, vsw,
-                 _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
-                 rect, seg_kind)
+        points.append((0, (t0, iLr, vCr, iLm, vOut, vsw,
+                           _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
+                                 load_val),
+                           rect, seg_kind)))
     rec_n = 1
 
     span = t1 - t0
@@ -786,8 +834,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     # the grid rows t0 + dt k for k = 1, 1 + stride, ... below n_cells: k_row
     # is the next one's index (past the grid at stride 0) and t_row its
     # instant (inf past the last).  Each step reserves the rows it holds as
-    # a block; they are written at the end, and then the event rows, each
-    # over a row at its own instant
+    # a block for ``build_rows``; an event row takes the place of the row
+    # at its own instant
     k_row = 1 if stride > 0 else n_cells
     t_row = t0 + dt * k_row if k_row < n_cells else math.inf
     while t_row <= t0:  # a grid below t0's resolution
@@ -795,7 +843,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         t_row = t0 + dt * k_row if k_row < n_cells else math.inf
     k_first = k_row
     blocks = []
-    ev_rows = []
     t_last = t0  # the instant of the last row
 
     # per-mode quantities, refreshed at entry and after each transition:
@@ -1040,13 +1087,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             if codes:
                 events.extend((t_ev, code) for code in codes)
                 if rows_on:
-                    if t_last != t_ev:
-                        rec_n += 1
-                    ev_rows.append((rec_n - 1, (
+                    rec_n = _put_point(points, rec_n, t_last == t_ev, (
                         t_ev, iLr, vCr, iLm, vOut, vsw,
                         _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
                               load_val),
-                        rect, seg_kind)))
+                        rect, seg_kind))
                     t_last = t_ev
 
             sp_src = sp_dio = 0.0
@@ -1060,26 +1105,17 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         if err != ERR_OK:
             break
 
-    rec = _NO_ROWS
+    plan = None
     if rows_on:
-        # the t1 row, over a row at t1
-        t1_row = err == ERR_OK and count > 0
-        if t1_row and t_last != t1:
-            rec_n += 1
-        rec = np.empty((rec_n, REC_COLS))
-        rec[0] = row_0
-        if blocks:
-            _put_grid_rows(rec, blocks, t0, dt, k_first, stride, cap,
-                           seg_kind, n, load_kind, load_val)
-        for r, row in ev_rows:
-            rec[r] = row
-        if t1_row:
-            rec[rec_n - 1] = (t1, iLr, vCr, iLm, vOut, vsw,
-                              _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
-                                    load_val),
-                              rect, seg_kind)
+        if err == ERR_OK and count > 0:
+            rec_n = _put_point(points, rec_n, t_last == t1, (
+                t1, iLr, vCr, iLm, vOut, vsw,
+                _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
+                rect, seg_kind))
+        plan = (rec_n, points, blocks, (t0, dt, k_first, stride, cap,
+                                        seg_kind, n, load_kind, load_val))
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
-    return (err, rec, len(events) - ev_0, rect, clamp_hi,
+    return (err, plan, len(events) - ev_0, rect, clamp_hi,
             iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
             steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens)

@@ -6,15 +6,18 @@ side.  Each segment is handed to the kernel (:mod:`llckit.kernels`), which
 steps the piecewise-linear circuit by each mode's exact propagator and
 locates rectifier, dead-time and sink events on the exact trajectory.  The
 driver keeps the kernel's propagator cache for the run, has each call append
-its events to the run's log, keeps the rows each call hands back, adds up
-its energies, and counts the kernel's steps, its localization iterations and
-the events by kind (:attr:`PeriodDriver.counts`).  ``dt_max`` (default: a
-period over ``STEPS_PER_PERIOD``) sets the grid that waveform rows sit on;
-an unrecorded driver (``record=False``, as the steady-state solvers run)
-asks the kernel for no rows at all.  Reset with ``jacobian=True``, a
-driver also has the kernel carry the derivative of the state with respect
-to the reset state (:attr:`PeriodDriver.jacobian`), which after one period
-is the Jacobian of the period map.
+its events to the run's log, keeps the row plan each call hands back, adds
+up its energies, and counts the kernel's steps, its localization iterations
+and the events by kind (:attr:`PeriodDriver.counts`).  The waveform rows are
+built from the plans in one pass when the result is asked for
+(:meth:`PeriodDriver.result`, through ``kernels.build_rows``), so their
+numpy work is paid once per run rather than once per kernel call.
+``dt_max`` (default: a period over ``STEPS_PER_PERIOD``) sets the grid that
+waveform rows sit on; an unrecorded driver (``record=False``, as the
+steady-state solvers run) asks the kernel for no rows at all.  Reset with
+``jacobian=True``, a driver also has the kernel carry the derivative of the
+state with respect to the reset state (:attr:`PeriodDriver.jacobian`),
+which after one period is the Jacobian of the period map.
 
 During dead time the switching node is clamped to a rail by whichever body
 diode the resonant current forces into conduction; a gate edge that finds
@@ -440,7 +443,7 @@ class PeriodDriver:
         self._x = [float(state.iLr), float(state.vCr), float(state.iLm),
                    float(state.vOut)]
         self._rect = int(state.rect)
-        self._chunks: list = []
+        self._plans: list = []
         self._events: list = []
         self._zvs: list = []
         self._energy = [0.0, 0.0, 0.0]  # source, load, diode
@@ -492,7 +495,7 @@ class PeriodDriver:
         if stride and math.ceil((t_b - t_a) / dt_eff) // stride > _REC_CAP_MAX:
             raise RecordOverflow("waveform rows of one span exceed the hard cap")
         x = self._x
-        (err, rows, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
+        (err, plan, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
          steps, loc_iters, e_src, e_load, e_dio,
          self._sens) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
@@ -527,7 +530,7 @@ class PeriodDriver:
         if m3 > pmax[3]:
             pmax[3] = m3
         if self.record:
-            self._chunks.append(rows)
+            self._plans.append(plan)
         return clamp_out
 
     def _load_pieces(self, s_a: float, s_end: float):
@@ -594,14 +597,7 @@ class PeriodDriver:
             self.periods += 1
 
     def result(self) -> SimResult:
-        if self._chunks:
-            rows = np.concatenate(self._chunks, axis=0)
-            t = rows[:, 0]
-            keep = np.ones(rows.shape[0], dtype=bool)
-            keep[:-1] = t[:-1] != t[1:]  # same instant: the later row wins
-            rows = rows[keep]
-        else:
-            rows = np.empty((0, kernels.REC_COLS))
+        rows = kernels.build_rows(self._plans)
         channels = {  # in the order of CHANNELS
             "vsw": rows[:, 5],
             "iLr": rows[:, 1],

@@ -275,15 +275,10 @@ def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
     )
 
 
-def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
-             max_cycles: int = 2000) -> PopResult:
-    """Find the periodic operating point at ``cfg.fsw``.
-
-    The load must be time-invariant (a single point); soft-start settings
-    are ignored because the search runs at the commanded frequency only.
-    Raises :class:`NoConvergence` or :class:`Divergence` when the search
-    fails, ``ValueError`` on a misconfigured request.
-    """
+def _solve_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
+               max_cycles: int = 2000):
+    """:func:`find_pop`'s solve alone: (state, residual, cycles, trace,
+    the unrecorded driver it ran on), without the recorded period."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if cfg.load.switch_times:
@@ -299,6 +294,19 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     else:
         state, res, cycles, trace = _solve_shooting(drv, state0, cfg.fsw,
                                                     tol, max_cycles)
+    return state, res, cycles, trace, drv
+
+
+def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
+             max_cycles: int = 2000) -> PopResult:
+    """Find the periodic operating point at ``cfg.fsw``.
+
+    The load must be time-invariant (a single point); soft-start settings
+    are ignored because the search runs at the commanded frequency only.
+    Raises :class:`NoConvergence` or :class:`Divergence` when the search
+    fails, ``ValueError`` on a misconfigured request.
+    """
+    state, res, cycles, trace, drv = _solve_pop(cfg, method, tol, max_cycles)
 
     # one fully recorded period at the fixed point for waveform and metrics
     period = 1.0 / cfg.fsw

@@ -283,6 +283,10 @@ def search_design_point(req: DesignRequirements, n: float,
     for ln in ln_values:
         band = gain_band(req, n, ln)
         need = (1.0 + min_headroom) * band.Mg_max
+        # the light-load edge is solved only where the full-load edge
+        # passes, unless its target or Qe is out of range (an infinite
+        # vin_max, say): then its ValueError comes at the same candidate
+        quiet = band.Mg_min > 0.0 and 0.0 <= light <= 1.0
         qe_miss = math.inf
         for qe in qe_values:
             if qe >= qe_miss:
@@ -297,13 +301,18 @@ def search_design_point(req: DesignRequirements, n: float,
             try:
                 # the headroom puts Mg_max below the peak just solved
                 fn_lo = _solve_branch(ln, qe, band.Mg_max)
+            except GainError:
+                continue
+            f0 = req.f0_target
+            lo_ok = (classify_region(NormalizedPoint(ln, qe, fn_lo))
+                     is Region.INDUCTIVE and not fn_lo * f0 < req.fsw_min)
+            if not lo_ok and quiet:
+                continue
+            try:
                 fn_hi = solve_frequency(ln, qe * light, band.Mg_min)
             except GainError:
                 continue
-            if classify_region(NormalizedPoint(ln, qe, fn_lo)) is not Region.INDUCTIVE:
-                continue
-            f0 = req.f0_target
-            if fn_lo * f0 < req.fsw_min or fn_hi * f0 > req.fsw_max:
+            if not lo_ok or fn_hi * f0 > req.fsw_max:
                 continue
             width = (fn_hi - fn_lo) * f0
             if width < best_width:

@@ -84,9 +84,9 @@ def segments(draw):
 
 
 def run(p):
-    """The call's outputs with its rows replaced by their count, the rows,
-    its events as a (count, 2) array and its (source, load, diode)
-    energy."""
+    """The call's outputs with its row plan replaced by its row count, the
+    rows built from the plan (``kernels.build_rows``), its events as a
+    (count, 2) array and its (source, load, diode) energy."""
     events = []
     x = p["x0"]
     out = kernels.integrate_segment(
@@ -95,7 +95,7 @@ def run(p):
         p["load_kind"], p["load_val"], p["dt_max"], p["tol_t"], p["stride"],
         events)
     assert out[2] == len(events)
-    rows = out[1]
+    rows = kernels.build_rows([] if out[1] is None else [out[1]])
     return (out[:1] + (rows.shape[0],) + out[2:], rows,
             np.array(events, dtype=float).reshape(-1, 2),
             np.array(out[15:18]))
@@ -135,6 +135,41 @@ def test_record_stride_leaves_the_run_alone(p):
         assert o[:1] + o[2:] == out[:1] + out[2:]
         assert e.tobytes() == ev.tobytes()
         assert a.tobytes() == acc.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(segments())
+def test_grid_rows_are_their_steps_series(p):
+    # every grid row of a call sits at t0 + dt k and holds the Taylor series
+    # of the step it falls in, summed in plain Python at its own instant
+    # (``_series`` and ``_at``): numpy sums it in another order, so they
+    # agree to a few ulps of the magnitude of the series' terms, taken in
+    # energy coordinates, where all four states weigh alike
+    scale = np.sqrt(np.array([LR, CR, LM, p["Cout"]]))
+    for stride in (1, 7, 64):
+        events = []
+        x = p["x0"]
+        out = kernels.integrate_segment(
+            x[0], x[1], x[2], x[3], p["t0"], p["t1"], p["seg"], p["clamp"],
+            p["rect"], p["vin"], LR, CR, LM, N, p["Vf"], p["Cout"],
+            p["load_kind"], p["load_val"], p["dt_max"], p["tol_t"], stride,
+            events)
+        rows = kernels.build_rows([out[1]])
+        _, points, blocks, (t0, dt, k, _, _, seg, *_) = out[1]
+        at_points = {r for r, _ in points}
+        for r, ta, xs, count, m, vsw, rect, _ in blocks:
+            for i, row in enumerate(rows[r:r + count]):
+                t = t0 + dt * k
+                k += stride
+                if r + i in at_points:  # a point row took its place
+                    continue
+                assert row[0] == t and row[5] == vsw
+                assert row[7] == rect and row[8] == seg
+                w = kernels._series(*xs[:4], m[7], m[8], m[9], t - ta, m)
+                ref = kernels._at(w, 1.0)
+                size = np.max(scale * np.sum(np.abs(np.array(w)), axis=0))
+                assert np.max(scale * np.abs(row[1:5] - ref)) \
+                    <= 8 * 2.0 ** -52 * size
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

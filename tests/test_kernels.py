@@ -33,8 +33,9 @@ def call_segment(x0, t0, t1, seg, clamp, rect, vin, load_val, dt_max,
     assert out[2] == len(events)
     return {
         "rect": out[3], "clamp": out[4],
-        "x": np.array(out[5:9]), "maxes": out[9:13],
-        "rec": out[1], "ev": np.array(events, dtype=float).reshape(-1, 2),
+        "x": np.array(out[5:9]), "maxes": out[9:13], "plan": out[1],
+        "rec": None if out[1] is None else kernels.build_rows([out[1]]),
+        "ev": np.array(events, dtype=float).reshape(-1, 2),
         "acc": np.array(out[15:18]),
     }
 
@@ -58,7 +59,7 @@ class TestExactPropagator:
             assert out["ev"].shape[0] == 0
             rows = out["rec"]
             if stride == 0:
-                assert rows.shape == (0, kernels.REC_COLS)  # no rows at all
+                assert out["plan"] is None  # no rows at all
             else:
                 t = rows[:, 0]
                 assert np.all(rows[:, 1] == rows[:, 3])  # series constraint
@@ -231,7 +232,7 @@ class TestSinkCutoff:
             il, 5e-9, 1e-18, 1, events)
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
-        rows = out[1]
+        rows = kernels.build_rows([out[1]])
         before = rows[:, 0] < t_cut
         assert 0 < np.count_nonzero(before) < rows.shape[0]
         ramp = v0 - il * rows[before, 0] / COUT
@@ -283,7 +284,7 @@ class TestSinkCutoff:
             1, events)
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
-        rows = out[1]
+        rows = kernels.build_rows([out[1]])
         held = rows[:, 0] <= t_lift
         assert 0 < np.count_nonzero(held) < rows.shape[0]
         assert np.all(rows[held, 4] == 0.0)

@@ -577,24 +577,65 @@ class TestRecordingLeavesTheRunAlone:
 
 
     def test_unrecorded_periods_sum_no_grid_rows(self, monkeypatch):
-        # a driver that keeps no waveform has the kernel sum no grid rows;
-        # a recorded period, as the control, does
-        calls = []
-        put = kernels._put_grid_rows
+        # a driver that keeps no waveform has the kernel plan no rows and
+        # evaluates none; a recorded period, as the control, plans rows in
+        # every call and builds them in one pass
+        plans = []
+        built = []
+        segment = kernels.integrate_segment
+        build = kernels.build_rows
 
-        def counting(*args):
-            calls.append(args[2])
-            return put(*args)
+        def planning(*args):
+            out = segment(*args)
+            plans.append(out[1])
+            return out
 
-        monkeypatch.setattr(kernels, "_put_grid_rows", counting)
+        def building(call_plans):
+            rows = build(call_plans)
+            built.append((len(call_plans), rows.shape[0]))
+            return rows
+
+        monkeypatch.setattr(kernels, "integrate_segment", planning)
+        monkeypatch.setattr(kernels, "build_rows", building)
         cfg = full_load_cfg(F0, 1.0)
         drv = sim.PeriodDriver(cfg, warm_start_state(cfg), record=False)
         for _ in range(5):
             drv.advance_period(F0)
         assert drv.periods == 5
-        assert calls == []
-        sim.PeriodDriver(cfg, warm_start_state(cfg)).advance_period(F0)
-        assert len(calls) == 4
+        assert drv.result().waveform.t.size == 0
+        assert plans == [None] * 20
+        assert built == [(0, 0)]
+        plans.clear()
+        built.clear()
+        drv = sim.PeriodDriver(cfg, warm_start_state(cfg))
+        drv.advance_period(F0)
+        rows = drv.result().waveform.t.size
+        assert len(plans) == 4 and None not in plans
+        assert built == [(4, rows)] and rows > 4
+
+    def test_run_rows_are_the_calls_rows(self, monkeypatch):
+        # the run's record, built in one pass over chunks of rows and of
+        # steps, holds each call's own rows bit for bit, less the earlier
+        # of two rows at one instant where calls meet
+        plans = []
+        segment = kernels.integrate_segment
+
+        def planning(*args):
+            out = segment(*args)
+            plans.append(out[1])
+            return out
+
+        monkeypatch.setattr(kernels, "integrate_segment", planning)
+        cfg = full_load_cfg(F0, 25, record_stride=8)
+        wf = run_transient(cfg, warm_start_state(cfg)).waveform
+        calls = np.concatenate([kernels.build_rows([p]) for p in plans])
+        calls = calls[np.append(calls[:-1, 0] != calls[1:, 0], True)]
+        assert wf.t.size > 4 * kernels._ROW_CHUNK
+        assert sum(len(p[2]) for p in plans) > kernels._BLOCK_CHUNK
+        assert wf.t.tobytes() == calls[:, 0].tobytes()
+        for j, name in enumerate(("iLr", "vCr", "iLm", "vOut", "vsw",
+                                  "iOut"), 1):
+            assert wf[name].tobytes() == calls[:, j].tobytes()
 
 
 class TestSinkCurrent:

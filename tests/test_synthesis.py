@@ -226,6 +226,86 @@ SEEDED_PICKS = {
 }
 
 
+def search_light_edge_first(req, n, ln_values, qe_values, min_headroom):
+    """The design-point search with the light-load edge solved together
+    with the full-load one, before either is checked: the order the search
+    used to take, kept as the reference for the pick and for the error."""
+    from llckit import synthesis
+    from llckit.gain import (
+        GainError,
+        NormalizedPoint,
+        Region,
+        _load_term,
+        _solve_branch,
+        classify_region,
+        gain_band,
+        peak_gain,
+        solve_frequency,
+    )
+    light = req.iout_min / req.iout_max
+    best, best_width = None, math.inf
+    for ln in ln_values:
+        band = gain_band(req, n, ln)
+        need = (1.0 + min_headroom) * band.Mg_max
+        qe_miss = math.inf
+        for qe in qe_values:
+            if qe >= qe_miss:
+                _load_term(ln, qe)
+                continue
+            _, mg_peak = peak_gain(ln, qe)
+            if mg_peak < need:
+                if mg_peak < need * (1.0 - synthesis._PRUNE_MARGIN):
+                    qe_miss = qe
+                continue
+            try:
+                fn_lo = _solve_branch(ln, qe, band.Mg_max)
+                fn_hi = solve_frequency(ln, qe * light, band.Mg_min)
+            except GainError:
+                continue
+            if classify_region(NormalizedPoint(ln, qe, fn_lo)) \
+                    is not Region.INDUCTIVE:
+                continue
+            f0 = req.f0_target
+            if fn_lo * f0 < req.fsw_min or fn_hi * f0 > req.fsw_max:
+                continue
+            width = (fn_hi - fn_lo) * f0
+            if width < best_width:
+                best, best_width = (ln, qe), width
+    if best is None:
+        raise ValueError("no (Ln, Qe) candidate satisfies the constraints")
+    return best
+
+
+def random_search(rng):
+    """A random requirement set, turns ratio, (Ln, Qe) grids and headroom:
+    light loads at and above zero, input ranges up to the nominal and past
+    it (to infinity, which makes the light-load target 0), and band limits
+    that cut either edge."""
+    vin_nom = rng.uniform(20.0, 60.0)
+    u = rng.random()
+    if u < 0.3:
+        vin_max = vin_nom
+    elif u < 0.4:
+        vin_max = math.inf
+    else:
+        vin_max = vin_nom * rng.uniform(1.0, 1.6)
+    vout_nom = rng.uniform(3.0, 30.0)
+    iout_max = rng.uniform(0.1, 3.0)
+    f0 = rng.uniform(50e3, 200e3)
+    req = DesignRequirements(
+        vin_min=vin_nom * rng.uniform(0.6, 1.0), vin_nom=vin_nom,
+        vin_max=vin_max, vout_min=vout_nom * rng.uniform(0.8, 1.0),
+        vout_nom=vout_nom, vout_max=vout_nom * rng.uniform(1.0, 1.2),
+        iout_min=0.0 if rng.random() < 0.4 else iout_max * rng.random(),
+        iout_max=iout_max, f0_target=f0,
+        fsw_min=f0 * rng.uniform(0.4, 0.95),
+        fsw_max=f0 * rng.uniform(1.05, 1.8))
+    n = choose_turns_ratio(req, rng.uniform(0.85, 1.15))
+    ln_values = sorted(rng.uniform(1.1, 10.0) for _ in range(6))
+    qe_values = sorted(10.0 ** rng.uniform(-1.5, 0.5) for _ in range(8))
+    return req, n, ln_values, qe_values, rng.choice((0.0, 0.1, 0.2, 0.3))
+
+
 class TestSearchDesignPoint:
     def test_seeded_picks_are_pinned(self):
         wrong = []
@@ -239,6 +319,30 @@ class TestSearchDesignPoint:
             if got != pick:
                 wrong.append((seed, got, pick))
         assert not wrong
+
+    def test_full_load_edge_first_keeps_every_pick_and_error(self):
+        # the light-load edge is solved only for a candidate whose
+        # full-load edge passes: over 600 random requirement sets the pick,
+        # or the error and its message, is the one of solving both first
+        rng = random.Random(19)
+        outcomes = []
+        for _ in range(600):
+            args = random_search(rng)
+            got = want = None
+            try:
+                got = search_design_point(*args)
+            except ValueError as exc:
+                got = str(exc)
+            try:
+                want = search_light_edge_first(*args)
+            except ValueError as exc:
+                want = str(exc)
+            assert got == want, args
+            outcomes.append(got if isinstance(got, str) else "pick")
+        # every outcome is among them
+        assert set(outcomes) == {
+            "pick", "Mg_target must be positive",
+            "no (Ln, Qe) candidate satisfies the constraints"}
 
     def test_returns_valid_candidate(self):
         ln, qe = search_design_point(REQ, N_REF)
