@@ -3,19 +3,21 @@
 
 Integrates the same warm-started transient on the nominal design a few
 times and prints the best wall time with the period driver's counts:
-kernel steps, events and event-localization iterations, and the wall time
-per step and per switching period.  Then, from the periodic operating
-point at the same frequency, it times one period recorded at every grid
-instant and one unrecorded, each with its ``result()``, the last thing
-``find_pop`` does, and prints rows, steps and the wall time of each.
-Next, from the same point, it times 64 unrecorded periods at 110 kHz
-(1 + 1e-5 k), k = 0 .. 63: like the closed loop, which moves the frequency
-every period, each period has a new length, so each builds its own step
-maps.  Last, it times 64 periods from the same point recorded at strides
-8 and 32 (the strides of the ``transient`` and ``step`` benchmark
-workloads) and unrecorded, at 110 kHz and at a new length each period,
-each with the driver's ``result()``, which builds the rows, and prints
-the us per period with rows and without.
+kernel steps, events, the root iterations that locate events, the crests
+located for the peaks and their iterations, per event or per period, and
+the wall time per step and per switching period.  Then, from the periodic
+operating point at the same frequency, it times one period recorded at
+every grid instant and one unrecorded, each with its ``result()``, the
+last thing ``find_pop`` does, and prints rows, steps and the wall time of
+each.  Next, from the same point, it times 64 unrecorded periods at
+110 kHz (1 + 1e-5 k), k = 0 .. 63: like the closed loop, which moves the
+frequency every period, each period has a new length, so each builds its
+own step maps; it prints their root-search counts per period too.  Last,
+it times 64 periods from the same point recorded at strides 8 and 32 (the
+strides of the ``transient`` and ``step`` benchmark workloads) and
+unrecorded, at 110 kHz and at a new length each period, each with the
+driver's ``result()``, which builds the rows, and prints the us per period
+with rows and without.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -70,6 +72,10 @@ def main() -> int:
           f"{best / steps * 1e6:.2f} us/step")
     print(f"  events {located} located, {iters / max(located, 1):.2f} "
           f"localization iterations each")
+    print(f"  per period: {iters / res.periods:.1f} localization "
+          f"iterations, {counts['extremum_searches'] / res.periods:.2f} "
+          f"crests located in "
+          f"{counts['extremum_iterations'] / res.periods:.1f} iterations")
 
     # one period from the periodic operating point, as find_pop records it
     # and as its solvers run it
@@ -97,8 +103,14 @@ def main() -> int:
         best = min(best, time.perf_counter() - t0)
     print(f"{periods} unrecorded periods from the operating point, a new "
           f"length each, best of {args.repeat}")
-    print(f"  {drv.counts['steps'] / periods:.1f} steps/period, "
+    counts = drv.counts
+    print(f"  {counts['steps'] / periods:.1f} steps/period, "
           f"{best / periods * 1e6:.0f} us/period")
+    print(f"  per period: "
+          f"{counts['localization_iterations'] / periods:.1f} localization "
+          f"iterations, {counts['extremum_searches'] / periods:.2f} crests "
+          f"located in {counts['extremum_iterations'] / periods:.1f} "
+          f"iterations")
 
     print(f"{periods} periods from the operating point with their result, "
           f"us/period, best of {args.repeat}")

@@ -62,16 +62,26 @@ iteration on the step's Taylor polynomial (``_root``):
 A step fires an event when an event function ends it on the other side of
 its threshold, or when the function turns back inside the step after
 crossing it (a graze: its slope changes sign towards the threshold, and its
-extremum lies past it).  The located instant lies on the fired side, within
-tol_t of the crossing.  When several fire inside one step the earliest
-located one is applied; a tie goes to the one listed first.
+extremum lies past it).  The extremum is located only where a bound on the
+function over the step, from its Taylor terms as for the peaks below
+(``_reach``), can pass the threshold: a vOut ripple minimum near 12 V,
+turning back far above the sink's 0 V, needs no search.  The located
+instant lies on the fired side, within tol_t of the crossing.  When
+several fire inside one step the earliest located one is applied; a tie
+goes to the one listed first.
 
 Source energy (vin times the integral of iLr while the node is high) and
 diode loss come from integral maps.  The load energy of each span between
 transitions follows from the output capacitor, whose rectifier input is,
 while a diode conducts, the source energy less the diode loss and the
 tank's gain (``_span_load``).  The peaks per component include the extrema
-inside a step, located where the component's rate changes sign.
+inside a step, where the component's rate changes sign.  A call queues
+these crests and resolves them at its end (``_crest_peaks``): |x_j| over
+the step fraction s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) +
+s^2 sum_(k >= 2) |w_k|, so a crest is located, largest bound first, only
+where that bound and a rounding margin can still pass the call's peak; a
+max does not depend on the order of its values.  Ripple minima and other
+extrema that move towards zero need no search.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:
@@ -148,6 +158,10 @@ _EXT_TOL = 2.0 ** -30
 # an event function within this fraction of its terms' magnitude of its
 # threshold counts as on it
 _NOISE = 2.0 ** -50
+# the rounding margin of a polynomial's bound (``_reach``): relative to the
+# size of its terms, and absolute below the normal range
+_SLACK = 2.0 ** -40
+_TINY = 2.0 ** -1000
 # a Taylor series stops once its term bound theta^k / k! drops below this
 _TERM_TOL = 2.0 ** -56
 # entries per propagator cache, and step lengths per mode
@@ -270,17 +284,22 @@ def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
 
 
 def _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
-    """H: ``STEP_FRACTION`` of the stage's fastest natural period.
+    """H: ``STEP_FRACTION`` of the stage's fastest natural period, kept in
+    maps by the load (maps serves one stage).
 
     The bound rho of a conducting mode covers both D1 and D2 and is at
     least that of a holding sink; the open rectifier is bounded apart.
     """
-    sink = SINK_NONE if load_kind == LOAD_RES else SINK_ON
-    rho = max(_mode_of(maps, RECT_D1, 0, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
-                       load_kind, load_val)[10],
-              _mode_of(maps, RECT_OFF, 0, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
-                       load_kind, load_val)[10])
-    return STEP_FRACTION * 2.0 * math.pi / rho
+    cap = maps.get((load_kind, load_val))
+    if cap is None:
+        sink = SINK_NONE if load_kind == LOAD_RES else SINK_ON
+        rho = max(_mode_of(maps, RECT_D1, 0, sink, vin, Lr, Cr, Lm, n, Vf,
+                           Cout, load_kind, load_val)[10],
+                  _mode_of(maps, RECT_OFF, 0, sink, vin, Lr, Cr, Lm, n, Vf,
+                           Cout, load_kind, load_val)[10])
+        cap = STEP_FRACTION * 2.0 * math.pi / rho
+        maps[load_kind, load_val] = cap
+    return cap
 
 
 def _series(x0, x1, x2, x3, e0, e2, e3, h, m):
@@ -312,40 +331,39 @@ def _series(x0, x1, x2, x3, e0, e2, e3, h, m):
     return w
 
 
-def _at(w, s):
-    """The state x(s h) from the Taylor terms."""
-    p0, p1, p2, p3 = w[-1]
-    for k in range(len(w) - 2, -1, -1):
-        c0, c1, c2, c3 = w[k]
-        p0 = p0 * s + c0
-        p1 = p1 * s + c1
-        p2 = p2 * s + c2
-        p3 = p3 * s + c3
-    return p0, p1, p2, p3
-
-
-def _rate_at(w, s, h):
-    """The rate dx/dt at s h from the Taylor terms."""
+def _values(w, s, h, rate):
+    """The state x(s h), with ``rate`` the rate dx/dt there (else zeros),
+    and the integrals of iLr and iLm over [0, s h] from the Taylor terms,
+    summed by Horner's rule in one pass: the state from w_n, the rate from
+    n w_n down to w_1, and the integrals from 0 with weights 1 / (k + 1),
+    each as a pass of its own would sum it.  Returns (x0, x1, x2, x3, r0,
+    r1, r2, r3, i0, i2)."""
     k = len(w) - 1
-    p0, p1, p2, p3 = (k * c for c in w[k])
-    for k in range(k - 1, 0, -1):
-        c0, c1, c2, c3 = w[k]
-        p0 = p0 * s + k * c0
-        p1 = p1 * s + k * c1
-        p2 = p2 * s + k * c2
-        p3 = p3 * s + k * c3
-    return p0 / h, p1 / h, p2 / h, p3 / h
-
-
-def _integrals(w, s, h):
-    """The integrals of iLr and iLm over [0, s h]."""
-    i0 = i2 = 0.0
-    for k in range(len(w) - 1, -1, -1):
-        c = w[k]
+    x0, x1, x2, x3 = w[k]
+    r0 = r1 = r2 = r3 = 0.0
+    if rate:
+        r0, r1, r2, r3 = k * x0, k * x1, k * x2, k * x3
+    r = 1.0 / (k + 1)
+    i0 = 0.0 * s + r * x0
+    i2 = 0.0 * s + r * x2
+    for c0, c1, c2, c3 in w[-2:0:-1]:
+        k -= 1
+        x0 = x0 * s + c0
+        x1 = x1 * s + c1
+        x2 = x2 * s + c2
+        x3 = x3 * s + c3
+        if rate:
+            r0 = r0 * s + k * c0
+            r1 = r1 * s + k * c1
+            r2 = r2 * s + k * c2
+            r3 = r3 * s + k * c3
         r = 1.0 / (k + 1)
-        i0 = i0 * s + r * c[0]
-        i2 = i2 * s + r * c[2]
-    return i0 * s * h, i2 * s * h
+        i0 = i0 * s + r * c0
+        i2 = i2 * s + r * c2
+    c0, c1, c2, c3 = w[0]
+    return (x0 * s + c0, x1 * s + c1, x2 * s + c2, x3 * s + c3,
+            r0 / h, r1 / h, r2 / h, r3 / h,
+            (i0 * s + c0) * s * h, (i2 * s + c2) * s * h)
 
 
 def _terms(m, cap):
@@ -435,9 +453,9 @@ def _peval(P, s):
     """Polynomial sum_k P[k] s^k and its derivative at s."""
     p = P[-1]
     dp = 0.0
-    for k in range(len(P) - 2, -1, -1):
+    for c in P[-2::-1]:
         dp = dp * s + p
-        p = p * s + P[k]
+        p = p * s + c
     return p, dp
 
 
@@ -493,8 +511,10 @@ def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
     ends.  Within rounding of its threshold a function counts as on it: it
     fires only from there or short of it, and only once it ends clear past
     it, or once its extremum inside the step lies clear past it (a graze).
-    Returns (s, iterations): s the located fraction, -2.0 when the slot
-    does not fire, or -1.0 when localization failed.
+    The extremum is located only where the function's bound over the step
+    (``_reach``) lies clear past it too.  Returns (s, iterations): s the
+    located fraction, -2.0 when the slot does not fire, or -1.0 when
+    localization failed.
     """
     _, c0, c1, c2, c3, d, _ = slot
     if side * ga > 0.0 and side * ga > _noise(c0, c1, c2, c3, d, *w[0]):
@@ -506,20 +526,76 @@ def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
     if side * gb <= 0.0 or side * gb <= _noise(c0, c1, c2, c3, d, *xb):
         if not (side * da > 0.0 and side * db < 0.0):
             return -2.0, 0
+        noise = _noise(c0, c1, c2, c3, d, *w[0])
+        if _reach(P, 1.0, side) <= noise:
+            return -2.0, 0  # the turn-back stays short of the threshold
         dP = [k * P[k] for k in range(1, len(P))]
         lo_end, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL, da, db)
         gb = _peval(P, lo_end)[0]
-        if side * gb <= _noise(c0, c1, c2, c3, d, *w[0]):
+        if side * gb <= noise:
             return -2.0, it
     s, it2 = _root(P, 0.0, lo_end, side, tol, ga, gb)
     return s, it + it2
 
 
-def _crests(w, s, ra, rb, peaks):
-    """The running peaks |x_j|, raised by the extremum inside (0, s) of each
-    component whose rate goes from ra[j] to rb[j] of the other sign."""
-    return tuple(max(p, _extremum(w, j, s, a, b)) if a * b < 0.0 else p
-                 for j, (p, a, b) in enumerate(zip(peaks, ra, rb)))
+def _reach(P, s, side):
+    """A bound on side p(u), or on |p(u)| at side 0, for the polynomial
+    p(u) = sum_k P[k] u^k on [0, s], s <= 1: the larger end of its linear
+    part, plus s^2 sum_(k >= 2) |P[k]|, at least what its higher terms add,
+    plus a rounding margin.
+
+    A root search on [0, s] evaluates p by Horner's rule at the point it
+    locates, within gamma_(2n) sum_k |P[k]| s^k of the exact value (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 5.1; the degree n
+    is at most 19 on steps up to the cap, so within 2^-47 of that sum), and
+    the bound's own sums are as close.  So a margin of ``_SLACK`` times the
+    bound's size, |P[0]| + |P[1]| s plus the higher terms' part, or
+    ``_TINY`` where underflow cuts a relative bound, covers what the search
+    could return: where the bound cannot pass a threshold, neither can the
+    search, and it need not run.  (An extremum search that ran out of
+    ``LOC_MAX`` iterations would evaluate outside [0, s]; none is known
+    to.)
+    """
+    tail = sum(map(abs, P[2:])) * s * s
+    p0 = P[0]
+    p1 = P[1] * s
+    if side == 0.0:
+        top = max(abs(p0), abs(p0 + p1))
+    else:
+        top = max(side * p0, side * (p0 + p1))
+    return top + tail + (_SLACK * (abs(p0) + abs(p1) + tail) + _TINY)
+
+
+def _crest_peaks(crests, peaks):
+    """The running peaks |x_j| raised by the queued crests, the crests
+    located and the root iterations spent locating them.
+
+    A queued step (w, s, ra, rb) has Taylor terms w and rates ra at its
+    start and rb at s; each component whose rate changes sign has a crest
+    inside (0, s).  A max does not depend on the order of its values, so
+    the crests go largest bound (``_reach``) first, and only those whose
+    bound can still pass their peak are located.
+    """
+    peaks = list(peaks)
+    queue = []
+    for w, s, ra, rb in crests:
+        for j in range(4):
+            if ra[j] * rb[j] < 0.0:
+                P = [c[j] for c in w]
+                queue.append((_reach(P, s, 0.0), len(queue), j, P, s, ra[j],
+                              rb[j]))
+    queue.sort(reverse=True)
+    located = it = 0
+    for top, _, j, P, s, a, b in queue:
+        if top > peaks[j]:
+            u, n = _root([k * P[k] for k in range(1, len(P))], 0.0, s,
+                         1.0 if b > 0.0 else -1.0, _EXT_TOL, a, b)
+            located += 1
+            it += n
+            v = abs(_peval(P, u)[0])
+            if v > peaks[j]:
+                peaks[j] = v
+    return peaks, located, it
 
 
 def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
@@ -561,14 +637,6 @@ def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
     else:
         sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     return rect, clamp_hi, vsw, sink, iLm, vOut, codes
-
-
-def _extremum(w, j, s_end, ra, rb):
-    """|x_j| at the extremum inside (0, s_end), where its rate goes from ra
-    to rb of the other sign."""
-    dP = [k * w[k][j] for k in range(1, len(w))]
-    s, _ = _root(dP, 0.0, s_end, 1.0 if rb > 0.0 else -1.0, _EXT_TOL, ra, rb)
-    return abs(_peval([c[j] for c in w], s)[0])
 
 
 def _noise(c0, c1, c2, c3, d, x0, x1, x2, x3):
@@ -777,14 +845,16 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
         (err, plan, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
-         steps, loc_iters, e_src, e_load, e_dio, sens)
+         steps, loc_iters, e_src, e_load, e_dio, sens, ext_iters, ext_n)
 
     with err one of the ERR_* codes, plan the call's row plan for
     ``build_rows`` (None at stride 0), ev_n the events this call logged,
     steps the propagation steps taken, loc_iters the root-search
-    iterations spent locating events, the source energy, load energy and
-    diode loss of the span, and S at t1 (None without sens); on err != 0
-    the state is whatever was reached and the caller is expected to abort.
+    iterations spent locating events and grazes, the source energy, load
+    energy and diode loss of the span, S at t1 (None without sens), and
+    ext_n the crests located and ext_iters their root-search iterations;
+    on err != 0 the state is whatever was reached and the caller is
+    expected to abort.
     """
     if maps is None:
         maps = {}
@@ -805,6 +875,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_vcr = abs(vCr)
     max_ilm = abs(iLm)
     max_vout = abs(vOut)
+    # the extrema inside steps, located at the end (``_crest_peaks``)
+    crests = []
 
     # entry settle, then the segment entry row
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
@@ -845,22 +917,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     blocks = []
     t_last = t0  # the instant of the last row
 
-    # per-mode quantities, refreshed at entry and after each transition:
-    # the mode record, its step map, the rate and the event-function
-    # values and slopes at the current state
+    # per-mode quantities (set while stale: at entry and after each
+    # transition): the mode record m and its coefficients, its step map
+    # over hp (d.., q.., src and dio, loaded once mapped), the rate r and
+    # the event-function values g_a and slopes d_a at the current state
     stale = True
-    m = None
-    mmaps = None
-    slots = ()
-    g_a = []
-    d_a = []
-    r0 = r1 = r2 = r3 = 0.0
-    a01 = a03 = a10 = a21 = a23 = a30 = a33 = b0 = b2 = b3 = 0.0
-    mapped = False  # the mode's step map over hp is loaded
-    d00 = d01 = d02 = d03 = d10 = d11 = d12 = d13 = 0.0
-    d20 = d21 = d22 = d23 = d30 = d31 = d32 = d33 = 0.0
-    q0 = q1 = q2 = q3 = 0.0
-    src = dio = None
     # the source energy and diode loss per unit integral of iLr and of
     # the secondary's primary-side current iLr - iLm, in the current mode
     f_src = f_dio = 0.0
@@ -883,7 +944,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
                 slots = m[12] if is_dead else m[11]
                 mmaps = m[13]
-                mapped = False
+                mapped = False  # the mode's step map over hp is loaded
                 f_src = vin if node_hi == 1 else 0.0
                 f_dio = 0.0
                 if rect == RECT_D1:
@@ -931,8 +992,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             else:
                 # the rest of a step after an event
                 w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                ni, nc, nm, no = _at(w, 1.0)
-                i0, i2 = _integrals(w, 1.0, h)
+                ni, nc, nm, no, *_, i0, i2 = _values(w, 1.0, h, False)
                 de_src = f_src * i0
                 de_dio = f_dio * (i0 - i2)
             steps += 1
@@ -1010,9 +1070,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         or r3 * rb3 < 0.0:
                     if w is None:
                         w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                    max_ilr, max_vcr, max_ilm, max_vout = _crests(
-                        w, 1.0, (r0, r1, r2, r3), (rb0, rb1, rb2, rb3),
-                        (max_ilr, max_vcr, max_ilm, max_vout))
+                    crests.append((w, 1.0, (r0, r1, r2, r3),
+                                   (rb0, rb1, rb2, rb3)))
                 iLr, vCr, iLm, vOut = ni, nc, nm, no
                 r0, r1, r2, r3 = rb0, rb1, rb2, rb3
                 g_a = g_b
@@ -1040,13 +1099,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
             # advance to the earliest located event
             s = s_hit
-            i0, i2 = _integrals(w, s, h)
+            iLr, vCr, iLm, vOut, *rate, i0, i2 = _values(w, s, h, True)
+            crests.append((w, s, (r0, r1, r2, r3), rate))
             sp_src += f_src * i0
             sp_dio += f_dio * (i0 - i2)
-            max_ilr, max_vcr, max_ilm, max_vout = _crests(
-                w, s, (r0, r1, r2, r3), _rate_at(w, s, h),
-                (max_ilr, max_vcr, max_ilm, max_vout))
-            iLr, vCr, iLm, vOut = _at(w, s)
             if sens is not None:
                 sens = _phi(m, s * h / cap, cap) @ sens
                 f_a = (a01 * vCr + a03 * vOut + b0, a10 * iLr,
@@ -1116,6 +1172,13 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                                         seg_kind, n, load_kind, load_val))
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
+    peaks = (max_ilr, max_vcr, max_ilm, max_vout)
+    ext_iters = ext_n = 0
+    if crests:
+        peaks, ext_n, ext_iters = _crest_peaks(crests, peaks)
+    # 21 values: CPython 3.11 puts freed 20-tuples on a free list that it
+    # never takes them from, up to 2000 of them (400 kB)
     return (err, plan, len(events) - ev_0, rect, clamp_hi,
-            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
-            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens)
+            iLr, vCr, iLm, vOut, *peaks,
+            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens,
+            ext_iters, ext_n)

@@ -7,9 +7,10 @@ steps the piecewise-linear circuit by each mode's exact propagator and
 locates rectifier, dead-time and sink events on the exact trajectory.  The
 driver keeps the kernel's propagator cache for the run, has each call append
 its events to the run's log, keeps the row plan each call hands back, adds
-up its energies, and counts the kernel's steps, its localization iterations
-and the events by kind (:attr:`PeriodDriver.counts`).  The waveform rows are
-built from the plans in one pass when the result is asked for
+up its energies, and counts the kernel's steps, its localization
+iterations, the crests it locates and their iterations, and the events by
+kind (:attr:`PeriodDriver.counts`).  The waveform rows are built from the
+plans in one pass when the result is asked for
 (:meth:`PeriodDriver.result`, through ``kernels.build_rows``), so their
 numpy work is paid once per run rather than once per kernel call.
 ``dt_max`` (default: a period over ``STEPS_PER_PERIOD``) sets the grid that
@@ -451,6 +452,8 @@ class PeriodDriver:
         self._pmax = [0.0, 0.0, 0.0, 0.0]
         self._steps = 0
         self._loc_iters = 0
+        self._ext_iters = 0
+        self._ext_n = 0
         self._sens = np.eye(4) if jacobian else None
 
     @property
@@ -480,12 +483,15 @@ class PeriodDriver:
     @property
     def counts(self) -> dict:
         """Deterministic work counts since the last reset: kernel steps,
-        event-localization iterations and logged events by kind."""
+        event-localization iterations, the crests located for the peaks and
+        their root iterations, and logged events by kind."""
         events = dict.fromkeys(_EVENT_NAMES.values(), 0)
         for _, code in self._events:
             events[_EVENT_NAMES[code]] += 1
         return {"steps": self._steps,
                 "localization_iterations": self._loc_iters,
+                "extremum_searches": self._ext_n,
+                "extremum_iterations": self._ext_iters,
                 "events": events}
 
     def _run_piece(self, t_a: float, t_b: float, seg_kind: int, clamp: int,
@@ -496,8 +502,8 @@ class PeriodDriver:
             raise RecordOverflow("waveform rows of one span exceed the hard cap")
         x = self._x
         (err, plan, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
-         steps, loc_iters, e_src, e_load, e_dio,
-         self._sens) = kernels.integrate_segment(
+         steps, loc_iters, e_src, e_load, e_dio, self._sens, ext_iters,
+         ext_n) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
             vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
             stride, self._events, self._maps, self._sens)
@@ -516,6 +522,8 @@ class PeriodDriver:
         self._rect = rect
         self._steps += steps
         self._loc_iters += loc_iters
+        self._ext_iters += ext_iters
+        self._ext_n += ext_n
         energy = self._energy
         energy[0] += e_src
         energy[1] += e_load

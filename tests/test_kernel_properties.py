@@ -19,6 +19,7 @@ differences.
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -137,12 +138,24 @@ def test_record_stride_leaves_the_run_alone(p):
         assert a.tobytes() == acc.tobytes()
 
 
+def state_at(w, s):
+    """x(s h) from a step's Taylor terms w, by Horner's rule."""
+    p0, p1, p2, p3 = w[-1]
+    for k in range(len(w) - 2, -1, -1):
+        c0, c1, c2, c3 = w[k]
+        p0 = p0 * s + c0
+        p1 = p1 * s + c1
+        p2 = p2 * s + c2
+        p3 = p3 * s + c3
+    return p0, p1, p2, p3
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(segments())
 def test_grid_rows_are_their_steps_series(p):
     # every grid row of a call sits at t0 + dt k and holds the Taylor series
     # of the step it falls in, summed in plain Python at its own instant
-    # (``_series`` and ``_at``): numpy sums it in another order, so they
+    # (``_series`` and ``state_at``): numpy sums it in another order, so they
     # agree to a few ulps of the magnitude of the series' terms, taken in
     # energy coordinates, where all four states weigh alike
     scale = np.sqrt(np.array([LR, CR, LM, p["Cout"]]))
@@ -166,7 +179,7 @@ def test_grid_rows_are_their_steps_series(p):
                 assert row[0] == t and row[5] == vsw
                 assert row[7] == rect and row[8] == seg
                 w = kernels._series(*xs[:4], m[7], m[8], m[9], t - ta, m)
-                ref = kernels._at(w, 1.0)
+                ref = state_at(w, 1.0)
                 size = np.max(scale * np.sum(np.abs(np.array(w)), axis=0))
                 assert np.max(scale * np.abs(row[1:5] - ref)) \
                     <= 8 * 2.0 ** -52 * size
@@ -358,3 +371,269 @@ def test_sensitivity_matches_central_differences(p):
         assume(np.max(np.abs(kink * w)) <= 1e-3 * size * h * w[j])
         central[:, j] = (ends[0] - ends[1]) / (2.0 * h) * w / w[j]
     assert np.max(np.abs(sens - central)) <= 1e-5 * size
+
+
+# Root searches skipped by a bound: ``_crest_peaks`` and the graze branch of
+# ``_crossing`` must give what locating every crest and every turn-back
+# gives.  The references below are the plain sums and searches.
+
+def rate_at(w, s, h):
+    """dx/dt at s h from the Taylor terms, by Horner's rule."""
+    k = len(w) - 1
+    p0, p1, p2, p3 = (k * c for c in w[k])
+    for k in range(k - 1, 0, -1):
+        c0, c1, c2, c3 = w[k]
+        p0 = p0 * s + k * c0
+        p1 = p1 * s + k * c1
+        p2 = p2 * s + k * c2
+        p3 = p3 * s + k * c3
+    return p0 / h, p1 / h, p2 / h, p3 / h
+
+
+def integrals_at(w, s, h):
+    """The integrals of iLr and iLm over [0, s h], by Horner's rule."""
+    i0 = i2 = 0.0
+    for k in range(len(w) - 1, -1, -1):
+        c = w[k]
+        r = 1.0 / (k + 1)
+        i0 = i0 * s + r * c[0]
+        i2 = i2 * s + r * c[2]
+    return i0 * s * h, i2 * s * h
+
+
+def every_crest(crests, peaks):
+    """``_crest_peaks`` locating every crest of the queued steps in turn."""
+    peaks = list(peaks)
+    located = it = 0
+    for w, s, ra, rb in crests:
+        for j in range(4):
+            if ra[j] * rb[j] < 0.0:
+                dP = [k * w[k][j] for k in range(1, len(w))]
+                u, n = kernels._root(dP, 0.0, s, 1.0 if rb[j] > 0.0 else -1.0,
+                                     kernels._EXT_TOL, ra[j], rb[j])
+                located += 1
+                it += n
+                peaks[j] = max(peaks[j],
+                               abs(kernels._peval([c[j] for c in w], u)[0]))
+    return peaks, located, it
+
+
+def every_turn_back(slot, side, ga, gb, da, db, w, xb, tol):
+    """``_crossing`` locating every turn-back's extremum."""
+    _, c0, c1, c2, c3, d, _ = slot
+    if side * ga > 0.0 and side * ga > kernels._noise(c0, c1, c2, c3, d,
+                                                      *w[0]):
+        return -2.0, 0
+    P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 for u0, u1, u2, u3 in w]
+    P[0] = ga
+    it = 0
+    lo_end = 1.0
+    if side * gb <= 0.0 or side * gb <= kernels._noise(c0, c1, c2, c3, d,
+                                                       *xb):
+        if not (side * da > 0.0 and side * db < 0.0):
+            return -2.0, 0
+        dP = [k * P[k] for k in range(1, len(P))]
+        lo_end, it = kernels._root(dP, 0.0, 1.0, -side, kernels._EXT_TOL,
+                                   da, db)
+        gb = kernels._peval(P, lo_end)[0]
+        if side * gb <= kernels._noise(c0, c1, c2, c3, d, *w[0]):
+            return -2.0, it
+    s, it2 = kernels._root(P, 0.0, lo_end, side, tol, ga, gb)
+    return s, it + it2
+
+
+def mode_matrices(m):
+    """A and b of a mode record."""
+    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+    return (np.array([[0.0, a01, 0.0, a03], [a10, 0.0, 0.0, 0.0],
+                      [0.0, a21, 0.0, a23], [a30, 0.0, -a30, a33]]),
+            np.array([b0, 0.0, b2, b3]))
+
+
+def rate(m, x):
+    """dx/dt at state x, as the kernel forms it."""
+    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+    return (a01 * x[1] + a03 * x[3] + b0, a10 * x[0],
+            a21 * x[1] + a23 * x[3] + b2, a30 * (x[0] - x[2]) + a33 * x[3] + b3)
+
+
+def with_crest(m, x, c, sigma, h):
+    """A start state from which c . x has an extremum sigma h into a step
+    of length h: x moved so that c . dx/dt = 0 there, then taken back
+    sigma h along the mode.  None where c . dx/dt does not depend on x."""
+    A, b = mode_matrices(m)
+    c = np.asarray(c)
+    x = np.array(x, dtype=float)
+    lin = c @ A
+    i = int(np.argmax(np.abs(lin)))
+    if lin[i] == 0.0:
+        return None, None
+    x[i] = 0.0
+    x[i] = -(c @ b + lin @ x) / lin[i]
+    tau = -sigma * h
+    u = tau * (A @ x + b)
+    start = x + u
+    for k in range(2, 40):
+        u = tau / k * (A @ u)
+        start = start + u
+    return tuple(float(v) for v in start), x
+
+
+@st.composite
+def mode_steps(draw):
+    """A mode of the stage, a step of it up to the cap and a state."""
+    rect = draw(st.sampled_from((kernels.RECT_OFF, kernels.RECT_D1,
+                                 kernels.RECT_D2)))
+    vsw = draw(st.sampled_from((0.0, 48.0)))
+    vf = draw(st.floats(0.0, 1.0))
+    cout = draw(st.floats(1e-6, 1e-4))
+    load_kind = draw(st.sampled_from((kernels.LOAD_RES, kernels.LOAD_CUR)))
+    if load_kind == kernels.LOAD_RES:
+        sink = kernels.SINK_NONE
+        load_val = draw(st.floats(1.0, 1e4))
+    else:
+        sink = draw(st.sampled_from((kernels.SINK_ON, kernels.SINK_HELD)))
+        load_val = draw(st.floats(0.0, 2.0))
+    m = kernels._mode(rect, vsw, sink, LR, CR, LM, N, vf, cout, load_kind,
+                      load_val)
+    cap = kernels._step_cap({}, vsw, LR, CR, LM, N, vf, cout, load_kind,
+                            load_val)
+    h = cap * draw(st.sampled_from((1.0, 1e-9))
+                   | st.floats(1e-6, 1.0))
+    x = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-100.0, 150.0)),
+         draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 30.0)))
+    return m, h, x
+
+
+def fractions():
+    return st.sampled_from((0.0, 1e-15, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mode_steps(), fractions())
+def test_one_pass_values_are_the_separate_sums(p, s):
+    # state, rate and integrals at s, and state and integrals at 1 without
+    # the rate, each bit for bit as its own Horner pass sums it
+    m, h, x = p
+    w = kernels._series(*x, m[7], m[8], m[9], h, m)
+    got = kernels._values(w, s, h, True)
+    assert bits(got) == bits(state_at(w, s) + rate_at(w, s, h)
+                             + integrals_at(w, s, h))
+    got = kernels._values(w, 1.0, h, False)
+    assert bits(got) == bits(state_at(w, 1.0) + (0.0,) * 4
+                             + integrals_at(w, 1.0, h))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mode_steps(), st.data())
+def test_bounded_crests_give_the_peaks_of_every_crest(p, data):
+    # a queue of a few steps: some from a state with an extremum of one
+    # component placed in the step (within rounding of its start at sigma =
+    # 0 or 1e-15), some from random states, whose components may cross
+    # zero inside the step, some with random terms, and steps cut short at
+    # an event (s < 1).  The peaks start at 0, below a step's start value
+    # (as iLm can just after a diode turn-off reset), or on a located
+    # crest's value and its neighbours
+    m, h, x = p
+    crests = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(("crest", "state", "terms")))
+        s = data.draw(st.sampled_from((1.0, 1e-12)) | st.floats(0.0, 1.0))
+        if kind == "terms":
+            w = [tuple(data.draw(st.floats(-1.0, 1.0)) for _ in range(4))
+                 for _ in range(data.draw(st.integers(2, 19)))]
+            crests.append((w, s, rate_at(w, 0.0, h), rate_at(w, s, h)))
+            continue
+        if kind == "crest":
+            c = [0.0] * 4
+            c[data.draw(st.integers(0, 3))] = 1.0
+            x0, _ = with_crest(m, x, c, data.draw(fractions()), h)
+            if x0 is None:
+                x0 = x
+        else:
+            x0 = tuple(data.draw(st.floats(-1.0, 1.0)) * v for v in x)
+        w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+        crests.append((w, s, rate(m, x0), rate_at(w, s, h)))
+    assume(any(a * b < 0.0 for _, _, ra, rb in crests
+               for a, b in zip(ra, rb)))
+    values = every_crest(crests, [0.0] * 4)[0]
+    peaks = []
+    for j in range(4):
+        start = max(abs(w[0][j]) for w, _, _, _ in crests)
+        v = values[j]
+        peaks.append(data.draw(st.sampled_from((
+            0.0, v, math.nextafter(v, 0.0), math.nextafter(v, math.inf),
+            v * (1.0 - 2.0 ** -45), start))
+            | st.floats(0.0, 1.0).map(lambda u, a=start: u * a)))
+    got, located, it = kernels._crest_peaks(crests, peaks)
+    ref, all_located, all_it = every_crest(crests, peaks)
+    assert bits(got) == bits(ref)
+    assert located <= all_located and it <= all_it
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=20),
+       st.sampled_from((1.0, 1e-9)) | st.floats(0.0, 1.0),
+       st.sampled_from((0.0, 1.0, -1.0)))
+def test_reach_bounds_its_polynomial(P, s, side):
+    # the bound of ``_reach`` holds p(u) = sum_k P[k] u^k on a dense grid
+    # of [0, s]: side p, or |p| at side 0
+    u = np.linspace(0.0, s, 513)
+    p = np.polyval(P[::-1], u)
+    p = np.abs(p) if side == 0.0 else side * p
+    assert np.all(p <= kernels._reach(P, s, side))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mode_steps(), st.data())
+def test_bounded_graze_fires_as_every_turn_back(p, data):
+    # an event function with an extremum placed inside the step, and its
+    # threshold moved to the extremum's value plus delta times the size of
+    # its terms: on both sides of the rounding band 2^-50, on it, and
+    # clear past it, where the graze must fire
+    m, h, x = p
+    slot = data.draw(st.sampled_from(m[12]))
+    _, c0, c1, c2, c3, d, _ = slot
+    x0, xc = with_crest(m, x, (c0, c1, c2, c3), data.draw(fractions()), h)
+    assume(x0 is not None)
+    A, b = mode_matrices(m)
+    c = np.array([c0, c1, c2, c3])
+    side = 1.0 if c @ A @ (A @ xc + b) < 0.0 else -1.0
+    delta = data.draw(st.sampled_from((
+        -1e-3, -1e-9, -2.0 ** -46, -2.0 ** -50, -2.0 ** -53, 0.0,
+        2.0 ** -53, 2.0 ** -50, 2.0 ** -46, 1e-9, 1e-3)))
+    size = float(np.sum(np.abs(c * xc)))
+    d = side * delta * size - float(c @ xc)
+    slot = slot[:5] + (d, slot[6])
+    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+    xb = state_at(w, 1.0)
+    ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
+              for v in (x0, xb))
+    da, db = (c0 * r[0] + c1 * r[1] + c2 * r[2] + c3 * r[3]
+              for r in (rate(m, x0), rate(m, xb)))
+    args = (slot, side, ga, gb, da, db, w, xb, 1e-12)
+    got = kernels._crossing(*args)
+    ref = every_turn_back(*args)
+    assert got[0] == ref[0] and got[1] <= ref[1]
+    if delta >= 1e-9 and size > 0.0 and side * ga < 0.0 and side * gb < 0.0:
+        assert got[0] >= 0.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments())
+def test_skipped_searches_leave_the_call_alone(p):
+    # the whole call with every crest and every turn-back located gives the
+    # same outputs, rows and events, in no fewer searches and iterations
+    out, rows, events, acc = run(p)
+    with patch.object(kernels, "_crest_peaks", every_crest), \
+            patch.object(kernels, "_crossing", every_turn_back):
+        ref = run(p)
+    assert out[:14] + out[15:19] == ref[0][:14] + ref[0][15:19]
+    assert all(a <= b for a, b in zip(out[19:] + out[14:15],
+                                      ref[0][19:] + ref[0][14:15]))
+    assert bits(rows) == bits(ref[1]) and bits(events) == bits(ref[2])
+    assert bits(acc) == bits(ref[3])
