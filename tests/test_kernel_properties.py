@@ -454,7 +454,8 @@ def rate(m, x):
     """dx/dt at state x, as the kernel forms it."""
     a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
     return (a01 * x[1] + a03 * x[3] + b0, a10 * x[0],
-            a21 * x[1] + a23 * x[3] + b2, a30 * (x[0] - x[2]) + a33 * x[3] + b3)
+            a21 * x[1] + a23 * x[3] + b2,
+            a30 * (x[0] - x[2]) + a33 * x[3] + b3)
 
 
 def with_crest(m, x, c, sigma, h):
