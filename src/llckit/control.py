@@ -13,7 +13,7 @@ to a shorted output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class ControllerConfig:
     update_period: float | None = None  # None: act once per switching cycle
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and math.isnan(v):
+                raise ValueError(f"{f.name} must not be NaN")
         if self.v_ref <= 0.0:
             raise ValueError("v_ref must be positive")
         if self.ki < 0.0 or self.kp < 0.0:

@@ -91,16 +91,21 @@ stepping is scalar float64 arithmetic in a fixed order, and each row's
 numpy arithmetic is fixed by its own step, so equal inputs give equal
 bits.
 
+A call works in the caller's local time, a switching period's from its
+start, and adds ``base`` only to the times it reports: event times and
+row times.  So a span's steps, and the step maps they reuse, depend on
+its local bounds alone, and the same period gives the same bits whenever
+it starts.  A whole step is taken as the call's step length hp long,
+though its bounds, rounded in local time, may lie an ulp of the period
+further apart or closer, which moves the state by about its own rounding.
+
 On request a call also carries the sensitivity S = dx/dx0 of the state to
 an earlier one, as a 4x4 array: the derivative of the map the steps
 compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  Every
 step, whole or a part of length tau, multiplies it by Phi(tau) = exp(A tau),
-summed from the mode's Taylor table.  A whole step's map runs to the
-call's step length and on by dh, the few ulps of t by which the step's
-own length differs, at its end rate; its Jacobian (I + dh A)(I + D) is
-Phi(tau) to O((dh rho)^2).  A state event, whose instant moves with x0,
-multiplies S by its saltation matrix (Leine & Nijmeijer, Dynamics and
-Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate edges and
+summed from the mode's Taylor table.  A state event, whose instant moves
+with x0, multiplies S by its saltation matrix (Leine & Nijmeijer, Dynamics
+and Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate edges and
 the entry settle sit at fixed instants and leave S alone.
 Without the request a step's arithmetic is the same, at the cost of one
 branch.
@@ -726,9 +731,10 @@ def build_rows(plans):
     m, vsw, rect, sink): the next ``count`` grid rows from row ``row`` on
     lie inside one step of mode m that starts at t_a from state x; and
     grid = (t0, dt, k_first, stride, cap, seg_kind, n, load_kind,
-    load_val): the call's grid rows sit at t0 + dt k for k = k_first,
-    k_first + stride, ...  A call's first row replaces the last row of the
-    call before when the two share an instant.
+    load_val, base): the call's grid rows sit at t0 + dt k for k = k_first,
+    k_first + stride, ... of its local time, and are labelled base + that.
+    A call's first row replaces the last row of the call before when the
+    two share an instant.
 
     Each grid row is its step's Taylor series at its own instant s cap
     past the step start, x(t_a + s cap) = sum_k s^k w_k, with the step's
@@ -751,7 +757,7 @@ def build_rows(plans):
             n_rows -= 1
         at += [n_rows + r for r, _ in pts]
         points += [row for _, row in pts]
-        t0, dt, k, stride, cap, seg_kind, n, load_kind, load_val = grid
+        t0, dt, k, stride, cap, seg_kind, n, load_kind, load_val, base = grid
         for r, ta, x, cnt, m, vsw, rect, sink in grid_blocks:
             if id(m) not in modes:
                 modes[id(m)] = len(tables)
@@ -761,7 +767,7 @@ def build_rows(plans):
                            ta, cap, *x, vsw, rect, seg_kind, n,
                            held and rect != RECT_OFF,
                            0.0 if held else load_val, load_val,
-                           load_kind == LOAD_RES))
+                           load_kind == LOAD_RES, base))
             k += cnt * stride
         n_rows += rec_n
     out = np.empty((n_rows, REC_COLS))
@@ -801,6 +807,7 @@ def _put_grid_rows(out, f, tables):
             rows = np.empty((REC_COLS, r.size))
             rows[0] = fb[5] + fb[6] * (fb[3] + r * fb[4])
             s = (rows[0] - fb[7]) / fb[8]
+            rows[0] += fb[22]
             # x(t_a + s cap) by Horner's rule, as ``_at``
             x = rows[1:5]
             np.take(w[_ROW_K], i, axis=1, out=x)
@@ -818,10 +825,12 @@ def _put_grid_rows(out, f, tables):
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
                       dt_max, tol_t, stride, events, maps=None,
-                      sens=None):
+                      sens=None, base=0.0):
     """Advance one constant-gate span [t0, t1] with event handling.
 
-    The span is split into count = ceil(span / H) equal steps of length
+    t0 and t1 are local times (a switching period's, from its start), and
+    the times the call reports, of its events and rows, are base + t.  The
+    span is split into count = ceil(span / H) equal steps of length
     hp = span / count, whatever is recorded; a whole step applies its
     mode's map over hp (``_step_map``), read off the mode's Taylor table and
     cached per mode by hp.  Rows are planned at t0, at the grid instants
@@ -831,7 +840,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     step it falls in, and ``build_rows`` sums it from that step's Taylor
     terms, so the record never changes the steps taken; rows at events and
     at t1 hold the state the steps carry.
-    Each logged event is appended to the list ``events`` as (t, code).
+    Each logged event is appended to the list ``events`` as
+    (base + t, code).
     maps is the cache of mode records, with their tables and step maps;
     pass the same dict to every call of one run (a fresh one when None).
 
@@ -882,11 +892,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     if code != 0:
-        events.append((t0, code))
+        events.append((base + t0, code))
     rows_on = stride > 0
     points = []  # (row, values) of the entry, event and end rows
     if rows_on:
-        points.append((0, (t0, iLr, vCr, iLm, vOut, vsw,
+        points.append((0, (base + t0, iLr, vCr, iLm, vOut, vsw,
                            _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
                                  load_val),
                            rect, seg_kind)))
@@ -910,9 +920,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     # at its own instant
     k_row = 1 if stride > 0 else n_cells
     t_row = t0 + dt * k_row if k_row < n_cells else math.inf
-    while t_row <= t0:  # a grid below t0's resolution
-        k_row += stride
-        t_row = t0 + dt * k_row if k_row < n_cells else math.inf
     k_first = k_row
     blocks = []
     t_last = t0  # the instant of the last row
@@ -961,7 +968,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                        for _, c0, c1, c2, c3, _, _ in slots]
                 stale = False
             w = None
-            h = t_b - t_cur
+            h = hp if full else t_b - t_cur
             if full:
                 if not mapped:
                     mp = mmaps.get(hp)
@@ -1000,18 +1007,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             rb1 = a10 * ni
             rb2 = a21 * nc + a23 * no + b2
             rb3 = a30 * (ni - nm) + a33 * no + b3
-            if full:
-                # the map spans hp, and t_b - t_cur differs from it by
-                # rounding of t: carry the state and the integrals on to h
-                # by the rate there (the rates, which only signal sign
-                # changes, keep a relative error of dh rho)
-                dh = h - hp
-                ni += dh * rb0
-                nc += dh * rb1
-                nm += dh * rb2
-                no += dh * rb3
-                de_src += dh * f_src * ni
-                de_dio += dh * f_dio * (ni - nm)
 
             # events: a sign change across the step, or a graze inside it
             g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
@@ -1141,10 +1136,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     m_b[3] * vCr + m_b[4] * vOut + m_b[8],
                     m_b[5] * (iLr - iLm) + m_b[6] * vOut + m_b[9])) @ sens
             if codes:
-                events.extend((t_ev, code) for code in codes)
+                events.extend((base + t_ev, code) for code in codes)
                 if rows_on:
                     rec_n = _put_point(points, rec_n, t_last == t_ev, (
-                        t_ev, iLr, vCr, iLm, vOut, vsw,
+                        base + t_ev, iLr, vCr, iLm, vOut, vsw,
                         _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
                               load_val),
                         rect, seg_kind))
@@ -1165,11 +1160,12 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     if rows_on:
         if err == ERR_OK and count > 0:
             rec_n = _put_point(points, rec_n, t_last == t1, (
-                t1, iLr, vCr, iLm, vOut, vsw,
+                base + t1, iLr, vCr, iLm, vOut, vsw,
                 _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
                 rect, seg_kind))
         plan = (rec_n, points, blocks, (t0, dt, k_first, stride, cap,
-                                        seg_kind, n, load_kind, load_val))
+                                        seg_kind, n, load_kind, load_val,
+                                        base))
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
     peaks = (max_ilr, max_vcr, max_ilm, max_vout)

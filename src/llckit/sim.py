@@ -177,6 +177,11 @@ class LoadSpec:
             raise ValueError(f"unknown load kind {self.kind!r}")
         if not self.points:
             raise ValueError("load needs at least one (time, value) point")
+        for t, v in self.points:
+            if not math.isfinite(t):
+                raise ValueError(f"load switch time must be finite, got {t!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"load value must be finite, got {v!r}")
         times = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("load switch times must be strictly increasing")
@@ -229,6 +234,10 @@ class SimConfig:
     soft_start: float = 0.0  # frequency-ramp duration from cold start
 
     def __post_init__(self):
+        for name in ("vin", "fsw", "t_end", "dt_max", "soft_start"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.vin < 0.0:
             raise ValueError("vin must be nonnegative")
         if self.fsw <= 0.0:
@@ -416,6 +425,17 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
 _REC_CAP_MAX = 1 << 24  # grid rows one kernel call may record
 
 
+def _local(t: float, t0: float) -> float:
+    """The local time d from t0 whose label t0 + d is t itself (t - t0
+    may be an ulp off)."""
+    d = t - t0
+    while t0 + d < t:
+        d = math.nextafter(d, math.inf)
+    while t0 + d > t:
+        d = math.nextafter(d, -math.inf)
+    return d
+
+
 class PeriodDriver:
     """Owns the mutable run: state, waveform rows, event/ZVS logs, energy."""
 
@@ -496,7 +516,7 @@ class PeriodDriver:
 
     def _run_piece(self, t_a: float, t_b: float, seg_kind: int, clamp: int,
                    load_val: float, dt_eff: float, tol_t: float,
-                   stride: int) -> int:
+                   stride: int, base: float) -> int:
         vin, Lr, Cr, Lm, n, Vf, Cout, kind = self._stage
         if stride and math.ceil((t_b - t_a) / dt_eff) // stride > _REC_CAP_MAX:
             raise RecordOverflow("waveform rows of one span exceed the hard cap")
@@ -506,17 +526,18 @@ class PeriodDriver:
          ext_n) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
             vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
-            stride, self._events, self._maps, self._sens)
+            stride, self._events, self._maps, self._sens, base)
+        t_err = base + t_a
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
-                f"could not localize a mode transition near t={t_a:.6e}")
+                f"could not localize a mode transition near t={t_err:.6e}")
         if err == kernels.ERR_CHATTER:
             raise ModeChatter(
                 f"more than {kernels.EVENT_GUARD} transitions in one step "
-                f"near t={t_a:.6e}")
+                f"near t={t_err:.6e}")
         if err == kernels.ERR_MODE_VIOLATION:
             raise ModeViolation(
-                f"conduction invariant breached near t={t_a:.6e} "
+                f"conduction invariant breached near t={t_err:.6e} "
                 f"(state {iLr:.4g}, {vCr:.4g}, {iLm:.4g}, {vOut:.4g})")
         self._x = [iLr, vCr, iLm, vOut]
         self._rect = rect
@@ -524,35 +545,31 @@ class PeriodDriver:
         self._loc_iters += loc_iters
         self._ext_iters += ext_iters
         self._ext_n += ext_n
-        energy = self._energy
-        energy[0] += e_src
-        energy[1] += e_load
-        energy[2] += e_dio
-        pmax = self._pmax
-        if m0 > pmax[0]:
-            pmax[0] = m0
-        if m1 > pmax[1]:
-            pmax[1] = m1
-        if m2 > pmax[2]:
-            pmax[2] = m2
-        if m3 > pmax[3]:
-            pmax[3] = m3
+        self._energy = [a + b for a, b in zip(self._energy,
+                                              (e_src, e_load, e_dio))]
+        self._pmax = [max(a, b) for a, b in zip(self._pmax, (m0, m1, m2, m3))]
         if self.record:
             self._plans.append(plan)
         return clamp_out
 
-    def _load_pieces(self, s_a: float, s_end: float):
-        """(start, end, load value) of each constant-load piece of a span."""
+    def _load_pieces(self, t0: float, s_a: float, s_end: float):
+        """(start, end, load value) of each constant-load piece of the span
+        [s_a, s_end] of local time from t0."""
         if not self._switch_times:
             return ((s_a, s_end, self._load0),)
         load = self.cfg.load
-        pts = ([s_a] + [tc for tc in self._switch_times if s_a < tc < s_end]
-               + [s_end])
-        return tuple((a, b, load.value_at(a))
+        pts = ([s_a] + [_local(tc, t0) for tc in self._switch_times
+                        if t0 + s_a < tc < t0 + s_end] + [s_end])
+        return tuple((a, b, load.value_at(t0 + a))
                      for a, b in zip(pts[:-1], pts[1:]))
 
     def advance_period(self, fsw: float, t_stop: float = math.inf) -> None:
-        """Run (up to) one full switching period at the commanded frequency."""
+        """Run (up to) one full switching period at the commanded frequency.
+
+        The kernel runs the period in its local time, from 0 at its start
+        ``self.t``, so its steps depend on the frequency alone; times are
+        reported as ``self.t`` plus the local time.
+        """
         cfg = self.cfg
         fsw = float(fsw)
         period = 1.0 / fsw
@@ -560,11 +577,7 @@ class PeriodDriver:
         if 2.0 * td >= period:
             raise ValueError("dead time does not fit in the switching period")
         t0 = self.t
-        bounds = (t0,
-                  t0 + (0.5 * period - td),
-                  t0 + 0.5 * period,
-                  t0 + (period - td),
-                  t0 + period)
+        bounds = (0.0, 0.5 * period - td, 0.5 * period, period - td, period)
         plan = ((kernels.SEG_HIGH, bounds[0], bounds[1], kernels.EV_GATE_HS_ON),
                 (kernels.SEG_DEAD_TO_LOW, bounds[1], bounds[2],
                  kernels.EV_GATE_HS_OFF),
@@ -577,9 +590,9 @@ class PeriodDriver:
         self._pmax = [0.0, 0.0, 0.0, 0.0]
 
         for seg_kind, s_a, s_b, gate_code in plan:
-            if s_a >= t_stop:
+            if t0 + s_a >= t_stop:
                 return
-            self._events.append((s_a, gate_code))
+            self._events.append((t0 + s_a, gate_code))
             dead = (seg_kind == kernels.SEG_DEAD_TO_LOW
                     or seg_kind == kernels.SEG_DEAD_TO_HIGH)
             clamp = 0
@@ -591,17 +604,18 @@ class PeriodDriver:
                 else:
                     # zero current leaves the node where the last on-state put it
                     clamp = 1 if seg_kind == kernels.SEG_DEAD_TO_LOW else 0
-            s_end = min(s_b, t_stop)
-            for a, b, load_val in self._load_pieces(s_a, s_end):
+            s_end = s_b if t0 + s_b <= t_stop else _local(t_stop, t0)
+            for a, b, load_val in self._load_pieces(t0, s_a, s_end):
                 clamp = self._run_piece(a, b, seg_kind, clamp, load_val,
-                                        dt_eff, tol_t, stride)
-            self.t = s_end
+                                        dt_eff, tol_t, stride, t0)
+            self.t = t0 + s_end
             if dead and s_end == s_b:
-                if seg_kind == kernels.SEG_DEAD_TO_LOW:
-                    self._zvs.append(ZvsEdge(s_b, "LS", self._x[0], clamp == 0))
-                else:
-                    self._zvs.append(ZvsEdge(s_b, "HS", self._x[0], clamp == 1))
-        if self.t == bounds[4]:
+                # soft when the node already sits at the incoming rail
+                # (clamp 1: high)
+                hs = seg_kind == kernels.SEG_DEAD_TO_HIGH
+                self._zvs.append(ZvsEdge(self.t, "HS" if hs else "LS",
+                                         self._x[0], clamp == hs))
+        if s_end == period:
             self.periods += 1
 
     def result(self) -> SimResult:

@@ -278,14 +278,16 @@ def pop_metrics(wf: Waveform, energy: dict, zvs: ZvsReport,
 def _solve_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
                max_cycles: int = 2000):
     """:func:`find_pop`'s solve alone: (state, residual, cycles, trace,
-    the unrecorded driver it ran on), without the recorded period."""
+    the unrecorded driver it ran on), without the recorded period.  The
+    driver's configuration records every grid instant, for the period
+    :func:`find_pop` records on it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if cfg.load.switch_times:
         raise ValueError("periodic steady state needs a time-invariant load")
 
     state0 = warm_start_state(cfg)
-    drv = PeriodDriver(cfg, state0, record=False)
+    drv = PeriodDriver(replace(cfg, record_stride=1), state0, record=False)
 
     if method == "cycle_iteration":
         state, res, cycles = _solve_cycle_iteration(drv, cfg.fsw, tol,
@@ -308,14 +310,13 @@ def find_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     """
     state, res, cycles, trace, drv = _solve_pop(cfg, method, tol, max_cycles)
 
-    # one fully recorded period at the fixed point for waveform and metrics
+    # one fully recorded period at the fixed point for waveform and
+    # metrics, on the solve's driver and so with the step maps it built
     period = 1.0 / cfg.fsw
-    mcfg = replace(cfg, record_stride=1)
-    mdrv = PeriodDriver(mcfg, state, record=True)
-    # the step maps hang on (mode, step length) alone: reuse the solve's
-    mdrv._maps = drv._maps
-    mdrv.advance_period(cfg.fsw)
-    out = mdrv.result()
+    drv.record = True
+    drv.reset(state)
+    drv.advance_period(cfg.fsw)
+    out = drv.result()
     return PopResult(
         state=state,
         fsw=cfg.fsw,

@@ -84,6 +84,14 @@ class TestControllerConfigValidation:
             self._ok(update_period=0.0)
 
 
+    @pytest.mark.parametrize("field", ["v_ref", "ki", "fsw_min", "fsw_max",
+                                       "kp", "i_limit", "f_shift_rate",
+                                       "update_period"])
+    def test_rejects_nan_in_any_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+            self._ok(**{field: math.nan})
+
+
 class TestFrequencyControllerUnit:
     CFG = ControllerConfig(v_ref=12.0, ki=1e6, fsw_min=60e3, fsw_max=130e3)
 

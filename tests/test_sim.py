@@ -71,6 +71,13 @@ class TestLoadSpec:
         with pytest.raises(ValueError):
             LoadSpec.current(-0.1)
 
+    @pytest.mark.parametrize("point, field", [
+        ((math.nan, 0.2), "switch time"), ((math.inf, 0.2), "switch time"),
+        ((1e-3, math.nan), "value"), ((1e-3, math.inf), "value")])
+    def test_rejects_non_finite_points(self, point, field):
+        with pytest.raises(ValueError, match=f"load {field} must be finite"):
+            LoadSpec.profile("current", [(0.0, 0.1), point])
+
     def test_value_at_steps(self):
         ld = LoadSpec.profile("current", [(0.0, 0.1), (2e-3, 0.5)])
         assert ld.value_at(-1.0) == 0.1  # first value applies before t0
@@ -101,6 +108,14 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(tank=TANK, vin=VIN, fsw=6e6,
                       load=LoadSpec.resistance(RL), t_end=1e-3)
+
+    @pytest.mark.parametrize("field", ["vin", "fsw", "t_end", "dt_max",
+                                       "soft_start"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, field, value):
+        # checked at construction: no such run is ever started
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(full_load_cfg(F0, 1), **{field: value})
 
     def test_rejects_bad_stride_and_dt(self):
         with pytest.raises(ValueError):
@@ -666,6 +681,69 @@ class TestSinkCurrent:
         assert np.all(iout[held] <= 0.5)
         assert np.all(iout[(v == 0.0) & (rect == RectPhase.OFF)] == 0.0)
         assert np.all(iout[v > 0.0] == 0.5)
+
+
+class TestPeriodLocalTime:
+    """Each period runs in its own local time; only what it reports is
+    labelled with its absolute start."""
+
+    FSW = 110e3
+
+    def _period(self, t0):
+        cfg = full_load_cfg(self.FSW, 1)
+        drv = sim.PeriodDriver(cfg, record=False)
+        drv.reset(replace(warm_start_state(cfg), t=t0), jacobian=True)
+        drv.advance_period(self.FSW)
+        return drv
+
+    def test_period_runs_alike_from_any_start(self):
+        ref = self._period(0.0)
+        period = 1.0 / self.FSW
+        for t0 in (1e-3, 16e-3, 1.0):
+            drv = self._period(t0)
+            assert drv.state == replace(ref.state, t=t0 + period)
+            assert repr(drv.energy) == repr(ref.energy)
+            assert repr(drv.last_period_peaks) == repr(ref.last_period_peaks)
+            assert drv.counts == ref.counts
+            assert drv.jacobian.tobytes() == ref.jacobian.tobytes()
+            events = drv.result().events
+            assert [e.kind for e in events] \
+                == [e.kind for e in ref.result().events]
+            assert all(t0 <= e.t <= t0 + period for e in events)
+
+    def test_fixed_frequency_periods_reuse_their_step_maps(self,
+                                                          monkeypatch):
+        # every period at one frequency has the same local bounds, so the
+        # same step lengths: once the first period from the operating
+        # point has built its maps, the next 199 build none
+        from llckit.steady_state import find_pop
+
+        cfg = full_load_cfg(self.FSW, 1)
+        drv = sim.PeriodDriver(cfg, find_pop(cfg).state, record=False)
+        drv.advance_period(self.FSW)
+        built = []
+        step_map = kernels._step_map
+
+        def counting(m, h, *args):
+            built.append(h)
+            return step_map(m, h, *args)
+
+        monkeypatch.setattr(kernels, "_step_map", counting)
+        for _ in range(199):
+            drv.advance_period(self.FSW)
+        assert drv.periods == 200
+        assert built == []
+
+    def test_errors_name_absolute_time(self, monkeypatch):
+        # no transition is allowed inside a step, so the first event
+        # chatters; the message names the time of the run, not of the
+        # period
+        monkeypatch.setattr(kernels, "EVENT_GUARD", 0)
+        t0 = 1e-3
+        with pytest.raises(ModeChatter, match=r"near t=([0-9.e+-]+)") as exc:
+            self._period(t0)
+        t = float(exc.value.args[0].rsplit("t=", 1)[1])
+        assert t0 <= t <= t0 + 1.0 / self.FSW
 
 
 class TestTimebase:
