@@ -168,7 +168,7 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         """The iterate at st: (residual, x, st, P(x), peaks over the
         period, rectifier phase at its end, Jacobian of P at x)."""
         nonlocal cycles
-        drv.reset(consistent_rect(replace(st, t=0.0)), jacobian=True)
+        drv.reset(consistent_rect(st), jacobian=True)
         drv.advance_period(fsw)
         cycles += 1
         x = st.vector()
@@ -255,7 +255,7 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         raise NoConvergence(
             f"shooting still at residual {res:.3e} after {cycles} periods",
             res, cycles)
-    return (replace(st, t=0.0, rect=rect_out), res, cycles,
+    return (replace(st, rect=rect_out), res, cycles,
             PopTrace(tuple(residuals), halvings, plain))
 
 
