@@ -4,12 +4,17 @@ One switching period is four gate segments in fixed order: high switch on,
 dead time into the low side, low switch on, dead time back to the high
 side.  Each segment is handed to the kernel (:mod:`llckit.kernels`), which
 steps the piecewise-linear circuit by each mode's exact propagator and
-locates rectifier, dead-time and sink events on the exact trajectory.  The
-driver keeps the kernel's propagator cache for the run, has each call append
-its events to the run's log, keeps the row plan each call hands back, adds
-up its energies, and counts the kernel's steps, its localization
-iterations, the crests it locates and their iterations, and the events by
-kind (:attr:`PeriodDriver.counts`).  The waveform rows are built from the
+locates rectifier, dead-time and sink events on the exact trajectory.
+Each period runs in its own local time, from 0 at its start: the kernel
+gets the segment bounds 0, T/2 - td, T/2, T - td and T, and the period's
+absolute start only as the base of the times it reports (events and rows;
+the driver's error messages name absolute time too), so the period's
+arithmetic does not depend on when it starts.  The driver keeps the
+kernel's propagator cache for the run, has each call append its events to
+the run's log, keeps the row plan each call hands back, adds up its
+energies, and counts the kernel's steps, its localization iterations, the
+crests it locates and their iterations, and the events by kind
+(:attr:`PeriodDriver.counts`).  The waveform rows are built from the
 plans in one pass when the result is asked for
 (:meth:`PeriodDriver.result`, through ``kernels.build_rows``), so their
 numpy work is paid once per run rather than once per kernel call.
