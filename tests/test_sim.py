@@ -740,7 +740,7 @@ class TestPeriodLocalTime:
         # period
         monkeypatch.setattr(kernels, "EVENT_GUARD", 0)
         t0 = 1e-3
-        with pytest.raises(ModeChatter, match=r"near t=([0-9.e+-]+)") as exc:
+        with pytest.raises(ModeChatter, match="near t=") as exc:
             self._period(t0)
         t = float(exc.value.args[0].rsplit("t=", 1)[1])
         assert t0 <= t <= t0 + 1.0 / self.FSW
