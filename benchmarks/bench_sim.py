@@ -3,21 +3,24 @@
 
 Integrates the same warm-started transient on the nominal design a few
 times and prints the best wall time with the period driver's counts:
-kernel steps, events, the root iterations that locate events, the crests
-located for the peaks and their iterations, per event or per period, and
-the wall time per step and per switching period.  Then, from the periodic
-operating point at the same frequency, it times one period recorded at
-every grid instant and one unrecorded, each with its ``result()``, the
-last thing ``find_pop`` does, and prints rows, steps and the wall time of
-each.  Next, from the same point, it times 64 unrecorded periods at
-110 kHz (1 + 1e-5 k), k = 0 .. 63: like the closed loop, which moves the
-frequency every period, each period has a new length, so each builds its
-own step maps; it prints their root-search counts per period too.  Last,
-it times 64 periods from the same point recorded at strides 8 and 32 (the
-strides of the ``transient`` and ``step`` benchmark workloads) and
-unrecorded, at 110 kHz and at a new length each period, each with the
-driver's ``result()``, which builds the rows, and prints the us per period
-with rows and without.
+kernel steps, events, the root iterations that locate events, the steps
+queued as crest candidates and the crests located among them with their
+iterations (a transient reads no peaks, so it locates none), per event
+or per period, and the wall time per step and per switching period.
+Then, from the periodic operating point at the same frequency, it times
+one period recorded at every grid instant and one unrecorded, each with
+its ``result()``, the last thing ``find_pop`` does, and prints rows,
+steps and the wall time of each.  Next, from the same point, it times 64
+unrecorded periods at 110 kHz (1 + 1e-5 k), k = 0 .. 63: like the closed
+loop, which moves the frequency every period, each period has a new
+length, so each builds its own step maps.  It runs them twice, reading
+no peaks and reading every period's peaks (as shooting does), and prints
+the root-search and crest counts per period of each.  Last, it times 64
+periods from the same point recorded at strides 8 and 32 (the strides of
+the ``transient`` and ``step`` benchmark workloads) and unrecorded, at
+110 kHz and at a new length each period, each with the driver's
+``result()``, which builds the rows, and prints the us per period with
+rows and without.
 
     python3 benchmarks/bench_sim.py [--t-end 2e-3] [--repeat 3]
 """
@@ -26,6 +29,13 @@ import argparse
 import dataclasses
 import sys
 import time
+
+
+def crests(counts: dict, periods: int) -> str:
+    """The crest counts of a run, per period."""
+    return (f"{counts['crest_candidates'] / periods:.2f} crest candidates, "
+            f"{counts['extremum_searches'] / periods:.2f} located in "
+            f"{counts['extremum_iterations'] / periods:.1f} iterations")
 
 
 def main() -> int:
@@ -73,9 +83,7 @@ def main() -> int:
     print(f"  events {located} located, {iters / max(located, 1):.2f} "
           f"localization iterations each")
     print(f"  per period: {iters / res.periods:.1f} localization "
-          f"iterations, {counts['extremum_searches'] / res.periods:.2f} "
-          f"crests located in "
-          f"{counts['extremum_iterations'] / res.periods:.1f} iterations")
+          f"iterations, {crests(counts, res.periods)}")
 
     # one period from the periodic operating point, as find_pop records it
     # and as its solvers run it
@@ -94,23 +102,24 @@ def main() -> int:
               f"{best * 1e6:.0f} us")
 
     periods = 64
-    best = float("inf")
-    for _ in range(args.repeat):
-        drv = PeriodDriver(period_cfg, state, record=False)
-        t0 = time.perf_counter()
-        for k in range(periods):
-            drv.advance_period(cfg.fsw * (1.0 + 1e-5 * k))
-        best = min(best, time.perf_counter() - t0)
     print(f"{periods} unrecorded periods from the operating point, a new "
           f"length each, best of {args.repeat}")
-    counts = drv.counts
-    print(f"  {counts['steps'] / periods:.1f} steps/period, "
-          f"{best / periods * 1e6:.0f} us/period")
-    print(f"  per period: "
-          f"{counts['localization_iterations'] / periods:.1f} localization "
-          f"iterations, {counts['extremum_searches'] / periods:.2f} crests "
-          f"located in {counts['extremum_iterations'] / periods:.1f} "
-          f"iterations")
+    for label, read in (("peaks unread", False), ("peaks read", True)):
+        best = float("inf")
+        for _ in range(args.repeat):
+            drv = PeriodDriver(period_cfg, state, record=False)
+            t0 = time.perf_counter()
+            for k in range(periods):
+                drv.advance_period(cfg.fsw * (1.0 + 1e-5 * k))
+                if read:
+                    drv.last_period_peaks
+            best = min(best, time.perf_counter() - t0)
+        counts = drv.counts
+        print(f"  {label:<12} {counts['steps'] / periods:.1f} steps/period, "
+              f"{best / periods * 1e6:.0f} us/period")
+        print(f"  {'':<12} per period: "
+              f"{counts['localization_iterations'] / periods:.1f} "
+              f"localization iterations, {crests(counts, periods)}")
 
     print(f"{periods} periods from the operating point with their result, "
           f"us/period, best of {args.repeat}")

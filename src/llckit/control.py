@@ -161,7 +161,7 @@ def run_closed_loop(cfg: SimConfig, ctrl: ControllerConfig,
         drv.advance_period(fcmd, t_stop=cfg.t_end)
         dt = drv.t - t_a
         vout = drv.state.vOut
-        ipk = drv.last_period_peaks[0]
+        ipk = drv.period_peaks.exact((0,))[0]  # the iLr peak alone
         controller.update(vout, ipk, dt)
         rows.append((drv.t, fcmd, vout, ipk))
         flags.append(controller.overridden)

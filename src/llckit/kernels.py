@@ -62,13 +62,16 @@ iteration on the step's Taylor polynomial (``_root``):
 A step fires an event when an event function ends it on the other side of
 its threshold, or when the function turns back inside the step after
 crossing it (a graze: its slope changes sign towards the threshold, and its
-extremum lies past it).  The extremum is located only where a bound on the
-function over the step, from its Taylor terms as for the peaks below
-(``_reach``), can pass the threshold: a vOut ripple minimum near 12 V,
-turning back far above the sink's 0 V, needs no search.  The located
-instant lies on the fired side, within tol_t of the crossing.  When
-several fire inside one step the earliest located one is applied; a tie
-goes to the one listed first.
+extremum lies past it).  A turn-back is looked at only where a bound on
+the function over the step can pass the threshold, and the bound needs no
+Taylor series (``_tail``): from the step's start state x, its rate
+r = A x + b, its length h and the mode's rho, the terms past the linear one
+add at most |D r| (e^(rho h) - 1 - rho h) / rho sum_j |c_j| / D_j to
+c . x, D the energy scaling of ``_mode``.  So a vOut ripple minimum near
+12 V, turning back far above the sink's 0 V, costs neither a series nor a
+search.  The located instant lies on the fired side, within tol_t of the
+crossing.  When several fire inside one step the earliest located one is
+applied; a tie goes to the one listed first.
 
 Source energy (vin times the integral of iLr while the node is high) and
 diode loss come from integral maps.  The load energy of each span between
@@ -76,12 +79,19 @@ transitions follows from the output capacitor, whose rectifier input is,
 while a diode conducts, the source energy less the diode loss and the
 tank's gain (``_span_load``).  The peaks per component include the extrema
 inside a step, where the component's rate changes sign.  A call queues
-these crests and resolves them at its end (``_crest_peaks``): |x_j| over
-the step fraction s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) +
-s^2 sum_(k >= 2) |w_k|, so a crest is located, largest bound first, only
-where that bound and a rounding margin can still pass the call's peak; a
-max does not depend on the order of its values.  Ripple minima and other
-extrema that move towards zero need no search.
+these crests as candidates: the step's Taylor terms where it built them
+for an event, else the start state, length and mode to build them from.
+Given a list, the call appends its candidates there and returns the peaks
+of its step ends, and the caller resolves them when it needs them
+(``sim.PeriodPeaks``); without one, it resolves them at its end.  The
+resolution (``_crest_peaks``) uses that |x_j| over the step fraction
+s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) + s^2 sum_(k >= 2) |w_k|, so
+a crest is located, largest bound first, only where that bound and a
+rounding margin can still pass the peak; a max does not depend on the
+order of its values, nor on which crests whose bound cannot pass it are
+left out.  Ripple minima and other extrema that move towards zero need no
+search.  A search that runs out of ``LOC_MAX`` iterations, for a crest or
+a turn-back, is a localization failure.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:
@@ -201,6 +211,13 @@ _POWERS = np.arange(_ROW_K + 1.0)
 _DEAD_SLOT = (2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _rate(m, x0, x1, x2, x3):
+    """The rate dx/dt = A x + b of mode m (``_mode``) at state x."""
+    return (m[0] * x1 + m[1] * x3 + m[7], m[2] * x0,
+            m[3] * x1 + m[4] * x3 + m[8],
+            m[5] * (x0 - x2) + m[6] * x3 + m[9])
+
+
 def _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val):
     """The load current: vOut / R for a resistor; for a current sink, its
     setpoint while it draws, and while it holds the output at 0 V the
@@ -225,13 +242,13 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
     Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps, terms]: rho is the largest row sum of |A| in the
-    energy coordinates (sqrt(Lr) iLr, sqrt(Cr) vCr, sqrt(Lm) iLm,
-    sqrt(Cout) vOut), which bounds every eigenvalue; slots lists the mode's
+    dead_slots, maps, terms, scales]: rho is the largest row sum of |A| in
+    the energy coordinates D x, D = diag(sqrt(Lr), sqrt(Cr), sqrt(Lm),
+    sqrt(Cout)), which bounds every eigenvalue; slots lists the mode's
     rectifier and sink event functions in slot order, and dead_slots adds
-    the dead-time one; maps caches the step maps by exact step length, and
+    the dead-time one; maps caches the step maps by exact step length,
     terms holds the mode's Taylor table (``_terms``) once built (None until
-    then).
+    then), and scales is the diagonal of D.
     """
     a10 = 1.0 / Cr
     kq = Lm / (Lr + Lm)
@@ -270,7 +287,7 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
               abs(a21) * sm / sc + abs(a23) * sm / so,
               abs(a30) * (so / sl + so / sm) + abs(a33))
     return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}, None]
+            sorted(slots + [_DEAD_SLOT]), {}, None, (sl, sc, sm, so)]
 
 
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
@@ -298,10 +315,9 @@ def _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
     cap = maps.get((load_kind, load_val))
     if cap is None:
         sink = SINK_NONE if load_kind == LOAD_RES else SINK_ON
-        rho = max(_mode_of(maps, RECT_D1, 0, sink, vin, Lr, Cr, Lm, n, Vf,
-                           Cout, load_kind, load_val)[10],
-                  _mode_of(maps, RECT_OFF, 0, sink, vin, Lr, Cr, Lm, n, Vf,
-                           Cout, load_kind, load_val)[10])
+        rho = max(_mode_of(maps, rect, 0, sink, vin, Lr, Cr, Lm, n, Vf,
+                           Cout, load_kind, load_val)[10]
+                  for rect in (RECT_D1, RECT_OFF))
         cap = STEP_FRACTION * 2.0 * math.pi / rho
         maps[load_kind, load_val] = cap
     return cap
@@ -336,18 +352,13 @@ def _series(x0, x1, x2, x3, e0, e2, e3, h, m):
     return w
 
 
-def _values(w, s, h, rate):
-    """The state x(s h), with ``rate`` the rate dx/dt there (else zeros),
-    and the integrals of iLr and iLm over [0, s h] from the Taylor terms,
-    summed by Horner's rule in one pass: the state from w_n, the rate from
-    n w_n down to w_1, and the integrals from 0 with weights 1 / (k + 1),
-    each as a pass of its own would sum it.  Returns (x0, x1, x2, x3, r0,
-    r1, r2, r3, i0, i2)."""
+def _values(w, s, h):
+    """The state x(s h) and the integrals of iLr and iLm over [0, s h]
+    from the Taylor terms, summed by Horner's rule in one pass: the state
+    from w_n, and the integrals from 0 with weights 1 / (k + 1), each as a
+    pass of its own would sum it.  Returns (x0, x1, x2, x3, i0, i2)."""
     k = len(w) - 1
     x0, x1, x2, x3 = w[k]
-    r0 = r1 = r2 = r3 = 0.0
-    if rate:
-        r0, r1, r2, r3 = k * x0, k * x1, k * x2, k * x3
     r = 1.0 / (k + 1)
     i0 = 0.0 * s + r * x0
     i2 = 0.0 * s + r * x2
@@ -357,18 +368,27 @@ def _values(w, s, h, rate):
         x1 = x1 * s + c1
         x2 = x2 * s + c2
         x3 = x3 * s + c3
-        if rate:
-            r0 = r0 * s + k * c0
-            r1 = r1 * s + k * c1
-            r2 = r2 * s + k * c2
-            r3 = r3 * s + k * c3
         r = 1.0 / (k + 1)
         i0 = i0 * s + r * c0
         i2 = i2 * s + r * c2
     c0, c1, c2, c3 = w[0]
     return (x0 * s + c0, x1 * s + c1, x2 * s + c2, x3 * s + c3,
-            r0 / h, r1 / h, r2 / h, r3 / h,
             (i0 * s + c0) * s * h, (i2 * s + c2) * s * h)
+
+
+def _rates(w, s, h):
+    """The rate dx/dt at s h from the Taylor terms, summed by Horner's rule
+    from n w_n down to w_1.  Only a crest's resolution needs it at an
+    event (``_crest_peaks``)."""
+    k = len(w) - 1
+    r0, r1, r2, r3 = (k * c for c in w[k])
+    for c0, c1, c2, c3 in w[-2:0:-1]:
+        k -= 1
+        r0 = r0 * s + k * c0
+        r1 = r1 * s + k * c1
+        r2 = r2 * s + k * c2
+        r3 = r3 * s + k * c3
+    return r0 / h, r1 / h, r2 / h, r3 / h
 
 
 def _terms(m, cap):
@@ -516,10 +536,10 @@ def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
     ends.  Within rounding of its threshold a function counts as on it: it
     fires only from there or short of it, and only once it ends clear past
     it, or once its extremum inside the step lies clear past it (a graze).
-    The extremum is located only where the function's bound over the step
-    (``_reach``) lies clear past it too.  Returns (s, iterations): s the
-    located fraction, -2.0 when the slot does not fire, or -1.0 when
-    localization failed.
+    The caller skips a turn-back whose series-free bound (``_tail``) stays
+    short of the threshold.  Returns (s, iterations): s the located
+    fraction, -2.0 when the slot does not fire, or -1.0 when localization
+    failed, the extremum's search included.
     """
     _, c0, c1, c2, c3, d, _ = slot
     if side * ga > 0.0 and side * ga > _noise(c0, c1, c2, c3, d, *w[0]):
@@ -532,10 +552,10 @@ def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
         if not (side * da > 0.0 and side * db < 0.0):
             return -2.0, 0
         noise = _noise(c0, c1, c2, c3, d, *w[0])
-        if _reach(P, 1.0, side) <= noise:
-            return -2.0, 0  # the turn-back stays short of the threshold
         dP = [k * P[k] for k in range(1, len(P))]
         lo_end, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL, da, db)
+        if lo_end < 0.0:
+            return -1.0, it
         gb = _peval(P, lo_end)[0]
         if side * gb <= noise:
             return -2.0, it
@@ -557,9 +577,10 @@ def _reach(P, s, side):
     bound's size, |P[0]| + |P[1]| s plus the higher terms' part, or
     ``_TINY`` where underflow cuts a relative bound, covers what the search
     could return: where the bound cannot pass a threshold, neither can the
-    search, and it need not run.  (An extremum search that ran out of
-    ``LOC_MAX`` iterations would evaluate outside [0, s]; none is known
-    to.)
+    search, and it need not run.  (An extremum search that runs out of
+    ``LOC_MAX`` iterations is a localization failure, and nothing is
+    evaluated outside [0, s].)  ``_tail`` gives the higher terms' part
+    without the terms, as P[2] of a polynomial [p0, p1, tail] at s = 1.
     """
     tail = sum(map(abs, P[2:])) * s * s
     p0 = P[0]
@@ -571,6 +592,25 @@ def _reach(P, s, side):
     return top + tail + (_SLACK * (abs(p0) + abs(p1) + tail) + _TINY)
 
 
+def _tail(r, h, m):
+    """A bound, in the energy coordinates D x of ``_mode``, on what the
+    Taylor terms past the linear one add to the state over a step of mode m
+    and length h from a state with rate r = A x + b, without the terms.
+
+    There |D A D^-1| is at most rho in the max norm, so D w_k =
+    h^k / k! D A^(k-1) r, the k-th term, is at most h^k rho^(k-1) / k! |D r|,
+    and the terms past k = 1 add at most |D r| (e^(rho h) - 1 - rho h) / rho
+    to each component of D x: to c . x at most that times
+    sum_j |c_j| / D_j.  The computed terms grow by a few roundings per term
+    at most, well inside the margin of ``_reach``; rho h times ``_SLACK``
+    more covers the rounding of e^(rho h) - 1 - rho h and of the linear
+    part h c . r, whose terms are at most h |D r| |c_j| / D_j.
+    """
+    theta = m[10] * h
+    return (max(map(abs, map(float.__mul__, r, m[15])))
+            * (math.expm1(theta) - theta * (1.0 - _SLACK)) / m[10])
+
+
 def _crest_peaks(crests, peaks):
     """The running peaks |x_j| raised by the queued crests, the crests
     located and the root iterations spent locating them.
@@ -579,7 +619,9 @@ def _crest_peaks(crests, peaks):
     start and rb at s; each component whose rate changes sign has a crest
     inside (0, s).  A max does not depend on the order of its values, so
     the crests go largest bound (``_reach``) first, and only those whose
-    bound can still pass their peak are located.
+    bound can still pass their peak are located.  Returns None for the
+    peaks where a crest could not be located within ``LOC_MAX``
+    iterations.
     """
     peaks = list(peaks)
     queue = []
@@ -597,6 +639,8 @@ def _crest_peaks(crests, peaks):
                          1.0 if b > 0.0 else -1.0, _EXT_TOL, a, b)
             located += 1
             it += n
+            if u < 0.0:
+                return None, located, it
             v = abs(_peval(P, u)[0])
             if v > peaks[j]:
                 peaks[j] = v
@@ -825,7 +869,7 @@ def _put_grid_rows(out, f, tables):
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
                       dt_max, tol_t, stride, events, maps=None,
-                      sens=None, base=0.0):
+                      sens=None, base=0.0, crests=None):
     """Advance one constant-gate span [t0, t1] with event handling.
 
     t0 and t1 are local times (a switching period's, from its start), and
@@ -865,6 +909,19 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     ext_n the crests located and ext_iters their root-search iterations;
     on err != 0 the state is whatever was reached and the caller is
     expected to abort.
+
+    crests, when given, is a list the call appends its crest candidates
+    to, one per whole step in which a component's rate changes sign and
+    one per step an event ends, as (w, s, ra, rb, x, h, m): the step's
+    Taylor terms w (None where no event check built them), the fraction s
+    of it taken, the rates ra at its start and rb at s (None where an
+    event ended it: ``_rates`` gives them from w), its start state x,
+    length h and mode record m.
+    Then max_iLr .. max_vOut are the largest values at the steps' ends
+    and the entry, the crests are left to the caller, and ext_iters and
+    ext_n are 0.  Without it the call locates its crests itself and
+    returns the peaks with them (err ``ERR_EVENT_LOC`` where a search
+    fails).
     """
     if maps is None:
         maps = {}
@@ -872,21 +929,18 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     steps = 0
     loc_iters = 0
     ev_0 = len(events)
-    is_dead = seg_kind == SEG_DEAD_TO_LOW or seg_kind == SEG_DEAD_TO_HIGH
-    if seg_kind == SEG_HIGH:
-        node_hi = 1
-    elif seg_kind == SEG_LOW:
-        node_hi = 0
-    else:
-        node_hi = clamp_hi
+    is_dead = seg_kind in (SEG_DEAD_TO_LOW, SEG_DEAD_TO_HIGH)
+    node_hi = clamp_hi if is_dead else int(seg_kind == SEG_HIGH)
     vsw = vin if node_hi == 1 else 0.0
 
     max_ilr = abs(iLr)
     max_vcr = abs(vCr)
     max_ilm = abs(iLm)
     max_vout = abs(vOut)
-    # the extrema inside steps, located at the end (``_crest_peaks``)
-    crests = []
+    # the extrema inside steps: the caller's queue, or located at the end
+    own = crests is None
+    if own:
+        crests = []
 
     # entry settle, then the segment entry row
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
@@ -953,15 +1007,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 mmaps = m[13]
                 mapped = False  # the mode's step map over hp is loaded
                 f_src = vin if node_hi == 1 else 0.0
-                f_dio = 0.0
-                if rect == RECT_D1:
-                    f_dio = Vf * n
-                elif rect == RECT_D2:
-                    f_dio = -Vf * n
-                r0 = a01 * vCr + a03 * vOut + b0
-                r1 = a10 * iLr
-                r2 = a21 * vCr + a23 * vOut + b2
-                r3 = a30 * (iLr - iLm) + a33 * vOut + b3
+                f_dio = (0.0, Vf * n, -Vf * n)[rect]  # by RECT_* phase
+                r0, r1, r2, r3 = _rate(m, iLr, vCr, iLm, vOut)
                 g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
                        for _, c0, c1, c2, c3, d, _ in slots]
                 d_a = [c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3
@@ -999,7 +1046,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             else:
                 # the rest of a step after an event
                 w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                ni, nc, nm, no, *_, i0, i2 = _values(w, 1.0, h, False)
+                ni, nc, nm, no, i0, i2 = _values(w, 1.0, h)
                 de_src = f_src * i0
                 de_dio = f_dio * (i0 - i2)
             steps += 1
@@ -1022,9 +1069,15 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 side = slots[j][6]
                 if side == 0.0:
                     side = -1.0 if ga > 0.0 else 1.0 if ga < 0.0 else 0.0
-                if side * gb <= 0.0 and not (side * d_a[j] > 0.0
-                                             and side * db < 0.0):
-                    continue  # nothing to look for (or no side yet)
+                if side * gb <= 0.0 and not (
+                        side * d_a[j] > 0.0 and side * db < 0.0
+                        and _reach([ga, h * d_a[j], _tail(
+                            (r0, r1, r2, r3), h, m) * sum(map(abs, map(
+                                float.__truediv__, slots[j][1:5], m[15])))],
+                            1.0, side) > _noise(*slots[j][1:6], iLr, vCr,
+                                                iLm, vOut)):
+                    continue  # nothing to look for, no side yet, or a
+                    # turn-back whose bound stays short of the threshold
                 if w is None:
                     w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
                 s_j, it = _crossing(slots[j], side, ga, gb, d_a[j], db,
@@ -1063,10 +1116,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 sp_dio += de_dio
                 if r0 * rb0 < 0.0 or r1 * rb1 < 0.0 or r2 * rb2 < 0.0 \
                         or r3 * rb3 < 0.0:
-                    if w is None:
-                        w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
                     crests.append((w, 1.0, (r0, r1, r2, r3),
-                                   (rb0, rb1, rb2, rb3)))
+                                   (rb0, rb1, rb2, rb3),
+                                   (iLr, vCr, iLm, vOut), h, m))
                 iLr, vCr, iLm, vOut = ni, nc, nm, no
                 r0, r1, r2, r3 = rb0, rb1, rb2, rb3
                 g_a = g_b
@@ -1080,37 +1132,26 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     max_ilm = abs(iLm)
                 if abs(vOut) > max_vout:
                     max_vout = abs(vOut)
-                bad = False
-                if rect == RECT_D1 and n * (iLr - iLm) < -I_TOL:
-                    bad = True
-                elif rect == RECT_D2 and n * (iLm - iLr) < -I_TOL:
-                    bad = True
-                if vOut < -V_TOL:
-                    bad = True
-                if bad:
+                if (rect == RECT_D1 and n * (iLr - iLm) < -I_TOL
+                        or rect == RECT_D2 and n * (iLm - iLr) < -I_TOL
+                        or vOut < -V_TOL):
                     err = ERR_MODE_VIOLATION
                     break
                 continue
 
             # advance to the earliest located event
             s = s_hit
-            iLr, vCr, iLm, vOut, *rate, i0, i2 = _values(w, s, h, True)
-            crests.append((w, s, (r0, r1, r2, r3), rate))
+            iLr, vCr, iLm, vOut, i0, i2 = _values(w, s, h)
+            crests.append((w, s, (r0, r1, r2, r3), None, w[0], h, m))
             sp_src += f_src * i0
             sp_dio += f_dio * (i0 - i2)
             if sens is not None:
                 sens = _phi(m, s * h / cap, cap) @ sens
-                f_a = (a01 * vCr + a03 * vOut + b0, a10 * iLr,
-                       a21 * vCr + a23 * vOut + b2,
-                       a30 * (iLr - iLm) + a33 * vOut + b3)
-            if abs(iLr) > max_ilr:
-                max_ilr = abs(iLr)
-            if abs(vCr) > max_vcr:
-                max_vcr = abs(vCr)
-            if abs(iLm) > max_ilm:
-                max_ilm = abs(iLm)
-            if abs(vOut) > max_vout:
-                max_vout = abs(vOut)
+                f_a = _rate(m, iLr, vCr, iLm, vOut)
+            max_ilr = max(max_ilr, abs(iLr))
+            max_vcr = max(max_vcr, abs(vCr))
+            max_ilm = max(max_ilm, abs(iLm))
+            max_vout = max(max_vout, abs(vOut))
             e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                                  iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
             e_src += sp_src
@@ -1129,12 +1170,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 node_hi = clamp_hi
             if sens is not None:
                 # the rate just after the event, in the mode it leads to
-                m_b = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
-                               n, Vf, Cout, load_kind, load_val)
-                sens = _saltation(slots[hit], f_a, (
-                    m_b[0] * vCr + m_b[1] * vOut + m_b[7], m_b[2] * iLr,
-                    m_b[3] * vCr + m_b[4] * vOut + m_b[8],
-                    m_b[5] * (iLr - iLm) + m_b[6] * vOut + m_b[9])) @ sens
+                sens = _saltation(slots[hit], f_a, _rate(_mode_of(
+                    maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
+                    load_kind, load_val), iLr, vCr, iLm, vOut)) @ sens
             if codes:
                 events.extend((base + t_ev, code) for code in codes)
                 if rows_on:
@@ -1170,8 +1208,16 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
     peaks = (max_ilr, max_vcr, max_ilm, max_vout)
     ext_iters = ext_n = 0
-    if crests:
-        peaks, ext_n, ext_iters = _crest_peaks(crests, peaks)
+    if own and crests:
+        # the Taylor terms of the steps queued without them, and the rates
+        # where an event ended a step, then the crests
+        got, ext_n, ext_iters = _crest_peaks(
+            [(w or _series(*x, *m[7:10], h, m), s, ra,
+              rb or _rates(w, s, h))
+             for w, s, ra, rb, x, h, m in crests], peaks)
+        if got is None:
+            err = ERR_EVENT_LOC
+        peaks = got or peaks
     # 21 values: CPython 3.11 puts freed 20-tuples on a free list that it
     # never takes them from, up to 2000 of them (400 kB)
     return (err, plan, len(events) - ev_0, rect, clamp_hi,

@@ -11,13 +11,16 @@ absolute start only as the base of the times it reports (events and rows;
 the driver's error messages name absolute time too), so the period's
 arithmetic does not depend on when it starts.  The driver keeps the
 kernel's propagator cache for the run, has each call append its events to
-the run's log, keeps the row plan each call hands back, adds up its
-energies, and counts the kernel's steps, its localization iterations, the
-crests it locates and their iterations, and the events by kind
-(:attr:`PeriodDriver.counts`).  The waveform rows are built from the
-plans in one pass when the result is asked for
-(:meth:`PeriodDriver.result`, through ``kernels.build_rows``), so their
-numpy work is paid once per run rather than once per kernel call.
+the run's log and its crest candidates to the period's (see
+:class:`PeriodPeaks`: the extrema inside steps are located only when a
+period's peaks are read), keeps the row plan each call hands back, adds
+up its energies, and counts the kernel's steps, its localization
+iterations, the crest candidates, the crests located and their
+iterations, and the events by kind (:attr:`PeriodDriver.counts`).  The
+waveform rows are built from the plans in one pass when the result is
+asked for (:meth:`PeriodDriver.result`, through ``kernels.build_rows``),
+so their numpy work is paid once per run rather than once per kernel
+call.
 ``dt_max`` (default: a period over ``STEPS_PER_PERIOD``) sets the grid that
 waveform rows sit on; an unrecorded driver (``record=False``, as the
 steady-state solvers run) asks the kernel for no rows at all.  Reset with
@@ -68,6 +71,7 @@ __all__ = [
     "warm_start_state",
     "run_transient",
     "PeriodDriver",
+    "PeriodPeaks",
     "fundamental_component",
     "stored_energy",
 ]
@@ -430,6 +434,106 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
 _REC_CAP_MAX = 1 << 24  # grid rows one kernel call may record
 
 
+class PeriodPeaks:
+    """The peaks max |x_j| of (iLr, vCr, iLm, vOut) over one period,
+    resolved only where they are read.
+
+    The kernel hands back the largest values at its steps' ends
+    (``ends``) and queues its crest candidates (``crests``, see
+    ``kernels.integrate_segment``): the whole steps in which a component's
+    rate changes sign, and the steps an event ends.  Each has a bound on
+    |x_j| over its step: from its Taylor terms where it carries them
+    (``kernels._reach``), and otherwise from no series at all
+    (``kernels._tail``), the component's larger value along the step's
+    linear part plus what its higher terms can add.  :meth:`upper` bounds
+    a peak by these alone.  :meth:`exact` locates the crests of the
+    components it is asked for with ``kernels._crest_peaks``, leaving out
+    those whose bound, where :meth:`upper` has computed it, stays within
+    the step ends' value: a peak is a max, so neither they nor the order of
+    the rest can change it, and the exact peaks are the bits that locating
+    every crest gives.  Searches and their iterations are added to
+    ``counter``, the driver's [crests located, root iterations].
+    """
+
+    def __init__(self, t0: float, counter: list):
+        self.t0 = t0  # the period's start, for error messages
+        self.ends = [0.0, 0.0, 0.0, 0.0]
+        self.crests: list = []
+        self._counter = counter
+        # per component: its bound in each candidate, once computed, and
+        # its exact peak
+        self._bounds: list = [None, None, None, None]
+        self._exact: list = [None, None, None, None]
+        self._rates: dict = {}  # end rates of event-ended candidates
+
+    def _end_rate(self, i: int):
+        """Candidate i's rates at the end of its part of the step."""
+        w, s, _, rb, _, h, _ = self.crests[i]
+        if rb is None:
+            rb = self._rates.get(i)
+            if rb is None:
+                rb = self._rates[i] = kernels._rates(w, s, h)
+        return rb
+
+    @staticmethod
+    def _bound(cand, j: int) -> float:
+        """A bound on |x_j| over a candidate's step, 0.0 where its rate
+        is known to keep its sign (no crest); an event-ended step's end
+        rate is not at hand, and its bound holds either way."""
+        w, s, ra, rb, x, h, m = cand
+        if rb is not None and not ra[j] * rb[j] < 0.0:
+            return 0.0
+        if w is not None:
+            return kernels._reach([c[j] for c in w], s, 0.0)
+        return kernels._reach([x[j], s * h * ra[j],
+                               kernels._tail(ra, s * h, m) / m[15][j]],
+                              1.0, 0.0)
+
+    def upper(self, j: int) -> float:
+        """An upper bound on component j's peak, with no crest search."""
+        b = self._bounds[j]
+        if b is None:
+            b = self._bounds[j] = [self._bound(c, j) for c in self.crests]
+        return max([self.ends[j]] + b)
+
+    def exact(self, comps=(0, 1, 2, 3)) -> tuple:
+        """The exact peaks of the components ``comps``; raises
+        :class:`EventLocalizationFailure` where a crest search fails."""
+        todo = [j for j in comps if self._exact[j] is None]
+        if todo:
+            ends = self.ends
+            bounds = self._bounds
+            queue = []
+            for i, (w, s, ra, rb, x, h, m) in enumerate(self.crests):
+                # the components whose rate changes sign in the step, less
+                # those whose bound is known to stay within the step ends'
+                # value; the search sees only their crests
+                pa = [0.0, 0.0, 0.0, 0.0]
+                pb = [0.0, 0.0, 0.0, 0.0]
+                found = False
+                for j in todo:
+                    if bounds[j] is None or bounds[j][i] > ends[j]:
+                        if rb is None:
+                            rb = self._end_rate(i)
+                        if ra[j] * rb[j] < 0.0:
+                            pa[j] = ra[j]
+                            pb[j] = rb[j]
+                            found = True
+                if found:
+                    queue.append((w or kernels._series(*x, *m[7:10], h, m),
+                                  s, pa, pb))
+            got, n, it = kernels._crest_peaks(queue, ends)
+            self._counter[0] += n
+            self._counter[1] += it
+            if got is None:
+                raise EventLocalizationFailure(
+                    f"could not localize a crest in the period from "
+                    f"t={self.t0:.6e}")
+            for j in todo:
+                self._exact[j] = got[j]
+        return tuple(self._exact[j] for j in comps)
+
+
 def _local(t: float, t0: float) -> float:
     """The local time d from t0 whose label t0 + d is t itself (t - t0
     may be an ulp off)."""
@@ -474,11 +578,11 @@ class PeriodDriver:
         self._zvs: list = []
         self._energy = [0.0, 0.0, 0.0]  # source, load, diode
         self.periods = 0
-        self._pmax = [0.0, 0.0, 0.0, 0.0]
         self._steps = 0
         self._loc_iters = 0
-        self._ext_iters = 0
-        self._ext_n = 0
+        self._ext = [0, 0]  # crests located, and their root iterations
+        self._queued = 0
+        self._peaks = PeriodPeaks(self.t, self._ext)
         self._sens = np.eye(4) if jacobian else None
 
     @property
@@ -488,8 +592,17 @@ class PeriodDriver:
 
     @property
     def last_period_peaks(self) -> tuple:
-        """(max |iLr|, max |vCr|, max |iLm|, max |vOut|) over the last period."""
-        return tuple(self._pmax)
+        """(max |iLr|, max |vCr|, max |iLm|, max |vOut|) over the last
+        period, its crests located on first reading (see
+        :class:`PeriodPeaks`); raises :class:`EventLocalizationFailure`
+        where a crest cannot be located."""
+        return self._peaks.exact()
+
+    @property
+    def period_peaks(self) -> PeriodPeaks:
+        """The last period's peak record, for a reader that needs only
+        bounds on the peaks or only some of them."""
+        return self._peaks
 
     @property
     def jacobian(self) -> np.ndarray | None:
@@ -508,15 +621,19 @@ class PeriodDriver:
     @property
     def counts(self) -> dict:
         """Deterministic work counts since the last reset: kernel steps,
-        event-localization iterations, the crests located for the peaks and
-        their root iterations, and logged events by kind."""
+        event-localization iterations, the steps queued as crest candidates
+        for the peaks, the crests located among them and their root
+        iterations, and logged events by kind.  Crests are located only
+        when a period's peaks are read (:class:`PeriodPeaks`), so a run
+        that reads none, such as a transient, locates none."""
         events = dict.fromkeys(_EVENT_NAMES.values(), 0)
         for _, code in self._events:
             events[_EVENT_NAMES[code]] += 1
         return {"steps": self._steps,
                 "localization_iterations": self._loc_iters,
-                "extremum_searches": self._ext_n,
-                "extremum_iterations": self._ext_iters,
+                "crest_candidates": self._queued,
+                "extremum_searches": self._ext[0],
+                "extremum_iterations": self._ext[1],
                 "events": events}
 
     def _run_piece(self, t_a: float, t_b: float, seg_kind: int, clamp: int,
@@ -526,12 +643,15 @@ class PeriodDriver:
         if stride and math.ceil((t_b - t_a) / dt_eff) // stride > _REC_CAP_MAX:
             raise RecordOverflow("waveform rows of one span exceed the hard cap")
         x = self._x
+        peaks = self._peaks
+        queued = len(peaks.crests)
         (err, plan, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
-         steps, loc_iters, e_src, e_load, e_dio, self._sens, ext_iters,
-         ext_n) = kernels.integrate_segment(
+         steps, loc_iters, e_src, e_load, e_dio, self._sens, _,
+         _) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
             vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
-            stride, self._events, self._maps, self._sens, base)
+            stride, self._events, self._maps, self._sens, base,
+            peaks.crests)
         t_err = base + t_a
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
@@ -548,11 +668,11 @@ class PeriodDriver:
         self._rect = rect
         self._steps += steps
         self._loc_iters += loc_iters
-        self._ext_iters += ext_iters
-        self._ext_n += ext_n
+        self._queued += len(peaks.crests) - queued
         self._energy = [a + b for a, b in zip(self._energy,
                                               (e_src, e_load, e_dio))]
-        self._pmax = [max(a, b) for a, b in zip(self._pmax, (m0, m1, m2, m3))]
+        peaks.ends = [max(a, b) for a, b in zip(peaks.ends,
+                                                (m0, m1, m2, m3))]
         if self.record:
             self._plans.append(plan)
         return clamp_out
@@ -592,7 +712,7 @@ class PeriodDriver:
         dt_eff = cfg.dt_max if cfg.dt_max is not None else period / STEPS_PER_PERIOD
         tol_t = 1e-12 / fsw
         stride = cfg.record_stride if self.record else 0  # 0: no rows
-        self._pmax = [0.0, 0.0, 0.0, 0.0]
+        self._peaks = PeriodPeaks(t0, self._ext)
 
         for seg_kind, s_a, s_b, gate_code in plan:
             if t0 + s_a >= t_stop:

@@ -22,12 +22,18 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
 
 Residuals are normalized per state component by the peak excursion of that
 component over the last integrated period, so volts and amperes are judged
-on equal footing.
+on equal footing.  The peaks include extrema inside kernel steps, which
+take a root search each; cycle iteration compares a lower bound on each
+period's residual, from bounds on its peaks that need no search, with the
+tolerance first, and locates the extrema only where the residual can be
+below it, or where the contraction estimate reads it (see
+``_gated_residual``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,6 +125,38 @@ def _residual(delta: np.ndarray, peaks) -> float:
                      for d, p in zip(delta, peaks)))
 
 
+def _gated_residual(entry: list, tol: float = math.inf) -> float:
+    """The residual of ``entry`` = [state change, :class:`PeriodPeaks` of
+    its period, its residual once known] where it is below ``tol``; where
+    it is not, perhaps only a lower bound on it that is not below ``tol``
+    either.
+
+    Component j's share |d_j| / max(peak_j, floor) lies between ``lo``,
+    from an upper bound on its peak, and ``hi``, from the step ends' value,
+    at most the peak; division and max are monotone, so in floats too.
+    The shares are bounded from the largest hi down: one lo at or above
+    tol settles the residual's comparison, and a component whose hi stays
+    below the largest lo cannot hold the max.  So the crests are located
+    only for the components that can, and the max over those is the
+    residual's exact bits, kept in the entry.
+    """
+    delta, peaks, res = entry
+    if res is not None:
+        return res
+    hi = [abs(d) / max(p, _PEAK_FLOOR) for d, p in zip(delta, peaks.ends)]
+    top = 0.0
+    for j in sorted(range(4), key=hi.__getitem__, reverse=True):
+        if hi[j] < top:
+            break
+        lo = abs(delta[j]) / max(peaks.upper(j), _PEAK_FLOOR)
+        if lo >= tol:
+            return lo
+        top = max(top, lo)
+    need = [j for j in range(4) if not hi[j] < top]
+    entry[2] = res = _residual([delta[j] for j in need], peaks.exact(need))
+    return res
+
+
 def _check_norm(vec: np.ndarray, norm_ref: float) -> None:
     if float(np.linalg.norm(vec)) > 100.0 * norm_ref:
         raise Divergence("state norm grew past 100x the starting point")
@@ -138,21 +176,30 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
     # tripping the threshold on its way up
     norm_ref = max(float(np.linalg.norm(prev)), drv.cfg.vin, 1.0)
     res = math.inf
-    history: list[float] = []
+    # the last lag periods' (state change, peak record): a residual is
+    # resolved, with the crest searches behind its peaks, only where it
+    # decides something
+    history: deque = deque(maxlen=lag)
     for k in range(max_cycles):
         drv.advance_period(fsw)
         vec = drv.state.vector()
-        res = _residual(vec - prev, drv.last_period_peaks)
+        # the state change as floats, the same bits as in the array
+        last = [(vec - prev).tolist(), drv.period_peaks, None]
         _check_norm(vec, norm_ref)
+        res = _gated_residual(last, tol)
         if res < tol:
             if res < 1e-3 * tol:
                 return replace(drv.state, t=0.0), res, k + 1
-            if len(history) >= lag and history[-lag] > 0.0:
-                r = (res / history[-lag]) ** (1.0 / lag)
-                if r < 1.0 and res * r / (1.0 - r) < tol:
-                    return replace(drv.state, t=0.0), res, k + 1
+            if len(history) == lag:
+                old = _gated_residual(history[0])
+                if old > 0.0:
+                    r = (res / old) ** (1.0 / lag)
+                    if r < 1.0 and res * r / (1.0 - r) < tol:
+                        return replace(drv.state, t=0.0), res, k + 1
         prev = vec
-        history.append(res)
+        history.append(last)
+    if history:
+        res = _gated_residual(history[-1])
     raise NoConvergence(
         f"cycle iteration still at residual {res:.3e} after "
         f"{max_cycles} periods", res, max_cycles)

@@ -1,6 +1,7 @@
 """Frequency-mode regulator: direction law, clamps, scenarios."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -288,3 +289,28 @@ class TestScenarioPlumbing:
         assert ctrl.fsw_max == pytest.approx(1.3 * series_resonance(TANK))
         assert 2.0 < ctrl.i_limit < 2.3
         assert ctrl.f_shift_rate > 0.0
+
+
+def test_logged_ilr_peaks_are_the_eager_ones():
+    # the loop locates only the iLr crests it logs, when it logs them; its
+    # trace and run are those of a driver whose kernel calls locate every
+    # crest themselves, bit for bit
+    cfg = SimConfig(tank=TANK, vin=48.0, fsw=100e3,
+                    load=LoadSpec.profile("current", [(0.0, 0.3),
+                                                      (2e-4, 0.7)]),
+                    t_end=6e-4, record_stride=32)
+    ctrl = ControllerConfig(v_ref=12.0, ki=3e6, fsw_min=60e3, fsw_max=130e3,
+                            i_limit=1.0, f_shift_rate=4e7)
+    lazy = run_closed_loop(cfg, ctrl)
+    segment = kernels.integrate_segment
+    with patch.object(kernels, "integrate_segment",
+                      lambda *args: segment(*args[:25])):
+        eager = run_closed_loop(cfg, ctrl)
+    for name in ("t", "fsw", "vout", "ilr_peak", "overcurrent"):
+        assert getattr(lazy.trace, name).tobytes() \
+            == getattr(eager.trace, name).tobytes()
+    assert lazy.trace.overcurrent.any()
+    assert lazy.final_fsw == eager.final_fsw
+    assert lazy.sim.waveform["iLr"].tobytes() \
+        == eager.sim.waveform["iLr"].tobytes()
+    assert lazy.sim.counts["extremum_searches"] > 0

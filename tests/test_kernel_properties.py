@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from llckit import kernels
+from llckit import kernels, sim
 
 LR = 37e-6
 CR = 68e-9
@@ -517,16 +517,14 @@ def bits(values):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mode_steps(), fractions())
 def test_one_pass_values_are_the_separate_sums(p, s):
-    # state, rate and integrals at s, and state and integrals at 1 without
-    # the rate, each bit for bit as its own Horner pass sums it
+    # state and integrals at s and at 1 in one pass, and the rate at s in
+    # its own (``_rates``), each bit for bit as its own Horner pass sums it
     m, h, x = p
     w = kernels._series(*x, m[7], m[8], m[9], h, m)
-    got = kernels._values(w, s, h, True)
-    assert bits(got) == bits(state_at(w, s) + rate_at(w, s, h)
-                             + integrals_at(w, s, h))
-    got = kernels._values(w, 1.0, h, False)
-    assert bits(got) == bits(state_at(w, 1.0) + (0.0,) * 4
-                             + integrals_at(w, 1.0, h))
+    for u in (s, 1.0):
+        got = kernels._values(w, u, h)
+        assert bits(got) == bits(state_at(w, u) + integrals_at(w, u, h))
+    assert bits(kernels._rates(w, s, h)) == bits(rate_at(w, s, h))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -638,3 +636,188 @@ def test_skipped_searches_leave_the_call_alone(p):
                                       ref[0][19:] + ref[0][14:15]))
     assert bits(rows) == bits(ref[1]) and bits(events) == bits(ref[2])
     assert bits(acc) == bits(ref[3])
+
+
+# The bound from a step's start state and rate alone (``kernels._tail``):
+# where it cannot pass a threshold or a peak, no search could, so the
+# kernel rejects a graze, and ``sim.PeriodPeaks`` skips a crest, without
+# the step's Taylor terms.
+
+def graze_bound(slot, side, ga, da, r, h, m):
+    """The kernel's bound on side g over a step from a state with rate r,
+    where g = c . x + d is ga and its slope da."""
+    weight = sum(abs(c) / e for c, e in zip(slot[1:5], m[15]))
+    return kernels._reach([ga, h * da, kernels._tail(r, h, m) * weight],
+                          1.0, side)
+
+
+def crest_bounds(m, x, r, s, h, w=None):
+    """``sim.PeriodPeaks.upper`` of one candidate step over [0, s] in which
+    every component's rate is taken to change sign, from its Taylor terms
+    w where given, else from no series."""
+    peaks = sim.PeriodPeaks(0.0, [0, 0])
+    peaks.crests = [(w, s, r, tuple(-v for v in r), x, h, m)]
+    return [peaks.upper(j) for j in range(4)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mode_steps(), fractions(), st.data())
+def test_series_free_bound_holds_what_a_search_can_locate(p, s, data):
+    # on [0, s] of a step, each component's bound is at least its value
+    # on a dense grid and at its located crest; on the whole step, each
+    # event function's bound is at least its value on the grid and at
+    # the turn-back a graze search locates, on either side.  Some states
+    # have a crest of a component or an event function placed inside
+    m, h, x = p
+    slots = m[12]
+    if data.draw(st.booleans()):
+        c = data.draw(st.sampled_from([s_[1:5] for s_ in slots]
+                                      + [(1.0, 0.0, 0.0, 0.0),
+                                         (0.0, 1.0, 0.0, 0.0),
+                                         (0.0, 0.0, 1.0, 0.0),
+                                         (0.0, 0.0, 0.0, 1.0)]))
+        x0, _ = with_crest(m, x, c, data.draw(fractions()), h)
+        if x0 is not None:
+            x = x0
+    r = rate(m, x)
+    w = kernels._series(*x, m[7], m[8], m[9], h, m)
+    u = np.linspace(0.0, s, 257)
+    located = every_crest([(w, s, r, rate_at(w, s, h))], [0.0] * 4)[0]
+    for terms in (None, w):
+        bounds = crest_bounds(m, x, r, s, h, terms)
+        for j in range(4):
+            if not r[j] * r[j] > 0.0:
+                continue  # no sign change seen (a rate of 0, or one whose
+                # product underflows): no crest queued
+            P = [c[j] for c in w]
+            assert np.all(np.abs(np.polyval(P[::-1], u)) <= bounds[j])
+            assert located[j] <= bounds[j]
+    u = np.linspace(0.0, 1.0, 257)
+    xb = state_at(w, 1.0)
+    rb = rate(m, xb)
+    for slot in slots:
+        _, c0, c1, c2, c3, d, _ = slot
+        P = [c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 for u0, u1, u2, u3 in w]
+        ga = c0 * x[0] + c1 * x[1] + c2 * x[2] + c3 * x[3] + d
+        P[0] = ga
+        da = c0 * r[0] + c1 * r[1] + c2 * r[2] + c3 * r[3]
+        db = c0 * rb[0] + c1 * rb[1] + c2 * rb[2] + c3 * rb[3]
+        for side in (1.0, -1.0):
+            top = graze_bound(slot, side, ga, da, r, h, m)
+            assert np.all(side * np.polyval(P[::-1], u) <= top)
+            if side * da > 0.0 and side * db < 0.0:
+                dP = [k * P[k] for k in range(1, len(P))]
+                lo_end, _ = kernels._root(dP, 0.0, 1.0, -side,
+                                          kernels._EXT_TOL, da, db)
+                assert side * kernels._peval(P, lo_end)[0] <= top
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mode_steps(), st.data())
+def test_grazes_the_bound_rejects_do_not_fire(p, data):
+    # an event function turning back inside the step, its threshold at the
+    # extremum's value plus delta times the size of its terms: where the
+    # kernel's bound rejects the graze, ``_crossing`` and locating every
+    # turn-back both report that the slot does not fire
+    m, h, x = p
+    slot = data.draw(st.sampled_from(m[12]))
+    _, c0, c1, c2, c3, d, _ = slot
+    x0, xc = with_crest(m, x, (c0, c1, c2, c3), data.draw(fractions()), h)
+    assume(x0 is not None)
+    A, b = mode_matrices(m)
+    c = np.array([c0, c1, c2, c3])
+    side = 1.0 if c @ A @ (A @ xc + b) < 0.0 else -1.0
+    delta = data.draw(st.sampled_from((
+        -1.0, -0.3, -0.1, -1e-2, -1e-3, -1e-6, -2.0 ** -46, 0.0, 1e-3)))
+    size = float(np.sum(np.abs(c * xc)))
+    d = side * delta * size - float(c @ xc)
+    slot = slot[:5] + (d, slot[6])
+    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+    xb = state_at(w, 1.0)
+    r = rate(m, x0)
+    ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
+              for v in (x0, xb))
+    da, db = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3]
+              for v in (r, rate(m, xb)))
+    assume(side * gb <= 0.0 and side * da > 0.0 and side * db < 0.0)
+    if graze_bound(slot, side, ga, da, r, h, m) \
+            <= kernels._noise(c0, c1, c2, c3, d, *x0):
+        args = (slot, side, ga, gb, da, db, w, xb, 1e-12)
+        assert kernels._crossing(*args)[0] == -2.0
+        assert every_turn_back(*args)[0] == -2.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments())
+def test_graze_bound_leaves_the_call_alone(p):
+    # with the bound made useless, every turn-back goes to ``_crossing``:
+    # the call gives the same outputs, rows, events and energy, in no
+    # fewer localization iterations
+    out, rows, events, acc = run(p)
+    with patch.object(kernels, "_tail", lambda *args: math.inf):
+        ref = run(p)
+    assert out[:14] + out[15:] == ref[0][:14] + ref[0][15:]
+    assert out[14] <= ref[0][14]
+    assert bits(rows) == bits(ref[1]) and bits(events) == bits(ref[2])
+    assert bits(acc) == bits(ref[3])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments(), st.permutations(range(4)))
+def test_queued_crests_resolve_to_the_eager_peaks(p, order):
+    # a call that queues its crest candidates returns the peaks of its
+    # step ends; resolved on demand (``sim.PeriodPeaks``), all four at
+    # once, or one at a time after their series-free bounds, they are the
+    # peaks of the call that locates its crests itself, bit for bit, and
+    # each bound is at least its peak
+    eager = run(p)[0]
+    queue = []
+    x = p["x0"]
+    out = kernels.integrate_segment(
+        x[0], x[1], x[2], x[3], p["t0"], p["t1"], p["seg"], p["clamp"],
+        p["rect"], p["vin"], LR, CR, LM, N, p["Vf"], p["Cout"],
+        p["load_kind"], p["load_val"], p["dt_max"], p["tol_t"], 0, [],
+        None, None, 0.0, queue)
+    assert out[19:] == (0, 0)
+    assert out[:1] + out[2:9] + out[13:19] \
+        == eager[:1] + eager[2:9] + eager[13:19]
+    assert all(a <= b for a, b in zip(out[9:13], eager[9:13]))
+    peaks = sim.PeriodPeaks(0.0, [0, 0])
+    peaks.ends = list(out[9:13])
+    peaks.crests = queue
+    assert bits(peaks.exact()) == bits(eager[9:13])
+    peaks = sim.PeriodPeaks(0.0, [0, 0])
+    peaks.ends = list(out[9:13])
+    peaks.crests = queue
+    for j in order:
+        assert peaks.upper(j) >= eager[9 + j]
+        assert bits(peaks.exact((j,))) == bits(eager[9 + j:10 + j])
+
+
+def test_failed_turn_back_search_fails_the_localization():
+    # a graze clear past its threshold fires; with one root iteration its
+    # extremum cannot be located, and the search reports a failure instead
+    # of evaluating outside the step
+    m = kernels._mode(kernels.RECT_D1, 48.0, kernels.SINK_NONE, LR, CR, LM,
+                      N, 0.7, 20e-6, kernels.LOAD_RES, 24.0)
+    h = kernels._step_cap({}, 48.0, LR, CR, LM, N, 0.7, 20e-6,
+                          kernels.LOAD_RES, 24.0)
+    slot = m[11][0]
+    _, c0, c1, c2, c3, _, _ = slot
+    x0, xc = with_crest(m, (1.0, 10.0, 0.2, 12.0), (c0, c1, c2, c3), 0.5, h)
+    A, b = mode_matrices(m)
+    c = np.array([c0, c1, c2, c3])
+    side = 1.0 if c @ A @ (A @ xc + b) < 0.0 else -1.0
+    d = side * 1e-3 * float(np.sum(np.abs(c * xc))) - float(c @ xc)
+    slot = slot[:5] + (d, slot[6])
+    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+    xb = state_at(w, 1.0)
+    ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
+              for v in (x0, xb))
+    da, db = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3]
+              for v in (rate(m, x0), rate(m, xb)))
+    assert side * gb <= 0.0 and side * da > 0.0 and side * db < 0.0
+    args = (slot, side, ga, gb, da, db, w, xb, 1e-12)
+    assert 0.0 < kernels._crossing(*args)[0] < 1.0
+    with patch.object(kernels, "LOC_MAX", 1):
+        assert kernels._crossing(*args) == (-1.0, 1)

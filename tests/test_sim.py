@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from llckit import kernels, sim
 from llckit.gain import gain
 from llckit.sim import (
     CHANNELS,
+    EventLocalizationFailure,
     LoadSpec,
     ModeChatter,
     ModeViolation,
@@ -681,6 +683,104 @@ class TestSinkCurrent:
         assert np.all(iout[held] <= 0.5)
         assert np.all(iout[(v == 0.0) & (rect == RectPhase.OFF)] == 0.0)
         assert np.all(iout[v > 0.0] == 0.5)
+
+
+def _eager(segment):
+    """``integrate_segment`` as the driver calls it, but locating each
+    call's crests itself: the per-call peaks, with no candidates queued."""
+    return lambda *args: segment(*args[:25])
+
+
+class TestPeaksOnDemand:
+    """A period's crests are queued and located only when its peaks are
+    read, to the bits that locating them in every call gives."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(0.8, 1.4), st.sampled_from(("resistance", "current")),
+           st.floats(0.0, 1.0), st.integers(1, 4))
+    def test_read_peaks_are_the_eager_ones(self, f, kind, u, periods):
+        # random stages from the sinusoidal seed; every period's peaks,
+        # its state and its counts other than the crest searches
+        load = (LoadSpec.resistance(6.0 + 194.0 * u) if kind == "resistance"
+                else LoadSpec.current(0.7 * u))
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=f * F0, load=load,
+                        t_end=1.0)
+
+        def run():
+            drv = sim.PeriodDriver(cfg, warm_start_state(cfg), record=False)
+            peaks = []
+            for _ in range(periods):
+                drv.advance_period(cfg.fsw)
+                peaks.append(drv.last_period_peaks)
+            counts = drv.counts
+            for key in ("crest_candidates", "extremum_searches",
+                        "extremum_iterations"):
+                counts.pop(key)
+            return repr(peaks), repr(drv.state), counts, drv.counts
+
+        try:
+            lazy = run()
+        except sim.SimError:
+            reject()
+        with patch.object(kernels, "integrate_segment",
+                          _eager(kernels.integrate_segment)):
+            eager = run()
+        assert lazy[:3] == eager[:3]
+        assert eager[3]["crest_candidates"] == 0
+
+    def test_transient_locates_no_crest(self):
+        # a transient reads no peaks: its crests stay queued
+        cfg = full_load_cfg(1.1 * F0, 20)
+        counts = run_transient(cfg, warm_start_state(cfg)).counts
+        assert counts["crest_candidates"] > 20
+        assert counts["extremum_searches"] == 0
+        assert counts["extremum_iterations"] == 0
+
+    def test_light_load_grazes_are_rejected_without_a_series(self):
+        # at 110 kHz into a 0.1 A sink the dead-time and clamp functions
+        # turn back short of their thresholds; the series-free bound
+        # rejects those grazes before any Taylor series is built, and the
+        # run ends where it ends with every graze searched
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=110e3,
+                        load=LoadSpec.current(0.1), t_end=1.0)
+        runs = []
+        series = kernels._series
+        for tail in (kernels._tail, lambda *args: math.inf):
+            built = []
+
+            def counting(*args):
+                built.append(args)
+                return series(*args)
+
+            with patch.object(kernels, "_series", counting), \
+                    patch.object(kernels, "_tail", tail):
+                drv = sim.PeriodDriver(cfg, warm_start_state(cfg),
+                                       record=False)
+                for _ in range(20):
+                    drv.advance_period(cfg.fsw)
+            runs.append((len(built), repr(drv.state), drv.result().events,
+                         drv.counts["localization_iterations"]))
+        bounded, searched = runs
+        assert bounded[1:3] == searched[1:3]
+        assert bounded[0] < searched[0] and bounded[3] < searched[3]
+
+    def test_failed_crest_search_raises_at_the_read(self):
+        # one unrecorded period from the operating point at t = 1 ms; its
+        # crests are located when its peaks are read, and a search that runs
+        # out of iterations raises, naming the period's absolute start
+        cfg = full_load_cfg(1.1 * F0, 1)
+        from llckit.steady_state import find_pop
+
+        state = find_pop(cfg).state
+        drv = sim.PeriodDriver(cfg, record=False)
+        drv.reset(replace(state, t=1e-3))
+        drv.advance_period(cfg.fsw)
+        with patch.object(kernels, "LOC_MAX", 1), \
+                pytest.raises(EventLocalizationFailure,
+                              match=r"crest .* t=1\.000000e-03"):
+            drv.last_period_peaks
+        assert all(p > 0.0 for p in drv.last_period_peaks)
 
 
 class TestPeriodLocalTime:

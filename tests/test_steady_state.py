@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from llckit import steady_state
 from llckit.gain import solve_frequency
 from llckit.sim import (
     LoadSpec,
     PeriodDriver,
+    PeriodPeaks,
     RectPhase,
     SimConfig,
     Waveform,
@@ -270,3 +274,80 @@ def test_result_carries_the_run_context(pop_shooting):
     assert pop_shooting.fsw == solved_fsw()
     assert pop_shooting.energy["source"] > 0.0
     assert pop_shooting.state.t == 0.0
+
+
+# the reference tank (n = 1.83, Ln = 2.05, Qe = 0.36) and its three POP
+# regimes: above resonance, light load and near the region boundary
+REF_REQ = DesignRequirements(vin_min=39.0, vin_nom=48.0, vin_max=48.0,
+                             vout_min=12.0, vout_nom=12.0, vout_max=12.0,
+                             iout_min=0.0, iout_max=0.5, f0_target=100e3,
+                             fsw_min=60e3, fsw_max=130e3)
+
+
+@pytest.mark.parametrize("fsw, load", [
+    (115e3, LoadSpec.resistance(24.0)),
+    (110e3, LoadSpec.current(0.1)),
+    (73.5e3, LoadSpec.current(0.5)),
+])
+def test_gated_residuals_stop_where_exact_ones_do(fsw, load, monkeypatch):
+    # cycle iteration locates a period's crests only where a bound on its
+    # residual falls below tol; with every residual resolved from all four
+    # exact peaks it stops at the same period with the same bits
+    tank = synthesize_tank(REF_REQ, 1.83, 2.05, 0.36)
+    cfg = SimConfig(tank=tank, vin=48.0, fsw=fsw, load=load, t_end=1.0)
+    gated = find_pop(cfg, method="cycle_iteration")
+    monkeypatch.setattr(
+        steady_state, "_gated_residual",
+        lambda entry, tol=math.inf: steady_state._residual(
+            entry[0], entry[1].exact()))
+    exact = find_pop(cfg, method="cycle_iteration")
+    assert repr(gated.state) == repr(exact.state)
+    assert repr(gated.residual) == repr(exact.residual)
+    assert gated.cycles == exact.cycles
+
+
+_RECORDS = []
+
+
+def period_records():
+    """Unread peak records of a period from the operating point at 115 kHz
+    into 24 ohm and at 73.5 kHz into a 0.5 A sink (built once)."""
+    if not _RECORDS:
+        tank = synthesize_tank(REF_REQ, 1.83, 2.05, 0.36)
+        for fsw, load in ((115e3, LoadSpec.resistance(24.0)),
+                          (73.5e3, LoadSpec.current(0.5))):
+            cfg = SimConfig(tank=tank, vin=48.0, fsw=fsw, load=load,
+                            t_end=1.0)
+            drv = PeriodDriver(cfg, find_pop(cfg).state, record=False)
+            drv.advance_period(fsw)
+            _RECORDS.append(drv.period_peaks)
+    return _RECORDS
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 1), st.lists(st.floats(0.0, 3.0), min_size=4,
+                                    max_size=4),
+       st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4))
+def test_gated_residual_is_exact_below_tol(which, scales, signs):
+    # state changes around tol times each component's peak, between its
+    # step ends' value and its exact peak included: below tol the gated
+    # residual is the exact one, bit for bit; at or above it, it is too
+    tol = 1e-6
+    rec = period_records()[which]
+    pk = PeriodPeaks(rec.t0, [0, 0])
+    pk.ends = list(rec.ends)
+    pk.crests = rec.crests
+    exact = rec.exact()
+    delta = [g * u * tol * math.sqrt(e * p) if e > 0.0 else 0.0
+             for g, u, e, p in zip(signs, scales, rec.ends, exact)]
+    ref = steady_state._residual(np.array(delta), exact)
+    got = steady_state._gated_residual([delta, pk, None], tol)
+    if ref < tol:
+        assert repr(got) == repr(ref)
+    else:
+        assert got >= tol
+    pk = PeriodPeaks(rec.t0, [0, 0])
+    pk.ends = list(rec.ends)
+    pk.crests = rec.crests
+    assert repr(steady_state._gated_residual([delta, pk, None])) \
+        == repr(ref)

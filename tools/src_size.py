@@ -6,10 +6,12 @@ A code line is a line that holds a token other than a comment, and that
 is not part of a module, class or function docstring; blank lines do not
 count.  The token count is that of ``tokenize``, less its COMMENT and NL
 tokens (comments and the newlines of blank or continued lines): the
-count past 8192 of which compiling ``kernels.py`` was seen to take about
-0.5 MB more memory (see CHANGES.md).  With ``--baseline``
-the same figures of another checkout's ``src/llckit`` are listed beside
-this one's.  Only the standard library is used.
+count past 8192 (``COMPILE_TOKENS``) of which compiling ``kernels.py``
+was seen to take about 0.5 MB more memory (see CHANGES.md).  A token
+count past it is marked with a ``*`` in the listing, and a note under
+the table names the modules.  With ``--baseline`` the same figures of
+another checkout's ``src/llckit`` are listed beside this one's.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# tokens past which compiling a module was seen to cost about 0.5 MB more
+COMPILE_TOKENS = 8192
 _SKIP = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER)
 
@@ -69,19 +73,29 @@ def main() -> int:
         head = ["module", "lines", "baseline", "tokens", "baseline"]
     names = sorted(set().union(*sides))
     rows = []
+    over = []
     for name in names + ["total"]:
         cells = []
         for i in (0, 1):  # lines, then tokens
             for side in sides:
                 if name == "total":
-                    cells.append(sum(v[i] for v in side.values()))
+                    cells.append(str(sum(v[i] for v in side.values())))
+                elif name not in side:
+                    cells.append("-")
+                elif i == 1 and side[name][1] > COMPILE_TOKENS:
+                    cells.append(f"{side[name][1]}*")
+                    over.append(name)
                 else:
-                    cells.append(side[name][i] if name in side else "-")
-        rows.append([name] + [str(c) for c in cells])
+                    cells.append(str(side[name][i]))
+        rows.append([name] + cells)
     widths = [max(len(r[j]) for r in rows + [head]) for j in range(len(head))]
     for r in [head] + rows:
         print(r[0].ljust(widths[0]) + "".join(
             "  " + c.rjust(w) for c, w in zip(r[1:], widths[1:])))
+    if over:
+        print(f"* past {COMPILE_TOKENS} tokens, where compiling kernels.py "
+              f"was seen to cost about 0.5 MB more: "
+              f"{', '.join(sorted(set(over)))}")
     return 0
 
 
