@@ -176,9 +176,9 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
     # tripping the threshold on its way up
     norm_ref = max(float(np.linalg.norm(prev)), drv.cfg.vin, 1.0)
     res = math.inf
-    # the last lag periods' (state change, peak record): a residual is
-    # resolved, with the crest searches behind its peaks, only where it
-    # decides something
+    # the last lag periods' [state change, peak record, residual once
+    # resolved]: a residual is resolved, with the crest searches behind its
+    # peaks, only where it decides something
     history: deque = deque(maxlen=lag)
     for k in range(max_cycles):
         drv.advance_period(fsw)
