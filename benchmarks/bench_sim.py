@@ -112,7 +112,7 @@ def main() -> int:
             for k in range(periods):
                 drv.advance_period(cfg.fsw * (1.0 + 1e-5 * k))
                 if read:
-                    drv.last_period_peaks
+                    drv.period_peaks.exact()
             best = min(best, time.perf_counter() - t0)
         counts = drv.counts
         print(f"  {label:<12} {counts['steps'] / periods:.1f} steps/period, "

@@ -154,8 +154,7 @@ def run_closed_loop(cfg: SimConfig, ctrl: ControllerConfig,
     drv = PeriodDriver(cfg, initial, record=True)
     rows = []
     flags = []
-    tiny = 1e-15 * max(1.0, cfg.t_end)
-    while drv.t < cfg.t_end - tiny:
+    while drv.t < cfg.t_end:
         fcmd = controller.fsw
         t_a = drv.t
         drv.advance_period(fcmd, t_stop=cfg.t_end)

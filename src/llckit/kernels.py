@@ -79,11 +79,10 @@ transitions follows from the output capacitor, whose rectifier input is,
 while a diode conducts, the source energy less the diode loss and the
 tank's gain (``_span_load``).  The peaks per component include the extrema
 inside a step, where the component's rate changes sign.  A call queues
-these crests as candidates: the step's Taylor terms where it built them
-for an event, else the start state, length and mode to build them from.
-Given a list, the call appends its candidates there and returns the peaks
-of its step ends, and the caller resolves them when it needs them
-(``sim.PeriodPeaks``); without one, it resolves them at its end.  The
+these crests as candidates in the caller's list: the step's Taylor terms
+where it built them for an event, else the start state, length and mode to
+build them from.  The call returns the peaks of its step ends, and the
+caller resolves the crests when it needs them (``sim.PeriodPeaks``).  The
 resolution (``_crest_peaks``) uses that |x_j| over the step fraction
 s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) + s^2 sum_(k >= 2) |w_k|, so
 a crest is located, largest bound first, only where that bound and a
@@ -378,8 +377,8 @@ def _values(w, s, h):
 
 def _rates(w, s, h):
     """The rate dx/dt at s h from the Taylor terms, summed by Horner's rule
-    from n w_n down to w_1.  Only a crest's resolution needs it at an
-    event (``_crest_peaks``)."""
+    from n w_n down to w_1.  Only a crest's resolution needs it, at the end
+    of a step an event cut short (``sim.PeriodPeaks``)."""
     k = len(w) - 1
     r0, r1, r2, r3 = (k * c for c in w[k])
     for c0, c1, c2, c3 in w[-2:0:-1]:
@@ -868,8 +867,8 @@ def _put_grid_rows(out, f, tables):
 
 def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                       vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val,
-                      dt_max, tol_t, stride, events, maps=None,
-                      sens=None, base=0.0, crests=None):
+                      dt_max, tol_t, stride, events, crests, maps=None,
+                      sens=None, base=0.0):
     """Advance one constant-gate span [t0, t1] with event handling.
 
     t0 and t1 are local times (a switching period's, from its start), and
@@ -885,7 +884,13 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     terms, so the record never changes the steps taken; rows at events and
     at t1 hold the state the steps carry.
     Each logged event is appended to the list ``events`` as
-    (base + t, code).
+    (base + t, code), and each crest candidate to the list ``crests``: one
+    per whole step in which a component's rate changes sign and one per
+    step an event ends, as (w, s, ra, rb, x, h, m), the step's Taylor terms
+    w (None where no event check built them), the fraction s of it taken,
+    the rates ra at its start and rb at s (None where an event ended it:
+    ``_rates`` gives them from w), its start state x, length h and mode
+    record m.
     maps is the cache of mode records, with their tables and step maps;
     pass the same dict to every call of one run (a fresh one when None).
 
@@ -899,29 +904,16 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
         (err, plan, ev_n, rect, clamp_hi,
          iLr, vCr, iLm, vOut, max_iLr, max_vCr, max_iLm, max_vOut,
-         steps, loc_iters, e_src, e_load, e_dio, sens, ext_iters, ext_n)
+         steps, loc_iters, e_src, e_load, e_dio, sens)
 
     with err one of the ERR_* codes, plan the call's row plan for
     ``build_rows`` (None at stride 0), ev_n the events this call logged,
-    steps the propagation steps taken, loc_iters the root-search
-    iterations spent locating events and grazes, the source energy, load
-    energy and diode loss of the span, S at t1 (None without sens), and
-    ext_n the crests located and ext_iters their root-search iterations;
-    on err != 0 the state is whatever was reached and the caller is
-    expected to abort.
-
-    crests, when given, is a list the call appends its crest candidates
-    to, one per whole step in which a component's rate changes sign and
-    one per step an event ends, as (w, s, ra, rb, x, h, m): the step's
-    Taylor terms w (None where no event check built them), the fraction s
-    of it taken, the rates ra at its start and rb at s (None where an
-    event ended it: ``_rates`` gives them from w), its start state x,
-    length h and mode record m.
-    Then max_iLr .. max_vOut are the largest values at the steps' ends
-    and the entry, the crests are left to the caller, and ext_iters and
-    ext_n are 0.  Without it the call locates its crests itself and
-    returns the peaks with them (err ``ERR_EVENT_LOC`` where a search
-    fails).
+    max_iLr .. max_vOut the largest values at the entry and the steps'
+    ends (the queued crests can raise them), steps the propagation steps
+    taken, loc_iters the root-search iterations spent locating events and
+    grazes, the source energy, load energy and diode loss of the span, and
+    S at t1 (None without sens); on err != 0 the state is whatever was
+    reached and the caller is expected to abort.
     """
     if maps is None:
         maps = {}
@@ -937,10 +929,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_vcr = abs(vCr)
     max_ilm = abs(iLm)
     max_vout = abs(vOut)
-    # the extrema inside steps: the caller's queue, or located at the end
-    own = crests is None
-    if own:
-        crests = []
 
     # entry settle, then the segment entry row
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
@@ -1206,21 +1194,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                                         base))
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
-    peaks = (max_ilr, max_vcr, max_ilm, max_vout)
-    ext_iters = ext_n = 0
-    if own and crests:
-        # the Taylor terms of the steps queued without them, and the rates
-        # where an event ended a step, then the crests
-        got, ext_n, ext_iters = _crest_peaks(
-            [(w or _series(*x, *m[7:10], h, m), s, ra,
-              rb or _rates(w, s, h))
-             for w, s, ra, rb, x, h, m in crests], peaks)
-        if got is None:
-            err = ERR_EVENT_LOC
-        peaks = got or peaks
-    # 21 values: CPython 3.11 puts freed 20-tuples on a free list that it
-    # never takes them from, up to 2000 of them (400 kB)
     return (err, plan, len(events) - ev_0, rect, clamp_hi,
-            iLr, vCr, iLm, vOut, *peaks,
-            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens,
-            ext_iters, ext_n)
+            iLr, vCr, iLm, vOut, max_ilr, max_vcr, max_ilm, max_vout,
+            steps, loc_iters, e_src + sp_src, e_load, e_dio + sp_dio, sens)

@@ -591,17 +591,10 @@ class PeriodDriver:
                         self._x[3], RectPhase(self._rect))
 
     @property
-    def last_period_peaks(self) -> tuple:
-        """(max |iLr|, max |vCr|, max |iLm|, max |vOut|) over the last
-        period, its crests located on first reading (see
-        :class:`PeriodPeaks`); raises :class:`EventLocalizationFailure`
-        where a crest cannot be located."""
-        return self._peaks.exact()
-
-    @property
     def period_peaks(self) -> PeriodPeaks:
-        """The last period's peak record, for a reader that needs only
-        bounds on the peaks or only some of them."""
+        """The last period's record of max |iLr|, max |vCr|, max |iLm| and
+        max |vOut|: its crests are located only when its exact peaks are
+        read (:meth:`PeriodPeaks.exact`)."""
         return self._peaks
 
     @property
@@ -646,12 +639,11 @@ class PeriodDriver:
         peaks = self._peaks
         queued = len(peaks.crests)
         (err, plan, _, rect, clamp_out, iLr, vCr, iLm, vOut, m0, m1, m2, m3,
-         steps, loc_iters, e_src, e_load, e_dio, self._sens, _,
-         _) = kernels.integrate_segment(
+         steps, loc_iters, e_src, e_load, e_dio,
+         self._sens) = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], t_a, t_b, seg_kind, clamp, self._rect,
             vin, Lr, Cr, Lm, n, Vf, Cout, kind, load_val, dt_eff, tol_t,
-            stride, self._events, self._maps, self._sens, base,
-            peaks.crests)
+            stride, self._events, peaks.crests, self._maps, self._sens, base)
         t_err = base + t_a
         if err == kernels.ERR_EVENT_LOC:
             raise EventLocalizationFailure(
@@ -693,7 +685,11 @@ class PeriodDriver:
 
         The kernel runs the period in its local time, from 0 at its start
         ``self.t``, so its steps depend on the frequency alone; times are
-        reported as ``self.t`` plus the local time.
+        reported as ``self.t`` plus the local time.  The period stops at
+        ``t_stop``; one that would end less than 1e-15 s (relative past
+        1 s) short of it ends at ``t_stop`` itself, so that a run of whole
+        periods whose sum rounds just below its end still ends there and
+        no sliver of a period follows.
         """
         cfg = self.cfg
         fsw = float(fsw)
@@ -702,7 +698,11 @@ class PeriodDriver:
         if 2.0 * td >= period:
             raise ValueError("dead time does not fit in the switching period")
         t0 = self.t
-        bounds = (0.0, 0.5 * period - td, 0.5 * period, period - td, period)
+        end = period
+        # (at t_stop = inf the left side is nan, and no period ends there)
+        if t_stop - 1e-15 * max(1.0, t_stop) <= t0 + period < t_stop:
+            end = _local(t_stop, t0)
+        bounds = (0.0, 0.5 * period - td, 0.5 * period, period - td, end)
         plan = ((kernels.SEG_HIGH, bounds[0], bounds[1], kernels.EV_GATE_HS_ON),
                 (kernels.SEG_DEAD_TO_LOW, bounds[1], bounds[2],
                  kernels.EV_GATE_HS_OFF),
@@ -740,7 +740,7 @@ class PeriodDriver:
                 hs = seg_kind == kernels.SEG_DEAD_TO_HIGH
                 self._zvs.append(ZvsEdge(self.t, "HS" if hs else "LS",
                                          self._x[0], clamp == hs))
-        if s_end == period:
+        if s_end == end:
             self.periods += 1
 
     def result(self) -> SimResult:
@@ -789,8 +789,7 @@ def run_transient(cfg: SimConfig, initial: SimState | None = None) -> SimResult:
     output.
     """
     drv = PeriodDriver(cfg, initial, record=True)
-    tiny = 1e-15 * max(1.0, abs(cfg.t_end))
-    while drv.t < cfg.t_end - tiny:
+    while drv.t < cfg.t_end:
         drv.advance_period(_scheduled_fsw(cfg, drv.t), t_stop=cfg.t_end)
     return drv.result()
 

@@ -23,11 +23,14 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
 Residuals are normalized per state component by the peak excursion of that
 component over the last integrated period, so volts and amperes are judged
 on equal footing.  The peaks include extrema inside kernel steps, which
-take a root search each; cycle iteration compares a lower bound on each
-period's residual, from bounds on its peaks that need no search, with the
-tolerance first, and locates the extrema only where the residual can be
-below it, or where the contraction estimate reads it (see
-``_gated_residual``).
+take a root search each, so both solvers read a residual through
+``_gated_residual``: it locates the extrema only of the components that
+can hold the residual's max, and, given a threshold, compares a lower
+bound on the residual, from bounds on the peaks that need no search, with
+it first.  Cycle iteration gates each period's residual at the tolerance
+and resolves it exactly only where it can be below it, or where the
+contraction estimate reads it; shooting needs every iterate's residual
+exactly, and gates its watchdog's test at 1.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ __all__ = [
 METHODS = ("shooting", "cycle_iteration")
 
 _PEAK_FLOOR = 1e-9  # residual denominator floor, amps or volts
+# shooting's watchdog takes a step whose residual against the period's
+# peaks is at most 1: below this
+_WATCH = math.nextafter(1.0, math.inf)
 
 
 class PopError(SimError):
@@ -212,17 +218,17 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
     plain = 0
 
     def period_map(st: SimState):
-        """The iterate at st: (residual, x, st, P(x), peaks over the
-        period, rectifier phase at its end, Jacobian of P at x)."""
+        """The iterate at st: (residual, x, st, P(x), the period's peak
+        record, rectifier phase at its end, Jacobian of P at x)."""
         nonlocal cycles
         drv.reset(consistent_rect(st), jacobian=True)
         drv.advance_period(fsw)
         cycles += 1
         x = st.vector()
         px = drv.state.vector()
-        peaks = drv.last_period_peaks
-        return (_residual(px - x, peaks), x, st, px, peaks, drv.state.rect,
-                drv.jacobian)
+        peaks = drv.period_peaks
+        return (_gated_residual([(px - x).tolist(), peaks, None]), x, st, px,
+                peaks, drv.state.rect, drv.jacobian)
 
     def trial(x):
         """The iterate at state vector x, or None if its period fails."""
@@ -259,7 +265,8 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         if new is not None and new[0] <= goal:
             ref = None
         elif (new is not None and ref is None
-              and _residual(delta, cur[4]) <= 1.0):
+              and _gated_residual([delta.tolist(), cur[4], None],
+                                  _WATCH) < _WATCH):
             # watchdog (Chamberlain et al. 1982): a conduction edge near the
             # period boundary kinks the map, and a full step across it can
             # raise the residual on its way to the fixed point, so take it

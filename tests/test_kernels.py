@@ -12,6 +12,8 @@ import numpy as np
 
 from llckit import kernels
 
+from eager_peaks import eager_segment
+
 LR = 37e-6
 CR = 68e-9
 LM = 75e-6
@@ -24,10 +26,10 @@ RES = kernels.LOAD_RES
 def call_segment(x0, t0, t1, seg, clamp, rect, vin, load_val, dt_max,
                  tol_t=1e-18, stride=1, Vf=0.0, Cout=COUT):
     events = []
-    out = kernels.integrate_segment(
+    out = eager_segment(
         x0[0], x0[1], x0[2], x0[3], t0, t1, seg, clamp, rect,
         vin, LR, CR, LM, N, Vf, Cout, RES, load_val,
-        dt_max, tol_t, stride, events)
+        dt_max, tol_t, stride, events, [])
     err = out[0]
     assert err == kernels.ERR_OK, f"kernel error code {err}"
     assert out[2] == len(events)
@@ -229,7 +231,7 @@ class TestSinkCutoff:
         out = kernels.integrate_segment(
             0.05, 47.5, 0.05, v0, 0.0, 20 * 5e-9, kernels.SEG_HIGH, 0,
             kernels.RECT_OFF, vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR,
-            il, 5e-9, 1e-18, 1, events)
+            il, 5e-9, 1e-18, 1, events, [])
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
         rows = kernels.build_rows([out[1]])
@@ -281,7 +283,7 @@ class TestSinkCutoff:
         out = kernels.integrate_segment(
             i0, c0, m0, 0.0, 0.0, 1e-6, kernels.SEG_HIGH, 0, kernels.RECT_D1,
             vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR, il, 5e-9, 1e-18,
-            1, events)
+            1, events, [])
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
         rows = kernels.build_rows([out[1]])
@@ -308,7 +310,7 @@ def sensitivity(x0, t1, seg, clamp, rect, vin, load_val, dt_max,
         out = kernels.integrate_segment(
             x[0], x[1], x[2], x[3], 0.0, t1, seg, clamp, rect, vin,
             LR, CR, LM, N, Vf, Cout, load_kind, load_val, dt_max, 1e-18, 0,
-            events, None, sens)
+            events, [], None, sens)
         assert out[0] == kernels.ERR_OK
         return out, events
 
@@ -349,7 +351,7 @@ class TestSensitivity:
         out = kernels.integrate_segment(
             0.0, 0.0, 0.0, 50.0, 0.0, t1, kernels.SEG_HIGH, 0,
             kernels.RECT_OFF, 48.0, LR, CR, LM, N, 0.0, 1.0, RES, 1e12,
-            5e-9, 1e-18, 0, events, None, np.eye(4))
+            5e-9, 1e-18, 0, events, [], None, np.eye(4))
         assert out[0] == kernels.ERR_OK and events == []
         c, s = math.cos(wp * t1), math.sin(wp * t1)
         exact = np.array([[c, -s / zp, 0.0, 0.0],

@@ -33,6 +33,8 @@ from llckit.sim import (
 )
 from llckit.tank import TankParams, effective_load, normalize, series_resonance
 
+from eager_peaks import eager_segment
+
 TANK = TankParams(Lr=37e-6, Cr=68e-9, Lm=75e-6, n=1.83)
 F0 = series_resonance(TANK)
 RL = 24.0
@@ -561,9 +563,9 @@ def _drive(cfg, initial, record):
     """run_transient's loop, on a driver that may leave the waveform out;
     the result and the last period's peaks."""
     drv = sim.PeriodDriver(cfg, initial, record=record)
-    while drv.t < cfg.t_end - 1e-15 * max(1.0, cfg.t_end):
+    while drv.t < cfg.t_end:
         drv.advance_period(cfg.fsw, t_stop=cfg.t_end)
-    return drv.result(), drv.last_period_peaks
+    return drv.result(), drv.period_peaks.exact()
 
 
 class TestRecordingLeavesTheRunAlone:
@@ -685,12 +687,6 @@ class TestSinkCurrent:
         assert np.all(iout[v > 0.0] == 0.5)
 
 
-def _eager(segment):
-    """``integrate_segment`` as the driver calls it, but locating each
-    call's crests itself: the per-call peaks, with no candidates queued."""
-    return lambda *args: segment(*args[:25])
-
-
 class TestPeaksOnDemand:
     """A period's crests are queued and located only when its peaks are
     read, to the bits that locating them in every call gives."""
@@ -712,7 +708,7 @@ class TestPeaksOnDemand:
             peaks = []
             for _ in range(periods):
                 drv.advance_period(cfg.fsw)
-                peaks.append(drv.last_period_peaks)
+                peaks.append(drv.period_peaks.exact())
             counts = drv.counts
             for key in ("crest_candidates", "extremum_searches",
                         "extremum_iterations"):
@@ -723,8 +719,9 @@ class TestPeaksOnDemand:
             lazy = run()
         except sim.SimError:
             reject()
+        # each kernel call's crests located at its end, none queued
         with patch.object(kernels, "integrate_segment",
-                          _eager(kernels.integrate_segment)):
+                          lambda *args: eager_segment(*args)[:19]):
             eager = run()
         assert lazy[:3] == eager[:3]
         assert eager[3]["crest_candidates"] == 0
@@ -779,8 +776,8 @@ class TestPeaksOnDemand:
         with patch.object(kernels, "LOC_MAX", 1), \
                 pytest.raises(EventLocalizationFailure,
                               match=r"crest .* t=1\.000000e-03"):
-            drv.last_period_peaks
-        assert all(p > 0.0 for p in drv.last_period_peaks)
+            drv.period_peaks.exact()
+        assert all(p > 0.0 for p in drv.period_peaks.exact())
 
 
 class TestPeriodLocalTime:
@@ -803,7 +800,8 @@ class TestPeriodLocalTime:
             drv = self._period(t0)
             assert drv.state == replace(ref.state, t=t0 + period)
             assert repr(drv.energy) == repr(ref.energy)
-            assert repr(drv.last_period_peaks) == repr(ref.last_period_peaks)
+            assert repr(drv.period_peaks.exact()) \
+                == repr(ref.period_peaks.exact())
             assert drv.counts == ref.counts
             assert drv.jacobian.tobytes() == ref.jacobian.tobytes()
             events = drv.result().events
@@ -847,15 +845,26 @@ class TestPeriodLocalTime:
 
 
 class TestTimebase:
-    def test_final_sample_lands_exactly_on_t_end(self):
-        te = 5.37 / F0  # deliberately not a whole number of periods
-        cfg = SimConfig(tank=TANK, vin=VIN, fsw=F0,
+    @pytest.mark.parametrize("fsw, te, periods, gates", [
+        # deliberately not a whole number of periods: the sixth period's
+        # high-side turn-on only
+        (F0, 5.37 / F0, 5, 21),
+        # whole periods whose sum rounds an ulp or two below t_end, with no
+        # sliver of a period after the last
+        (110e3, 1e-4, 11, 44),
+        (110e3, 2e-4, 22, 88),
+        (115e3, 2e-4, 23, 92),
+    ], ids=["5.37_periods", "110kHz_100us", "110kHz_200us", "115kHz_200us"])
+    def test_final_sample_lands_exactly_on_t_end(self, fsw, te, periods,
+                                                 gates):
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=fsw,
                         load=LoadSpec.resistance(RL), t_end=te,
                         record_stride=8)
         res = run_transient(cfg, warm_start_state(cfg))
         assert res.waveform.t[-1] == te
         assert res.final_state.t == te
-        assert res.periods == 5
+        assert res.periods == periods
+        assert sum(e.kind.startswith("gate") for e in res.events) == gates
 
     def test_record_times_strictly_increase(self, resonant_settled):
         _, res = resonant_settled

@@ -128,7 +128,7 @@ class TestSolvedOperatingPoint:
                            record=False)
         drv.advance_period(pop_shooting.fsw)
         d = np.abs(drv.state.vector() - pop_shooting.state.vector())
-        for di, pk in zip(d, drv.last_period_peaks):
+        for di, pk in zip(d, drv.period_peaks.exact()):
             assert di <= 2.0 * TOL * max(pk, 1e-9)
 
     def test_cycle_waveform_spans_one_period(self, pop_shooting):
@@ -284,26 +284,31 @@ REF_REQ = DesignRequirements(vin_min=39.0, vin_nom=48.0, vin_max=48.0,
                              fsw_min=60e3, fsw_max=130e3)
 
 
+@pytest.mark.parametrize("method", steady_state.METHODS)
 @pytest.mark.parametrize("fsw, load", [
     (115e3, LoadSpec.resistance(24.0)),
     (110e3, LoadSpec.current(0.1)),
     (73.5e3, LoadSpec.current(0.5)),
 ])
-def test_gated_residuals_stop_where_exact_ones_do(fsw, load, monkeypatch):
+def test_gated_residuals_stop_where_exact_ones_do(fsw, load, method,
+                                                  monkeypatch):
     # cycle iteration locates a period's crests only where a bound on its
-    # residual falls below tol; with every residual resolved from all four
-    # exact peaks it stops at the same period with the same bits
+    # residual falls below tol, and shooting only for the components that
+    # can hold a residual's max or pass its watchdog's 1; with every
+    # residual resolved from all four exact peaks each solve stops at the
+    # same period with the same bits
     tank = synthesize_tank(REF_REQ, 1.83, 2.05, 0.36)
     cfg = SimConfig(tank=tank, vin=48.0, fsw=fsw, load=load, t_end=1.0)
-    gated = find_pop(cfg, method="cycle_iteration")
+    gated = find_pop(cfg, method=method)
     monkeypatch.setattr(
         steady_state, "_gated_residual",
         lambda entry, tol=math.inf: steady_state._residual(
             entry[0], entry[1].exact()))
-    exact = find_pop(cfg, method="cycle_iteration")
+    exact = find_pop(cfg, method=method)
     assert repr(gated.state) == repr(exact.state)
     assert repr(gated.residual) == repr(exact.residual)
     assert gated.cycles == exact.cycles
+    assert repr(gated.trace) == repr(exact.trace)
 
 
 _RECORDS = []
@@ -351,3 +356,25 @@ def test_gated_residual_is_exact_below_tol(which, scales, signs):
     pk.crests = rec.crests
     assert repr(steady_state._gated_residual([delta, pk, None])) \
         == repr(ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 1), st.integers(0, 3),
+       st.lists(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.5),
+                min_size=4, max_size=4),
+       st.lists(st.sampled_from((-1.0, 1.0)), min_size=4, max_size=4))
+def test_watchdog_gate_is_the_exact_test(which, at_one, shares, signs):
+    # shooting's watchdog takes a step when its residual against the
+    # period's peaks is at most 1, gated at the next float above 1: state
+    # changes with shares of each peak around 1, and one exactly at 1
+    rec = period_records()[which]
+    exact = rec.exact()
+    shares[at_one] = 1.0
+    delta = [g * u * p for g, u, p in zip(signs, shares, exact)]
+    assert abs(delta[at_one]) / exact[at_one] == 1.0
+    pk = PeriodPeaks(rec.t0, [0, 0])
+    pk.ends = list(rec.ends)
+    pk.crests = rec.crests
+    gate = steady_state._WATCH
+    assert (steady_state._gated_residual([delta, pk, None], gate) < gate) \
+        == (steady_state._residual(np.array(delta), exact) <= 1.0)

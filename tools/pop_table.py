@@ -10,8 +10,11 @@ requirements at n = 1.83, Ln = 2.05, Qe = 0.36).  By default five points
 are solved, each by cycle iteration and by shooting at ``find_pop``'s
 default tolerance and budget: 0.5 A at the frequency the sinusoidal model
 picks for 12 V, 115 kHz into 24 ohm, 110 kHz at 0.1 A, and 73.5 and
-70 kHz at 0.5 A.  A solve reports its periods, its ``PopResult.trace``
-where the checkout has one, and the best of ``--repeat`` wall times.
+70 kHz at 0.5 A.  A solve reports its periods, the crest searches of its
+period peaks (the crests ``kernels._crest_peaks`` located, counted by
+wrapping it: a shooting driver's counts start over every period), its
+``PopResult.trace`` where the checkout has one, and the best of
+``--repeat`` wall times.
 
 ``--grid`` solves 144 points by shooting instead: 62, 65, 68, 71, 75 and
 80 to 130 kHz in 5 kHz steps, each into 6, 12, 24, 48 and 200 ohm and at
@@ -70,10 +73,20 @@ def solve_points(repeat: int) -> list[dict]:
     """Every solve of every point, in the checkout llckit comes from."""
     from dataclasses import asdict
 
-    from llckit import sim, steady_state, synthesis
+    from llckit import kernels, sim, steady_state, synthesis
     from llckit.gain import solve_frequency
     from llckit.tank import series_resonance
 
+    searches = 0
+    locate = kernels._crest_peaks
+
+    def counting(crests, peaks):
+        nonlocal searches
+        got, located, it = locate(crests, peaks)
+        searches += located
+        return got, located, it
+
+    kernels._crest_peaks = counting
     req, tank = reference_tank()
     design = synthesis.check_feasibility(tank, req, 1.83)
     rows = []
@@ -88,13 +101,15 @@ def solve_points(repeat: int) -> list[dict]:
         for method in ("cycle_iteration", "shooting"):
             best = float("inf")
             for _ in range(repeat):
+                searches = 0
                 t0 = time.perf_counter()
                 res = steady_state.find_pop(cfg, method=method)
                 best = min(best, time.perf_counter() - t0)
             trace = getattr(res, "trace", None)
             rows.append({
                 "point": name, "fsw": fsw, "method": method,
-                "cycles": res.cycles, "residual": res.residual,
+                "cycles": res.cycles, "searches": searches,
+                "residual": res.residual,
                 "best_s": best, "vout_mean": res.metrics.vout_mean,
                 "trace": None if trace is None else asdict(trace)})
     return rows
@@ -145,16 +160,15 @@ def trace_text(trace: dict | None) -> str:
 
 def print_table(sides: dict) -> None:
     base = sides.get("baseline")
-    head = "| point | solve | periods, best wall time |"
+    head = "| point | solve | periods, crest searches, best wall time |"
     if base is not None:
         head += " baseline |"
     print(head + " trace |")
     print("|---" * head.count("|") + "|")
     for i, row in enumerate(sides["change"]):
-        cells = [row["point"], row["method"].replace("_", " "),
-                 f"{row['cycles']}, {row['best_s']:.3f} s"]
-        if base is not None:
-            cells.append(f"{base[i]['cycles']}, {base[i]['best_s']:.3f} s")
+        cells = [row["point"], row["method"].replace("_", " ")]
+        cells += [f"{r['cycles']}, {r['searches']}, {r['best_s']:.3f} s"
+                  for r in ([row] if base is None else [row, base[i]])]
         cells.append(trace_text(row["trace"]))
         print("| " + " | ".join(cells) + " |")
 
