@@ -686,10 +686,11 @@ class PeriodDriver:
         The kernel runs the period in its local time, from 0 at its start
         ``self.t``, so its steps depend on the frequency alone; times are
         reported as ``self.t`` plus the local time.  The period stops at
-        ``t_stop``; one that would end less than 1e-15 s (relative past
-        1 s) short of it ends at ``t_stop`` itself, so that a run of whole
-        periods whose sum rounds just below its end still ends there and
-        no sliver of a period follows.
+        ``t_stop``; one that would end within 1e-15 s (relative past 1 s)
+        of it, short of it or past it, ends at ``t_stop`` itself and counts
+        as whole, so that a run of whole periods whose sum rounds either
+        side of its end still ends there with every period and ZVS edge
+        logged, and no sliver of a period follows.
         """
         cfg = self.cfg
         fsw = float(fsw)
@@ -699,8 +700,9 @@ class PeriodDriver:
             raise ValueError("dead time does not fit in the switching period")
         t0 = self.t
         end = period
+        tol = 1e-15 * max(1.0, t_stop)
         # (at t_stop = inf the left side is nan, and no period ends there)
-        if t_stop - 1e-15 * max(1.0, t_stop) <= t0 + period < t_stop:
+        if t_stop - tol <= t0 + period <= t_stop + tol and t0 + period != t_stop:
             end = _local(t_stop, t0)
         bounds = (0.0, 0.5 * period - td, 0.5 * period, period - td, end)
         plan = ((kernels.SEG_HIGH, bounds[0], bounds[1], kernels.EV_GATE_HS_ON),

@@ -20,8 +20,13 @@ from .gain import (
     GainBand,
     GainError,
     Region,
+    _branch_bracket,
     _load_term,
+    _peak_estimate,
+    _region,
     _solve_branch,
+    asymptotic_gain,
+    boundary_frequency,
     classify_region,
     gain_band,
     peak_gain,
@@ -65,7 +70,8 @@ F0_DRIFT_LIMIT = 0.05
 # The solved peak gain can rise by a few ulps where the exact one falls
 # with Qe (up to 9e-16 relative between nearby Qe, measured), so the
 # design-point search prunes only after a peak that misses the headroom by
-# more than this fraction.
+# more than this fraction.  It also solves a peak exactly where its
+# estimate, good to PEAK_ESTIMATE_TOL, lies this close to a threshold.
 _PRUNE_MARGIN = 1e-9
 
 
@@ -248,6 +254,83 @@ def check_feasibility(tank: TankParams, req: DesignRequirements, n: float,
         feasible=feasible, fsw_band=fsw_band, warnings=tuple(warnings))
 
 
+class _Root:
+    """A band edge of the design-point search: a bracket [lo, hi] that holds
+    the value its exact solver returns, which is solved on demand."""
+
+    __slots__ = ("lo", "hi", "_solve")
+
+    def __init__(self, lo: float, hi: float, solve):
+        self.lo, self.hi, self._solve = lo, hi, solve
+
+    def exact(self) -> float:
+        if self.lo != self.hi:
+            self.lo = self.hi = self._solve()
+        return self.lo
+
+    def decide(self, test) -> bool:
+        """``test`` at the exact value, for a test that turns at most once
+        (from False to True or back) as fn rises."""
+        at_lo = test(self.lo)
+        return at_lo if at_lo == test(self.hi) else test(self.exact())
+
+
+def _root(solve, args, bracket=None) -> _Root | None:
+    """``solve(*args)`` as a :class:`_Root` opened from ``bracket(*args)``
+    where that is not None; None where either raises a GainError."""
+    try:
+        got = bracket(*args) if bracket is not None else None
+        if got is None:
+            got = (solve(*args),) * 2
+    except GainError:
+        return None
+    return _Root(*got, lambda: solve(*args))
+
+
+def _near(value: float, threshold: float) -> bool:
+    return abs(value - threshold) <= _PRUNE_MARGIN * abs(threshold)
+
+
+def _light_edge(ln: float, qe: float, target: float) -> _Root | None:
+    """``solve_frequency(ln, qe, target)`` as a :class:`_Root`; None where
+    it raises a GainError, and its ValueError where it raises one.
+
+    Its peak checks are taken on the estimated peak where that is
+    confirmed and not within ``_PRUNE_MARGIN`` of the target; every other
+    case is left to solve_frequency itself.
+    """
+    if target > 0.0 and target != 1.0:
+        if qe > 0.0:
+            mg_peak = _peak_estimate(ln, qe)
+            if mg_peak is not None and not _near(mg_peak, target):
+                if target > mg_peak:
+                    return None  # UnreachableGain
+                return _root(_solve_branch, (ln, qe, target), _branch_bracket)
+        elif qe == 0.0:
+            if target <= asymptotic_gain(ln):
+                return None  # BelowAsymptote
+            return _root(_solve_branch, (ln, qe, target), _branch_bracket)
+    return _root(solve_frequency, (ln, qe, target))
+
+
+# the edges of a band of infinite width: the best band before any pick
+_NO_BAND = (_Root(0.0, 0.0, None), _Root(math.inf, math.inf, None))
+
+
+def _narrower(lo: _Root, hi: _Root, best: tuple[_Root, _Root],
+              f0: float) -> bool:
+    """Whether the band (hi - lo) f0 is narrower than the best one, both
+    at their exact edges; edges are solved only where the brackets
+    overlap.  A width that overflows is never narrower than _NO_BAND."""
+    best_lo, best_hi = best
+    if (hi.hi - lo.lo) * f0 < (best_hi.lo - best_lo.hi) * f0:
+        return True
+    if (hi.lo - lo.hi) * f0 >= (best_hi.hi - best_lo.lo) * f0:
+        return False
+    return ((hi.exact() - lo.exact()) * f0
+            < (best_hi.exact() - best_lo.exact()) * f0)
+
+
 def search_design_point(req: DesignRequirements, n: float,
                         ln_values=None, qe_values=None,
                         min_headroom: float = 0.2) -> tuple[float, float]:
@@ -272,17 +355,35 @@ def search_design_point(req: DesignRequirements, n: float,
     not depend on the grid order, so unsorted grids keep their pick, and a
     skipped Qe still raises the ValueError of :func:`peak_gain` when
     (Qe Ln)^2 overflows.
+
+    The search decides on confirmed Newton brackets and bisects only near
+    a tie.  Each peak gain is a Newton estimate within
+    ``PEAK_ESTIMATE_TOL`` of what :func:`peak_gain` returns, and each band
+    edge a bracket that holds what the bisection of :func:`_solve_branch`
+    or :func:`solve_frequency` returns; the gain module confirms both on
+    the bisection's own function.  Every test a band edge takes (inductive
+    and within ``fsw_min``, within ``fsw_max``, narrower than the best so
+    far) turns once as the edge rises, so where it gives the same answer
+    at both ends of the bracket it gives that answer at the exact edge.
+    The exact solver runs only where an estimate is not confirmed, where a
+    peak lies within ``_PRUNE_MARGIN`` of a threshold, or where a test
+    differs across a bracket.  The search therefore returns the pick of
+    bisecting every root, or raises its error at the same candidate, and
+    every value a report carries still comes from the bisection, through
+    :func:`check_feasibility`.
     """
     if ln_values is None:
         ln_values = [1.5 + 0.5 * k for k in range(18)]
     if qe_values is None:
         qe_values = [0.1 + 0.05 * k for k in range(19)]
     light = req.iout_min / req.iout_max
+    f0 = req.f0_target
     best: tuple[float, float] | None = None
-    best_width = math.inf
+    best_edges = _NO_BAND
     for ln in ln_values:
         band = gain_band(req, n, ln)
         need = (1.0 + min_headroom) * band.Mg_max
+        miss = need * (1.0 - _PRUNE_MARGIN)
         # the light-load edge is solved only where the full-load edge
         # passes, unless its target or Qe is out of range (an infinite
         # vin_max, say): then its ValueError comes at the same candidate
@@ -293,30 +394,28 @@ def search_design_point(req: DesignRequirements, n: float,
                 # raise the ValueError peak_gain would for an overflowing Qe
                 _load_term(ln, qe)
                 continue
-            _, mg_peak = peak_gain(ln, qe)
+            mg_peak = _peak_estimate(ln, qe)
+            if mg_peak is None or _near(mg_peak, need) or _near(mg_peak, miss):
+                _, mg_peak = peak_gain(ln, qe)
             if mg_peak < need:
-                if mg_peak < need * (1.0 - _PRUNE_MARGIN):
+                if mg_peak < miss:
                     qe_miss = qe
                 continue
-            try:
-                # the headroom puts Mg_max below the peak just solved
-                fn_lo = _solve_branch(ln, qe, band.Mg_max)
-            except GainError:
+            # the headroom puts Mg_max below the peak just solved
+            lo = _root(_solve_branch, (ln, qe, band.Mg_max), _branch_bracket)
+            if lo is None:
                 continue
-            f0 = req.f0_target
-            lo_ok = (classify_region(NormalizedPoint(ln, qe, fn_lo))
-                     is Region.INDUCTIVE and not fn_lo * f0 < req.fsw_min)
+            fn_b = boundary_frequency(ln, qe)
+            lo_ok = lo.decide(lambda fn: _region(fn, fn_b) is Region.INDUCTIVE
+                              and not fn * f0 < req.fsw_min)
             if not lo_ok and quiet:
                 continue
-            try:
-                fn_hi = solve_frequency(ln, qe * light, band.Mg_min)
-            except GainError:
+            hi = _light_edge(ln, qe * light, band.Mg_min)
+            if (hi is None or not lo_ok
+                    or hi.decide(lambda fn: fn * f0 > req.fsw_max)):
                 continue
-            if not lo_ok or fn_hi * f0 > req.fsw_max:
-                continue
-            width = (fn_hi - fn_lo) * f0
-            if width < best_width:
-                best, best_width = (ln, qe), width
+            if _narrower(lo, hi, best_edges, f0):
+                best, best_edges = (ln, qe), (lo, hi)
     if best is None:
         raise ValueError("no (Ln, Qe) candidate satisfies the constraints")
     return best

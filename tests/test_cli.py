@@ -475,21 +475,52 @@ class TestDeterminism:
         },
     }
 
+    # SHA-256 of the same outputs for the reference requirements with
+    # (Ln, Qe) left open, so that design, sweep and solve each run the
+    # design-point search, as commit 4109fc7 wrote them
+    SEARCH_OUTPUT_SHA256 = {
+        "design.json": "be3a3bdd0f46418cb8668fef951f34f6180878374516330d75d6f7dc43e993fc",
+        "gain_curves.csv": "c5502082732d9df28b57ba09f2fda98b8df5a1d702ee977d991bf8329666924c",
+        "gain_curves.svg": "b2a629f728fb057e26b1286392cda0b49dcd5ab6282e04c81d9b1a6906728e4e",
+        "sweep_gain.csv": "06db67fb6c4bd2c2837edfb06e004c4c59afe7c81e174bb826731f2089629e71",
+        "sweep_gain.svg": "2aed75310340d3f654bab8f71952918bd6aa4eefdb4a6faafd9189ce134115af",
+        "solve": "50f9b1a7172f388fc00c203cd4b9aab242cb320c72b04990f66f01f8244de0b5",
+    }
+
+    @staticmethod
+    def fha_output_sha256(cfg, out, run_llc, design_rc):
+        """SHA-256 of what design, sweep and ``solve --json`` write for
+        ``cfg``, by the names of the pins."""
+        rcs = [run_llc(cmd, "--config", str(cfg), "--out", str(out)).returncode
+               for cmd in ("design", "sweep")]
+        assert rcs == [design_rc, EXIT_OK]
+        solve = run_llc("solve", "--config", str(cfg), "--target-vout", "12",
+                        "--json")
+        assert solve.returncode == EXIT_OK, solve.stderr
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("design.json", "gain_curves.csv", "gain_curves.svg",
+                         "sweep_gain.csv", "sweep_gain.svg")}
+        got["solve"] = hashlib.sha256(solve.stdout.encode()).hexdigest()
+        return got
+
     @pytest.mark.parametrize("name", sorted(FHA_OUTPUT_SHA256))
     def test_fha_outputs_are_pinned(self, name, tmp_path, run_llc):
         """design, sweep and ``solve --json`` write the same bytes as at
         commit 6995f58, the parent of the scalar gain path."""
-        cfg = str(REPO / "configs" / f"{name}.json")
-        rcs = [run_llc(cmd, "--config", cfg, "--out", str(tmp_path)).returncode
-               for cmd in ("design", "sweep")]
-        assert rcs == [EXIT_OK if name == "reference_design" else EXIT_INFEASIBLE,
-                       EXIT_OK]
-        solve = run_llc("solve", "--config", cfg, "--target-vout", "12", "--json")
-        assert solve.returncode == EXIT_OK, solve.stderr
-        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-               for f in self.FHA_OUTPUT_SHA256[name] if f != "solve"}
-        got["solve"] = hashlib.sha256(solve.stdout.encode()).hexdigest()
+        cfg = REPO / "configs" / f"{name}.json"
+        rc = EXIT_OK if name == "reference_design" else EXIT_INFEASIBLE
+        got = self.fha_output_sha256(cfg, tmp_path, run_llc, rc)
         assert got == self.FHA_OUTPUT_SHA256[name]
+
+    def test_search_driven_outputs_are_pinned(self, tmp_path, run_llc):
+        """With only the series given, every command picks (Ln, Qe) by the
+        design-point search and writes the bytes it wrote before the search
+        decided on estimated roots."""
+        doc = reference_doc()
+        doc["overrides"] = {"series": "E12"}
+        cfg = write_cfg(tmp_path, doc)
+        got = self.fha_output_sha256(cfg, tmp_path, run_llc, EXIT_OK)
+        assert got == self.SEARCH_OUTPUT_SHA256
 
     def test_cli_import_leaves_scipy_out(self, run_python):
         """Every ``llc`` start imports llckit.cli; scipy is not part of it."""

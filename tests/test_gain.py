@@ -7,6 +7,7 @@ arithmetic) rather than by the functions under test.
 
 import importlib
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -345,6 +346,78 @@ class TestSolveFrequency:
                 grid = np.linspace(fn_pk, 4.0, 4000)
                 mags = brute_mag(ln, qe, grid)
                 assert np.all(np.diff(mags) < 0), (ln, qe)
+
+
+class TestEstimates:
+    """The Newton estimates the design-point search decides on."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 10.0))
+    def test_peak_estimate_is_within_its_tolerance(self, ln, log_qe):
+        qe = 10.0 ** log_qe
+        est = gain_module._peak_estimate(ln, qe)
+        mg_pk = peak_gain(ln, qe)[1]
+        if est is not None:
+            assert abs(est - mg_pk) <= gain_module.PEAK_ESTIMATE_TOL * mg_pk
+        if 1.1 <= ln <= 10.0 and -1.5 <= log_qe <= 0.5:
+            # confirmed across the grids the search is given
+            assert est is not None
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(ln=st.floats(1.01, 20.0), log_qe=st.floats(-3.0, 6.0),
+           log_step=st.floats(-12.0, 1.0), no_load=st.booleans(),
+           above=st.booleans())
+    def test_branch_bracket_holds_the_bisection(self, ln, log_qe, log_step,
+                                                no_load, above):
+        """The bracket, where confirmed, holds what _solve_branch returns,
+        down to targets a hair below the peak; above the peak, where the
+        bisection has no root to find, it is not confirmed."""
+        qe = 10.0 ** log_qe
+        fn_pk, mg_pk = peak_gain(ln, qe)
+        if no_load:
+            qe = 0.0
+        if above and not no_load:
+            target = mg_pk * (1.0 + 10.0 ** log_step)
+            assert gain_module._branch_bracket(ln, qe, target) is None
+            return
+        target = gain_magnitude(ln, qe, fn_pk * (1.0 + 10.0 ** log_step))
+        try:
+            fn = gain_module._solve_branch(ln, qe, target)
+        except BelowAsymptote:
+            with pytest.raises(BelowAsymptote):
+                gain_module._branch_bracket(ln, qe, target)
+            return
+        bracket = gain_module._branch_bracket(ln, qe, target)
+        if bracket is not None:
+            assert bracket[0] <= fn <= bracket[1]
+            assert bracket[1] - bracket[0] <= 2.0 * gain_module._BRACKET_MAX * fn
+        elif log_step > -4.0 and log_qe < 3.0:
+            pytest.fail("bracket not confirmed away from the peak")
+
+    def test_a_target_at_the_peak_is_not_confirmed(self):
+        # P has a double root there: no sign change to confirm
+        for ln, qe in ((2.0, 0.3), (LN_REF, QE_REF), (6.0, 1.5)):
+            mg_pk = peak_gain(ln, qe)[1]
+            assert gain_module._branch_bracket(ln, qe, mg_pk) is None
+
+    @pytest.mark.parametrize("estimate, exact", [
+        (lambda ln, qe: gain_module._peak_estimate(ln, qe),
+         lambda ln, qe: peak_gain(ln, qe)),
+        (lambda ln, qe: gain_module._branch_bracket(ln, qe, 0.9),
+         lambda ln, qe: gain_module._solve_branch(ln, qe, 0.9)),
+    ], ids=["peak", "branch"])
+    @pytest.mark.parametrize("ln, qe", [
+        (1.0, 0.3), (LN_REF, 0.0), (LN_REF, -1.0), (LN_REF, 1e200),
+        (LN_REF, math.inf), (LN_REF, 1e6), (LN_REF, 0.36)])
+    def test_estimates_raise_as_the_exact_solvers(self, estimate, exact,
+                                                  ln, qe):
+        try:
+            exact(ln, qe)
+        except (ValueError, BelowAsymptote) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                estimate(ln, qe)
+        else:
+            estimate(ln, qe)
 
 
 class TestGainBand:

@@ -854,7 +854,11 @@ class TestTimebase:
         (110e3, 1e-4, 11, 44),
         (110e3, 2e-4, 22, 88),
         (115e3, 2e-4, 23, 92),
-    ], ids=["5.37_periods", "110kHz_100us", "110kHz_200us", "115kHz_200us"])
+        # whole periods whose sum rounds 8 ulps past t_end: the last one
+        # still ends at t_end, counts and logs its ZVS edge
+        (110e3, 1e-3, 110, 440),
+    ], ids=["5.37_periods", "110kHz_100us", "110kHz_200us", "115kHz_200us",
+            "110kHz_1ms"])
     def test_final_sample_lands_exactly_on_t_end(self, fsw, te, periods,
                                                  gates):
         cfg = SimConfig(tank=TANK, vin=VIN, fsw=fsw,
@@ -865,6 +869,8 @@ class TestTimebase:
         assert res.final_state.t == te
         assert res.periods == periods
         assert sum(e.kind.startswith("gate") for e in res.events) == gates
+        # two dead times end in every whole period, none in a part period
+        assert len(res.zvs.edges) == 2 * periods
 
     def test_record_times_strictly_increase(self, resonant_settled):
         _, res = resonant_settled

@@ -306,6 +306,70 @@ def random_search(rng):
     return req, n, ln_values, qe_values, rng.choice((0.0, 0.1, 0.2, 0.3))
 
 
+def counting_calls(solve, calls):
+    """``solve`` that first appends its first two arguments, (Ln, Qe), to
+    ``calls``."""
+    def counting(*args):
+        calls.append(args[:2])
+        return solve(*args)
+    return counting
+
+
+def outcome(search, args):
+    """The pick of ``search(*args)``, or the message of its ValueError."""
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _ties():
+    """Search inputs (req, n, Ln grid, Qe grid, headroom) on which a
+    decision of the search lies within rounding of its threshold, and the
+    (Ln, Qe) of each exact peak_gain and _solve_branch call it makes."""
+    from llckit.gain import peak_gain
+    # the solved peak at qe misses 1.2 vout by less than _PRUNE_MARGIN,
+    # and the one at the next float up clears it
+    ln, qe = 2.399502047661044, 0.4736106535436214
+    qe_up = math.nextafter(qe, math.inf)
+    vout = 1.469097242671303
+    rises = DesignRequirements(vin_min=2.0, vin_nom=2.0, vin_max=2.0,
+                               vout_min=1.0874682569205119, vout_nom=vout,
+                               vout_max=vout, iout_min=0.1, iout_max=1.0,
+                               f0_target=100e3, fsw_min=1e3, fsw_max=1e7)
+    # with no headroom asked, Mg_max is the peak gain itself: the peak
+    # sits on its threshold and the full-load edge is a double root
+    mg = peak_gain(2.0, 0.3)[1]
+    at_peak = DesignRequirements(vin_min=2.0, vin_nom=2.0, vin_max=2.0,
+                                 vout_min=0.9, vout_nom=mg, vout_max=mg,
+                                 iout_min=0.1, iout_max=1.0, f0_target=100e3,
+                                 fsw_min=1e3, fsw_max=1e7)
+    return {
+        "peak_rises_by_rounding": ((rises, 1.0, [ln], [qe, qe_up], 0.2),
+                                   [(ln, qe), (ln, qe_up)]),
+        "edge_at_the_peak": ((at_peak, 1.0, [2.0], [0.3], 0.0),
+                             [(2.0, 0.3), (2.0, 0.3)]),
+    }
+
+
+TIES = _ties()
+
+
+def _wide_bands():
+    """Search inputs whose bands are so wide in Hz, at f0 near the largest
+    float, that (fn_hi - fn_lo) f0 overflows wherever the light-load edge
+    passes fsw_max = inf: no such band is narrower than none."""
+    req = DesignRequirements(vin_min=39.0, vin_nom=48.0, vin_max=75.0,
+                             vout_min=12.0, vout_nom=12.0, vout_max=12.0,
+                             iout_min=0.0, iout_max=0.5, f0_target=1.7e308,
+                             fsw_min=1e300, fsw_max=math.inf)
+    return req, 2.0, [1.5 + 0.5 * k for k in range(18)], \
+        [0.1 + 0.05 * k for k in range(19)], 0.2
+
+
+WIDE_BANDS = _wide_bands()
+
+
 class TestSearchDesignPoint:
     def test_seeded_picks_are_pinned(self):
         wrong = []
@@ -322,22 +386,15 @@ class TestSearchDesignPoint:
 
     def test_full_load_edge_first_keeps_every_pick_and_error(self):
         # the light-load edge is solved only for a candidate whose
-        # full-load edge passes: over 600 random requirement sets the pick,
-        # or the error and its message, is the one of solving both first
+        # full-load edge passes: over 600 random requirement sets, the
+        # ties and bands too wide to measure the pick, or the error and its
+        # message, is the one of solving both first
         rng = random.Random(19)
         outcomes = []
-        for _ in range(600):
-            args = random_search(rng)
-            got = want = None
-            try:
-                got = search_design_point(*args)
-            except ValueError as exc:
-                got = str(exc)
-            try:
-                want = search_light_edge_first(*args)
-            except ValueError as exc:
-                want = str(exc)
-            assert got == want, args
+        extra = [args for args, _ in TIES.values()] + [WIDE_BANDS]
+        for args in [random_search(rng) for _ in range(600)] + extra:
+            got = outcome(search_design_point, args)
+            assert got == outcome(search_light_edge_first, args), args
             outcomes.append(got if isinstance(got, str) else "pick")
         # every outcome is among them
         assert set(outcomes) == {
@@ -365,38 +422,33 @@ class TestSearchDesignPoint:
 
     def test_each_peak_is_solved_once(self, monkeypatch):
         # the candidates that clear the headroom solve their band edge
-        # from the peak the search already has, not by solving it again
+        # from the peak the search already has, not by solving it again;
+        # a peak counts whether it is estimated or solved exactly
         import importlib
 
         from llckit import synthesis
         gain = importlib.import_module("llckit.gain")
         calls = []
-        peak_gain = gain.peak_gain
-
-        def counting(ln, qe):
-            calls.append((ln, qe))
-            return peak_gain(ln, qe)
-
-        monkeypatch.setattr(gain, "peak_gain", counting)
-        monkeypatch.setattr(synthesis, "peak_gain", counting)
+        for owner, name in ((gain, "peak_gain"), (synthesis, "peak_gain"),
+                            (synthesis, "_peak_estimate")):
+            monkeypatch.setattr(owner, name,
+                                counting_calls(getattr(owner, name), calls))
         assert search_design_point(REQ, N_REF) == (1.5, 0.1)
         assert len(calls) == len(set(calls))
 
     def test_peaks_at_or_above_a_miss_are_not_solved(self, monkeypatch):
         # the peak falls as Qe rises, so past the smallest Qe whose peak
-        # misses the headroom no peak is solved (342 calls before, 153 now)
+        # misses the headroom no peak is solved, estimated or exactly
+        # (342 calls before, 153 now)
         import importlib
 
         from llckit import synthesis
         gain = importlib.import_module("llckit.gain")
         peak_gain = gain.peak_gain
         calls = []
-
-        def counting(ln, qe):
-            calls.append((ln, qe))
-            return peak_gain(ln, qe)
-
-        monkeypatch.setattr(synthesis, "peak_gain", counting)
+        for name in ("peak_gain", "_peak_estimate"):
+            monkeypatch.setattr(synthesis, name, counting_calls(
+                getattr(synthesis, name), calls))
         assert search_design_point(REQ, N_REF) == (1.5, 0.1)
         ln_values = [1.5 + 0.5 * k for k in range(18)]
         qe_values = [0.1 + 0.05 * k for k in range(19)]
@@ -422,15 +474,25 @@ class TestSearchDesignPoint:
         # and the headroom threshold sits between the two: the miss at qe
         # is within rounding, so it must not skip the candidate above it
         from llckit.gain import peak_gain
-        ln, qe = 2.399502047661044, 0.4736106535436214
-        qe_up = math.nextafter(qe, math.inf)
-        vout = 1.469097242671303
-        req = DesignRequirements(vin_min=2.0, vin_nom=2.0, vin_max=2.0,
-                                 vout_min=1.0874682569205119, vout_nom=vout,
-                                 vout_max=vout, iout_min=0.1, iout_max=1.0,
-                                 f0_target=100e3, fsw_min=1e3, fsw_max=1e7)
-        assert peak_gain(ln, qe)[1] < 1.2 * vout <= peak_gain(ln, qe_up)[1]
-        assert search_design_point(req, 1.0, [ln], [qe, qe_up]) == (ln, qe_up)
+        req, n, (ln,), (qe, qe_up), _ = TIES["peak_rises_by_rounding"][0]
+        assert peak_gain(ln, qe)[1] < 1.2 * req.vout_max <= peak_gain(ln, qe_up)[1]
+        assert search_design_point(req, n, [ln], [qe, qe_up]) == (ln, qe_up)
+
+    @pytest.mark.parametrize("name", sorted(TIES))
+    def test_ties_are_solved_exactly(self, name, monkeypatch):
+        # a peak within _PRUNE_MARGIN of the headroom, and a band edge at
+        # the peak (a near-double root, whose bracket cannot be
+        # confirmed), are solved by bisection, and the pick is the one of
+        # bisecting every root
+        from llckit import synthesis
+        args, exact_solves = TIES[name]
+        calls = []
+        for fn in ("peak_gain", "_solve_branch"):
+            monkeypatch.setattr(synthesis, fn, counting_calls(
+                getattr(synthesis, fn), calls))
+        got = outcome(search_design_point, args)
+        assert calls == exact_solves
+        assert got == outcome(search_light_edge_first, args)
 
     def test_shuffled_grids_keep_their_picks(self):
         # the skip does not depend on the grid order: the default grid and
