@@ -33,6 +33,7 @@ from .control import (
     run_load_step,
 )
 from .gain import (
+    SHORT_CIRCUIT_FN_TOL,
     SHORT_CIRCUIT_QE,
     BelowAsymptote,
     GainError,
@@ -48,6 +49,7 @@ from .synthesis import (
     DesignReport,
     check_feasibility,
     choose_turns_ratio,
+    round_components,
     search_design_point,
     synthesize_tank,
 )
@@ -129,33 +131,38 @@ def _resolve_out(args, cfg: ProjectConfig) -> Path:
     return path
 
 
-def _build_design(cfg: ProjectConfig, series: str | None) -> DesignReport:
+def _design_tank(cfg: ProjectConfig) -> tuple:
+    """(tank, n): the configured tank, or one synthesized at the configured
+    or searched (Ln, Qe)."""
     ov = cfg.overrides
-    series = series if series is not None else ov.series
     req = cfg.requirements
     if ov.tank is not None:
-        return check_feasibility(ov.tank, req, ov.tank.n, series=series)
+        return ov.tank, ov.tank.n
     n = ov.n if ov.n is not None else choose_turns_ratio(req)
     if ov.Ln is not None:
         ln, qe = ov.Ln, ov.Qe
     else:
         ln, qe = search_design_point(req, n)
-    tank = synthesize_tank(req, n, ln, qe)
-    return check_feasibility(tank, req, n, series=series)
+    return synthesize_tank(req, n, ln, qe), n
 
 
-def _sim_report(cfg: ProjectConfig, series: str | None = None) -> DesignReport:
-    """Design report rebased on the components one would actually build.
+def _build_design(cfg: ProjectConfig, series: str | None) -> DesignReport:
+    tank, n = _design_tank(cfg)
+    return check_feasibility(
+        tank, cfg.requirements, n,
+        series=series if series is not None else cfg.overrides.series)
+
+
+def _sim_report(cfg: ProjectConfig) -> DesignReport:
+    """Design report of the components one would actually build.
 
     Feasibility and frequency solutions must describe the rounded tank the
-    simulator integrates, not the exact synthesis values, so the check is
-    re-run on ``tank_rounded``.
+    simulator integrates, not the exact synthesis values, so the tank is
+    rounded first and judged once, as it is.
     """
-    report = _build_design(cfg, series)
-    if report.tank_rounded == report.tank:
-        return report
-    return check_feasibility(report.tank_rounded, cfg.requirements,
-                             report.n, series="none")
+    tank, n = _design_tank(cfg)
+    rounded, _ = round_components(tank, cfg.overrides.series)
+    return check_feasibility(rounded, cfg.requirements, n, series="none")
 
 
 def _assemble_controller(cfg: ProjectConfig, design: DesignReport) -> ControllerConfig:
@@ -211,7 +218,7 @@ def _curve_qe_set(qe_full: float) -> list[float]:
 def _gain_table(report: DesignReport, fn: np.ndarray, qes) -> list[tuple[str, np.ndarray]]:
     cols = [(f"Mg_Qe={q:g}", gain_magnitude(report.Ln, q, fn)) for q in qes]
     # short_circuit_gain per sample, inf where it rejects the series resonance
-    sc = np.where(np.abs(fn - 1.0) < 1e-9, np.inf,
+    sc = np.where(np.abs(fn - 1.0) < SHORT_CIRCUIT_FN_TOL, np.inf,
                   gain_magnitude(report.Ln, SHORT_CIRCUIT_QE, fn))
     cols.append(("Mg_short_circuit", sc))
     return cols

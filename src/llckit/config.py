@@ -257,15 +257,18 @@ def _parse_sim(node: _Node | None) -> SimSettings:
     node.reject_unknown(("vin", "fsw", "t_end", "dt_max", "record_stride",
                          "soft_start", "load", "band"))
     load_node = node.child("load")
+    d = SimSettings()
     return SimSettings(
-        vin=node.number("vin", default=None, minimum=0.0),
-        fsw=node.number("fsw", default=None, positive=True),
-        t_end=node.number("t_end", default=2e-3, minimum=0.0),
-        dt_max=node.number("dt_max", default=None, positive=True),
-        record_stride=node.integer("record_stride", default=8, minimum=1),
-        soft_start=node.number("soft_start", default=0.0, minimum=0.0),
+        vin=node.number("vin", default=d.vin, minimum=0.0),
+        fsw=node.number("fsw", default=d.fsw, positive=True),
+        t_end=node.number("t_end", default=d.t_end, minimum=0.0),
+        dt_max=node.number("dt_max", default=d.dt_max, positive=True),
+        record_stride=node.integer("record_stride", default=d.record_stride,
+                                   minimum=1),
+        soft_start=node.number("soft_start", default=d.soft_start,
+                               minimum=0.0),
         load=_parse_load(load_node) if load_node is not None else None,
-        band=node.number("band", default=0.01, positive=True),
+        band=node.number("band", default=d.band, positive=True),
     )
 
 

@@ -57,12 +57,15 @@ __all__ = [
     "tank_input_impedance",
     "short_circuit_gain",
     "SHORT_CIRCUIT_QE",
+    "SHORT_CIRCUIT_FN_TOL",
 ]
 
 POLE_DEN_TOL = 1e-15
 # A shorted output drives Re -> 0, Qe -> inf; this proxy is large enough that
 # the remaining load dependence is far below every tolerance used here.
 SHORT_CIRCUIT_QE = 1e6
+# short_circuit_gain rejects an fn this close to the series resonance
+SHORT_CIRCUIT_FN_TOL = 1e-9
 # Upper end of the frequency bracket used when solving gain targets.
 FN_SOLVE_MAX = 100.0
 BOUNDARY_FN_TOL = 1e-9
@@ -277,13 +280,10 @@ def gain_curve(Ln: float, Qe: float, fn_lo: float, fn_hi: float,
     fn = np.geomspace(fn_lo, fn_hi, samples)
     den = _gain_den(Ln, Qe, fn)
     pole = np.abs(den) < POLE_DEN_TOL
-    safe_den = np.where(pole, 1.0, den)
-    num = Ln * fn * fn
-    mgc = np.where(pole, np.inf + 0j, num / safe_den)
-    mg = np.where(pole, np.inf, num / np.abs(safe_den))
-    phase = np.angle(mgc)
-    return GainCurve(Ln=Ln, Qe=Qe, fn=fn, Mg_complex=mgc, Mg=mg,
-                     phase=phase, pole=pole)
+    mgc = np.where(pole, np.inf + 0j, Ln * fn * fn / np.where(pole, 1.0, den))
+    return GainCurve(Ln=Ln, Qe=Qe, fn=fn, Mg_complex=mgc,
+                     Mg=gain_magnitude(Ln, Qe, fn), phase=np.angle(mgc),
+                     pole=pole)
 
 
 def asymptotic_gain(Ln: float) -> float:
@@ -632,7 +632,7 @@ def short_circuit_gain(Ln: float, fn: float) -> float:
     """
     if fn <= 0:
         raise ValueError("fn must be positive")
-    if abs(fn - 1.0) < 1e-9:
+    if abs(fn - 1.0) < SHORT_CIRCUIT_FN_TOL:
         raise GainPoleError(
             "shorted output at the series resonance: tank current diverges")
     return gain_magnitude(Ln, SHORT_CIRCUIT_QE, fn)

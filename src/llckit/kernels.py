@@ -78,19 +78,14 @@ diode loss come from integral maps.  The load energy of each span between
 transitions follows from the output capacitor, whose rectifier input is,
 while a diode conducts, the source energy less the diode loss and the
 tank's gain (``_span_load``).  The peaks per component include the extrema
-inside a step, where the component's rate changes sign.  A call queues
-these crests as candidates in the caller's list: the step's Taylor terms
-where it built them for an event, else the start state, length and mode to
-build them from.  The call returns the peaks of its step ends, and the
-caller resolves the crests when it needs them (``sim.PeriodPeaks``).  The
-resolution (``_crest_peaks``) uses that |x_j| over the step fraction
-s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) + s^2 sum_(k >= 2) |w_k|, so
-a crest is located, largest bound first, only where that bound and a
-rounding margin can still pass the peak; a max does not depend on the
-order of its values, nor on which crests whose bound cannot pass it are
-left out.  Ripple minima and other extrema that move towards zero need no
-search.  A search that runs out of ``LOC_MAX`` iterations, for a crest or
-a turn-back, is a localization failure.
+inside a step, where the component's rate changes sign.  The kernel only
+steps: a call queues these crests as candidates in the caller's list (the
+step's Taylor terms where it built them for an event, else the start
+state, length and mode to build them from) and returns the peaks of its
+step ends.  The caller locates the crests when it needs them, with the
+bounds of ``_reach`` and the searches of ``_root``, in one place
+(``sim.PeriodPeaks.exact``).  A search that runs out of ``LOC_MAX``
+iterations, for a crest or a turn-back, is a localization failure.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:
@@ -217,17 +212,13 @@ def _rate(m, x0, x1, x2, x3):
             m[5] * (x0 - x2) + m[6] * x3 + m[9])
 
 
-def _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val):
-    """The load current: vOut / R for a resistor; for a current sink, its
-    setpoint while it draws, and while it holds the output at 0 V the
-    rectifier's current n |iLr - iLm| (none through an open rectifier)."""
-    if load_kind == LOAD_RES:
-        return vOut / load_val
-    if sink != SINK_HELD:
-        return load_val
-    if rect == RECT_OFF:
-        return 0.0
-    return n * abs(iLr - iLm)
+def _iout(m, iLr, iLm, vOut):
+    """The load current by the load rule (g, c, r) of mode m (``_mode``):
+    vOut / r for a resistor r, else g |iLr - iLm| where g is not 0, else c."""
+    g, c, r = m[19]
+    if r:
+        return vOut / r
+    return g * abs(iLr - iLm) if g else c
 
 
 def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
@@ -241,13 +232,19 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
 
     Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps, terms, scales]: rho is the largest row sum of |A| in
-    the energy coordinates D x, D = diag(sqrt(Lr), sqrt(Cr), sqrt(Lm),
-    sqrt(Cout)), which bounds every eigenvalue; slots lists the mode's
-    rectifier and sink event functions in slot order, and dead_slots adds
-    the dead-time one; maps caches the step maps by exact step length,
-    terms holds the mode's Taylor table (``_terms``) once built (None until
-    then), and scales is the diagonal of D.
+    dead_slots, maps, terms, scales, vsw, dio, rect, load]: rho is the
+    largest row sum of |A| in the energy coordinates D x, D =
+    diag(sqrt(Lr), sqrt(Cr), sqrt(Lm), sqrt(Cout)), which bounds every
+    eigenvalue; slots lists the mode's rectifier and sink event functions
+    in slot order, and dead_slots adds the dead-time one; maps caches the
+    step maps by exact step length, terms holds the mode's Taylor table
+    (``_terms``) once built (None until then), and scales is the diagonal
+    of D.  vsw is the node voltage, which draws the source energy vsw iLr;
+    dio the diode-loss factor, 0 or +/- n Vf, of the loss dio (iLr - iLm);
+    rect the rectifier phase; and load the rule (g, c, r) of the load
+    current (``_iout``): vOut / r for a resistor, g |iLr - iLm| for a sink
+    holding the output at 0 V through a conducting rectifier, and the
+    constant c otherwise.
     """
     a10 = 1.0 / Cr
     kq = Lm / (Lr + Lm)
@@ -270,15 +267,19 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
         b2 = s * n * Vf / Lm
         slots = [(0, s, 0.0, -s, 0.0, 0.0, -1.0)]
     a33 = b3 = 0.0
+    load = (0.0, 0.0, 0.0)
     if load_kind == LOAD_RES:
         a33 = -1.0 / (load_val * Cout)
+        load = (0.0, 0.0, load_val)
     elif sink == SINK_ON:
         b3 = -load_val / Cout
         slots.append((3, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0))
+        load = (0.0, load_val, 0.0)
     else:
         a30 = 0.0
         if s != 0.0:
             slots.append((3, n * s, 0.0, -n * s, 0.0, -load_val, 1.0))
+            load = (n, 0.0, 0.0)
     sl, sc = math.sqrt(Lr), math.sqrt(Cr)
     sm, so = math.sqrt(Lm), math.sqrt(Cout)
     rho = max(abs(a01) * sl / sc + abs(a03) * sl / so,
@@ -286,7 +287,8 @@ def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
               abs(a21) * sm / sc + abs(a23) * sm / so,
               abs(a30) * (so / sl + so / sm) + abs(a33))
     return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}, None, (sl, sc, sm, so)]
+            sorted(slots + [_DEAD_SLOT]), {}, None, (sl, sc, sm, so), vsw,
+            s * n * Vf, rect, load]
 
 
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
@@ -445,13 +447,13 @@ def _saltation(slot, fa, fb):
                      (u3 * c0, u3 * c1, u3 * c2, 1.0 + u3 * c3)))
 
 
-def _step_map(m, h, cap, vin, node_hi, rect, n, Vf):
+def _step_map(m, h, cap):
     """The maps of one mode over a step of length h, read off its Taylor
     table (``_terms``) at s = h / cap.
 
     Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
-    source energy src . (x, 1) while the node is high and diode loss
-    dio . (x, 1) while a diode conducts (None otherwise).  Column j of D
+    source energy src . (x, 1) and diode loss dio . (x, 1) by the mode's
+    node voltage and diode-loss factor (None where that is 0).  Column j of D
     and of the integral map comes from W[j], the unit state e_j with the
     inputs off; q and the input column from W[4], the inputs from rest.
     One product sums the terms twice: with weights s^k past k = 0, which
@@ -465,11 +467,9 @@ def _step_map(m, h, cap, vin, node_hi, rect, n, Vf):
     cols, ints = (p @ _terms(m, cap)).transpose(1, 0, 2).tolist()
     rows = tuple(cols[j][i] for i in range(4) for j in range(4))
     q = tuple(cols[4])
-    src = tuple(vin * c[0] for c in ints) if node_hi == 1 else None
-    dio = None
-    if rect != RECT_OFF and Vf != 0.0:
-        f = Vf * n if rect == RECT_D1 else -Vf * n
-        dio = tuple(f * (c[0] - c[2]) for c in ints)
+    vsw, f = m[16], m[17]
+    src = tuple(vsw * c[0] for c in ints) if vsw != 0.0 else None
+    dio = tuple(f * (c[0] - c[2]) for c in ints) if f != 0.0 else None
     return rows, q, src, dio
 
 
@@ -610,42 +610,6 @@ def _tail(r, h, m):
             * (math.expm1(theta) - theta * (1.0 - _SLACK)) / m[10])
 
 
-def _crest_peaks(crests, peaks):
-    """The running peaks |x_j| raised by the queued crests, the crests
-    located and the root iterations spent locating them.
-
-    A queued step (w, s, ra, rb) has Taylor terms w and rates ra at its
-    start and rb at s; each component whose rate changes sign has a crest
-    inside (0, s).  A max does not depend on the order of its values, so
-    the crests go largest bound (``_reach``) first, and only those whose
-    bound can still pass their peak are located.  Returns None for the
-    peaks where a crest could not be located within ``LOC_MAX``
-    iterations.
-    """
-    peaks = list(peaks)
-    queue = []
-    for w, s, ra, rb in crests:
-        for j in range(4):
-            if ra[j] * rb[j] < 0.0:
-                P = [c[j] for c in w]
-                queue.append((_reach(P, s, 0.0), len(queue), j, P, s, ra[j],
-                              rb[j]))
-    queue.sort(reverse=True)
-    located = it = 0
-    for top, _, j, P, s, a, b in queue:
-        if top > peaks[j]:
-            u, n = _root([k * P[k] for k in range(1, len(P))], 0.0, s,
-                         1.0 if b > 0.0 else -1.0, _EXT_TOL, a, b)
-            located += 1
-            it += n
-            if u < 0.0:
-                return None, located, it
-            v = abs(_peval(P, u)[0])
-            if v > peaks[j]:
-                peaks[j] = v
-    return peaks, located, it
-
-
 def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
                 vOut, vin, Lr, Lm, n, Vf, load_kind, load_val):
     """The mode after event slot ``sid`` fires at state x.
@@ -771,11 +735,12 @@ def build_rows(plans):
     A plan is (rows, points, blocks, grid): the call's row count; its point
     rows as (row, values), the entry row, the event rows and the end row;
     its grid blocks as its steps reserve them, (row, t_a, (x, 1), count,
-    m, vsw, rect, sink): the next ``count`` grid rows from row ``row`` on
-    lie inside one step of mode m that starts at t_a from state x; and
-    grid = (t0, dt, k_first, stride, cap, seg_kind, n, load_kind,
-    load_val, base): the call's grid rows sit at t0 + dt k for k = k_first,
-    k_first + stride, ... of its local time, and are labelled base + that.
+    m): the next ``count`` grid rows from row ``row`` on lie inside one
+    step of mode m (whose record gives their node voltage, rectifier phase
+    and load current) that starts at t_a from state x; and grid = (t0, dt,
+    k_first, stride, cap, seg_kind, base): the call's grid rows sit at
+    t0 + dt k for k = k_first, k_first + stride, ... of its local time, and
+    are labelled base + that.
     A call's first row replaces the last row of the call before when the
     two share an instant.
 
@@ -800,17 +765,13 @@ def build_rows(plans):
             n_rows -= 1
         at += [n_rows + r for r, _ in pts]
         points += [row for _, row in pts]
-        t0, dt, k, stride, cap, seg_kind, n, load_kind, load_val, base = grid
-        for r, ta, x, cnt, m, vsw, rect, sink in grid_blocks:
+        t0, dt, k, stride, cap, seg_kind, base = grid
+        for r, ta, x, cnt, m in grid_blocks:
             if id(m) not in modes:
                 modes[id(m)] = len(tables)
                 tables.append(_terms(m, cap).reshape(5, -1))
-            held = sink == SINK_HELD
             blocks.append((modes[id(m)], n_rows + r, cnt, k, stride, t0, dt,
-                           ta, cap, *x, vsw, rect, seg_kind, n,
-                           held and rect != RECT_OFF,
-                           0.0 if held else load_val, load_val,
-                           load_kind == LOAD_RES, base))
+                           ta, cap, *x, m[16], m[18], seg_kind, *m[19], base))
             k += cnt * stride
         n_rows += rec_n
     out = np.empty((n_rows, REC_COLS))
@@ -850,17 +811,18 @@ def _put_grid_rows(out, f, tables):
             rows = np.empty((REC_COLS, r.size))
             rows[0] = fb[5] + fb[6] * (fb[3] + r * fb[4])
             s = (rows[0] - fb[7]) / fb[8]
-            rows[0] += fb[22]
-            # x(t_a + s cap) by Horner's rule, as ``_at``
+            rows[0] += fb[20]
+            # x(t_a + s cap) by Horner's rule, as ``_values`` sums it
             x = rows[1:5]
             np.take(w[_ROW_K], i, axis=1, out=x)
             for k in range(_ROW_K - 1, -1, -1):
                 x *= s
                 x += np.take(w[k], i, axis=1)
             rows[5] = fb[14]
-            rows[6] = np.where(fb[18] != 0.0,
-                               fb[17] * np.abs(x[0] - x[2]), fb[19])
-            np.divide(x[3], fb[20], out=rows[6], where=fb[21] != 0.0)
+            # the load rule (g, c, r) of ``_iout``
+            rows[6] = np.where(fb[17] != 0.0,
+                               fb[17] * np.abs(x[0] - x[2]), fb[18])
+            np.divide(x[3], fb[19], out=rows[6], where=fb[19] != 0.0)
             rows[7:] = fb[15:17]
             out[(r + fb[1]).astype(np.intp)] = rows.T
 
@@ -933,15 +895,15 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     # entry settle, then the segment entry row
     rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
+    m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
+                 load_kind, load_val)
     if code != 0:
         events.append((base + t0, code))
     rows_on = stride > 0
     points = []  # (row, values) of the entry, event and end rows
     if rows_on:
         points.append((0, (base + t0, iLr, vCr, iLm, vOut, vsw,
-                           _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
-                                 load_val),
-                           rect, seg_kind)))
+                           _iout(m, iLr, iLm, vOut), rect, seg_kind)))
     rec_n = 1
 
     span = t1 - t0
@@ -967,13 +929,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     t_last = t0  # the instant of the last row
 
     # per-mode quantities (set while stale: at entry and after each
-    # transition): the mode record m and its coefficients, its step map
+    # transition) of the mode record m: its coefficients, its step map
     # over hp (d.., q.., src and dio, loaded once mapped), the rate r and
     # the event-function values g_a and slopes d_a at the current state
     stale = True
-    # the source energy and diode loss per unit integral of iLr and of
-    # the secondary's primary-side current iLr - iLm, in the current mode
-    f_src = f_dio = 0.0
     # energy of this call up to the last transition, and of the span since
     # then (see ``_span_load``)
     e_src = e_load = e_dio = 0.0
@@ -988,14 +947,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         guard = 0
         while t_cur < t_b:
             if stale:
-                m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm,
-                             n, Vf, Cout, load_kind, load_val)
                 a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
                 slots = m[12] if is_dead else m[11]
                 mmaps = m[13]
                 mapped = False  # the mode's step map over hp is loaded
-                f_src = vin if node_hi == 1 else 0.0
-                f_dio = (0.0, Vf * n, -Vf * n)[rect]  # by RECT_* phase
                 r0, r1, r2, r3 = _rate(m, iLr, vCr, iLm, vOut)
                 g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
                        for _, c0, c1, c2, c3, d, _ in slots]
@@ -1010,7 +965,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     if mp is None:
                         if len(mmaps) >= _MAPS_MAX:
                             mmaps.clear()
-                        mp = _step_map(m, hp, cap, vin, node_hi, rect, n, Vf)
+                        mp = _step_map(m, hp, cap)
                         mmaps[hp] = mp
                     ((d00, d01, d02, d03, d10, d11, d12, d13,
                       d20, d21, d22, d23, d30, d31, d32, d33),
@@ -1035,8 +990,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 # the rest of a step after an event
                 w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
                 ni, nc, nm, no, i0, i2 = _values(w, 1.0, h)
-                de_src = f_src * i0
-                de_dio = f_dio * (i0 - i2)
+                de_src = vsw * i0
+                de_dio = m[17] * (i0 - i2)
             steps += 1
             rb0 = a01 * nc + a03 * no + b0
             rb1 = a10 * ni
@@ -1089,8 +1044,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     t_end = t_b
             if t_row <= t_end:
                 c = _grid_rows(t0, dt, k_row, stride, n_cells, t_end)
-                blocks.append((rec_n, t_cur, (iLr, vCr, iLm, vOut, 1.0), c,
-                               m, vsw, rect, sink))
+                blocks.append((rec_n, t_cur, (iLr, vCr, iLm, vOut, 1.0), c, m))
                 rec_n += c
                 k_row += c * stride
                 t_last = t0 + dt * (k_row - stride)
@@ -1131,8 +1085,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             s = s_hit
             iLr, vCr, iLm, vOut, i0, i2 = _values(w, s, h)
             crests.append((w, s, (r0, r1, r2, r3), None, w[0], h, m))
-            sp_src += f_src * i0
-            sp_dio += f_dio * (i0 - i2)
+            sp_src += vsw * i0
+            sp_dio += m[17] * (i0 - i2)
             if sens is not None:
                 sens = _phi(m, s * h / cap, cap) @ sens
                 f_a = _rate(m, iLr, vCr, iLm, vOut)
@@ -1156,19 +1110,18 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
             if is_dead:
                 node_hi = clamp_hi
+            m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf,
+                         Cout, load_kind, load_val)
             if sens is not None:
                 # the rate just after the event, in the mode it leads to
-                sens = _saltation(slots[hit], f_a, _rate(_mode_of(
-                    maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
-                    load_kind, load_val), iLr, vCr, iLm, vOut)) @ sens
+                sens = _saltation(slots[hit], f_a,
+                                  _rate(m, iLr, vCr, iLm, vOut)) @ sens
             if codes:
                 events.extend((base + t_ev, code) for code in codes)
                 if rows_on:
                     rec_n = _put_point(points, rec_n, t_last == t_ev, (
                         base + t_ev, iLr, vCr, iLm, vOut, vsw,
-                        _iout(sink, rect, iLr, iLm, vOut, n, load_kind,
-                              load_val),
-                        rect, seg_kind))
+                        _iout(m, iLr, iLm, vOut), rect, seg_kind))
                     t_last = t_ev
 
             sp_src = sp_dio = 0.0
@@ -1187,11 +1140,9 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         if err == ERR_OK and count > 0:
             rec_n = _put_point(points, rec_n, t_last == t1, (
                 base + t1, iLr, vCr, iLm, vOut, vsw,
-                _iout(sink, rect, iLr, iLm, vOut, n, load_kind, load_val),
-                rect, seg_kind))
+                _iout(m, iLr, iLm, vOut), rect, seg_kind))
         plan = (rec_n, points, blocks, (t0, dt, k_first, stride, cap,
-                                        seg_kind, n, load_kind, load_val,
-                                        base))
+                                        seg_kind, base))
     e_load += _span_load(rect, sp_src, sp_dio, sp_cap, sp_tank,
                          iLr, vCr, iLm, vOut, Lr, Cr, Lm, Cout)
     return (err, plan, len(events) - ev_0, rect, clamp_hi,

@@ -9,18 +9,17 @@ Each period runs in its own local time, from 0 at its start: the kernel
 gets the segment bounds 0, T/2 - td, T/2, T - td and T, and the period's
 absolute start only as the base of the times it reports (events and rows;
 the driver's error messages name absolute time too), so the period's
-arithmetic does not depend on when it starts.  The driver keeps the
-kernel's propagator cache for the run, has each call append its events to
-the run's log and its crest candidates to the period's (see
-:class:`PeriodPeaks`: the extrema inside steps are located only when a
-period's peaks are read), keeps the row plan each call hands back, adds
-up its energies, and counts the kernel's steps, its localization
-iterations, the crest candidates, the crests located and their
-iterations, and the events by kind (:attr:`PeriodDriver.counts`).  The
-waveform rows are built from the plans in one pass when the result is
-asked for (:meth:`PeriodDriver.result`, through ``kernels.build_rows``),
-so their numpy work is paid once per run rather than once per kernel
-call.
+arithmetic does not depend on when it starts.  The driver keeps the kernel's
+propagator cache for the run, has each call append its events to the run's
+log and its crest candidates to the period's (see :class:`PeriodPeaks`, the
+one place crests are located: the extrema inside steps are located only
+when a period's peaks are read), keeps the row plan each call hands back,
+adds up its energies, and counts the kernel's steps, its localization
+iterations, the crest candidates, the crests located and their iterations,
+and the events by kind (:attr:`PeriodDriver.counts`).  The waveform rows are
+built from the plans in one pass when the result is asked for
+(:meth:`PeriodDriver.result`, through ``kernels.build_rows``), so their
+numpy work is paid once per run rather than once per kernel call.
 ``dt_max`` (default: a period over ``STEPS_PER_PERIOD``) sets the grid that
 waveform rows sit on; an unrecorded driver (``record=False``, as the
 steady-state solvers run) asks the kernel for no rows at all.  Reset with
@@ -446,13 +445,18 @@ class PeriodPeaks:
     (``kernels._reach``), and otherwise from no series at all
     (``kernels._tail``), the component's larger value along the step's
     linear part plus what its higher terms can add.  :meth:`upper` bounds
-    a peak by these alone.  :meth:`exact` locates the crests of the
-    components it is asked for with ``kernels._crest_peaks``, leaving out
-    those whose bound, where :meth:`upper` has computed it, stays within
-    the step ends' value: a peak is a max, so neither they nor the order of
-    the rest can change it, and the exact peaks are the bits that locating
-    every crest gives.  Searches and their iterations are added to
-    ``counter``, the driver's [crests located, root iterations].
+    a peak by these alone.  :meth:`exact` is the one place crests are
+    located.  It uses that |x_j| over the step fraction s <= 1 is at most
+    max(|w_0|, |w_0 + w_1 s|) + s^2 sum_(k >= 2) |w_k| plus a rounding
+    margin (``kernels._reach``), so a crest is located, largest bound
+    first, only where that bound can still pass the peak; those whose
+    bound, where :meth:`upper` has computed it, stays within the step ends'
+    value are left out at once.  A peak is a max, so neither the crests
+    left out nor the order of the rest can change it, and the exact peaks
+    are the bits that locating every crest gives.  Ripple minima and other
+    extrema that move towards zero need no search.  Searches and their
+    iterations are added to ``counter``, the driver's [crests located,
+    root iterations].
     """
 
     def __init__(self, t0: float, counter: list):
@@ -499,38 +503,40 @@ class PeriodPeaks:
     def exact(self, comps=(0, 1, 2, 3)) -> tuple:
         """The exact peaks of the components ``comps``; raises
         :class:`EventLocalizationFailure` where a crest search fails."""
-        todo = [j for j in comps if self._exact[j] is None]
-        if todo:
-            ends = self.ends
-            bounds = self._bounds
-            queue = []
-            for i, (w, s, ra, rb, x, h, m) in enumerate(self.crests):
-                # the components whose rate changes sign in the step, less
-                # those whose bound is known to stay within the step ends'
-                # value; the search sees only their crests
-                pa = [0.0, 0.0, 0.0, 0.0]
-                pb = [0.0, 0.0, 0.0, 0.0]
-                found = False
-                for j in todo:
-                    if bounds[j] is None or bounds[j][i] > ends[j]:
-                        if rb is None:
-                            rb = self._end_rate(i)
-                        if ra[j] * rb[j] < 0.0:
-                            pa[j] = ra[j]
-                            pb[j] = rb[j]
-                            found = True
-                if found:
-                    queue.append((w or kernels._series(*x, *m[7:10], h, m),
-                                  s, pa, pb))
-            got, n, it = kernels._crest_peaks(queue, ends)
-            self._counter[0] += n
-            self._counter[1] += it
-            if got is None:
-                raise EventLocalizationFailure(
-                    f"could not localize a crest in the period from "
-                    f"t={self.t0:.6e}")
+        todo = [j for j in range(4) if j in comps and self._exact[j] is None]
+        if not todo:
+            return tuple(self._exact[j] for j in comps)
+        peaks = list(self.ends)
+        bounds = self._bounds
+        # (bound, entry, component, its Taylor terms, s, rates at 0 and s)
+        # of each crest whose bound is not known to stay within the step
+        # ends' value, in candidate order and then component order
+        queue = []
+        for i, (w, s, ra, rb, x, h, m) in enumerate(self.crests):
             for j in todo:
-                self._exact[j] = got[j]
+                if bounds[j] is not None and not bounds[j][i] > peaks[j]:
+                    continue
+                rb = rb or self._end_rate(i)
+                if ra[j] * rb[j] < 0.0:
+                    w = w or kernels._series(*x, *m[7:10], h, m)
+                    P = [c[j] for c in w]
+                    queue.append((kernels._reach(P, s, 0.0), len(queue), j,
+                                  P, s, ra[j], rb[j]))
+        queue.sort(reverse=True)
+        for top, _, j, P, s, a, b in queue:
+            if top > peaks[j]:
+                u, it = kernels._root([k * P[k] for k in range(1, len(P))],
+                                      0.0, s, 1.0 if b > 0.0 else -1.0,
+                                      kernels._EXT_TOL, a, b)
+                self._counter[0] += 1
+                self._counter[1] += it
+                if u < 0.0:
+                    raise EventLocalizationFailure(
+                        f"could not localize a crest in the period from "
+                        f"t={self.t0:.6e}")
+                peaks[j] = max(peaks[j], abs(kernels._peval(P, u)[0]))
+        for j in todo:
+            self._exact[j] = peaks[j]
         return tuple(self._exact[j] for j in comps)
 
 
@@ -686,11 +692,15 @@ class PeriodDriver:
         The kernel runs the period in its local time, from 0 at its start
         ``self.t``, so its steps depend on the frequency alone; times are
         reported as ``self.t`` plus the local time.  The period stops at
-        ``t_stop``; one that would end within 1e-15 s (relative past 1 s)
-        of it, short of it or past it, ends at ``t_stop`` itself and counts
-        as whole, so that a run of whole periods whose sum rounds either
-        side of its end still ends there with every period and ZVS edge
-        logged, and no sliver of a period follows.
+        ``t_stop``; one that would end near it, short of it or past it,
+        ends at ``t_stop`` itself and counts as whole, so that a run of
+        whole periods whose sum rounds either side of its end still ends
+        there with every period and ZVS edge logged, and no sliver of a
+        period follows.  Near is within 1e-15 s (relative past 1 s), or
+        within the rounding of the sum, if wider: each period since the
+        reset added one rounding of at most half an ulp of ``self.t``, and
+        the band allows twice that, 2^-52 t_stop, for each of them and one
+        more.
         """
         cfg = self.cfg
         fsw = float(fsw)
@@ -700,7 +710,8 @@ class PeriodDriver:
             raise ValueError("dead time does not fit in the switching period")
         t0 = self.t
         end = period
-        tol = 1e-15 * max(1.0, t_stop)
+        tol = max(1e-15 * max(1.0, t_stop),
+                  (self.periods + 1) * 2.0 ** -52 * t_stop)
         # (at t_stop = inf the left side is nan, and no period ends there)
         if t_stop - tol <= t0 + period <= t_stop + tol and t0 + period != t_stop:
             end = _local(t_stop, t0)

@@ -3,11 +3,11 @@
 ``kernels.integrate_segment`` queues the crests (extrema) inside its
 steps and returns the peaks of its step ends; ``sim.PeriodPeaks`` locates
 the queued crests only where a read needs them.  The reference locates
-every crest a call queues at the call's end, with ``kernels._crest_peaks``,
-so its peaks are the call's own.
+every crest a call queues at the call's end, through a ``PeriodPeaks`` of
+the call alone, so its peaks are the call's own.
 """
 
-from llckit import kernels
+from llckit import kernels, sim
 
 # the kernel itself, for tests that patch its name in ``kernels`` with
 # ``eager_segment``
@@ -23,19 +23,15 @@ def eager_segment(*args):
     crests = args[22]
     n0 = len(crests)
     out = _segment(*args)
-    # the Taylor terms of the steps queued without them, and the rates
-    # where an event ended a step
-    queue = [(w or kernels._series(*x, *m[7:10], h, m), s, ra,
-              rb or kernels._rates(w, s, h))
-             for w, s, ra, rb, x, h, m in crests[n0:]]
+    counter = [0, 0]
+    peaks = sim.PeriodPeaks(0.0, counter)
+    peaks.ends = list(out[9:13])
+    peaks.crests = crests[n0:]
     del crests[n0:]
     err = out[0]
-    peaks = out[9:13]
-    iters = located = 0
-    if queue:
-        got, located, iters = kernels._crest_peaks(queue, peaks)
-        if got is None:
-            err = kernels.ERR_EVENT_LOC
-        else:
-            peaks = tuple(got)
-    return (err,) + out[1:9] + peaks + out[13:] + (iters, located)
+    got = out[9:13]
+    try:
+        got = peaks.exact()
+    except sim.EventLocalizationFailure:
+        err = kernels.ERR_EVENT_LOC
+    return (err,) + out[1:9] + got + out[13:] + (counter[1], counter[0])

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llckit import sim
+from llckit import cli, sim
 from llckit.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERIC, EXIT_OK,
                         main)
-from llckit.config import ConfigError, load_config, parse_config
+from llckit.config import ConfigError, SimSettings, load_config, parse_config
 from llckit.sim import Waveform
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,6 +104,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\.".join(field)
                            + ": must be a finite number"):
             parse_config(doc)
+
+    def test_absent_sim_fields_take_the_settings_defaults(self):
+        doc = reference_doc()
+        doc["sim"] = {}
+        assert parse_config(doc).sim == SimSettings()
 
     def test_non_finite_load_point_names_the_index(self):
         doc = reference_doc()
@@ -287,6 +292,20 @@ def step_out(tmp_path_factory):
 
 
 class TestSimulateCommand:
+    def test_design_judges_the_rounded_tank_once(self, monkeypatch):
+        # the simulator's design report is one check of the rounded tank
+        calls = []
+        check = cli.check_feasibility
+
+        def counting(tank, req, n, series="E12"):
+            calls.append((tank, series))
+            return check(tank, req, n, series=series)
+
+        monkeypatch.setattr(cli, "check_feasibility", counting)
+        report = cli._sim_report(load_config(REFERENCE_CONFIG))
+        assert calls == [(report.tank, "none")]
+        assert report.tank_rounded == report.tank
+
     def test_zero_span_transient(self, tmp_path):
         doc = reference_doc()
         doc["sim"]["t_end"] = 0.0

@@ -150,6 +150,15 @@ class TestGainCurve:
         ref = brute_mag(LN_REF, QE_REF, c.fn)
         assert np.all(np.abs(c.Mg - ref) <= 1e-12 * ref)
 
+    @pytest.mark.parametrize("ln, qe", [(2.05, 0.36), (3.0, 0.0), (1.5, 5.0),
+                                        (8.0, 1e-3)])
+    def test_curve_is_the_scalar_magnitude(self, ln, qe):
+        # one |Mg|: every sample of the curve is gain_magnitude of its fn,
+        # bit for bit
+        c = gain_curve(ln, qe, 0.1, 10.0)
+        ref = [gain_magnitude(ln, qe, f) for f in c.fn.tolist()]
+        assert c.Mg.tobytes() == np.array(ref).tobytes()
+
     def test_no_load_pole_is_flagged_not_fatal(self):
         fn_pole = 1.0 / math.sqrt(LN_REF + 1.0)
         fn_hi = fn_pole * 4.0

@@ -171,9 +171,10 @@ def test_grid_rows_are_their_steps_series(p):
             p["load_kind"], p["load_val"], p["dt_max"], p["tol_t"], stride,
             events, [])
         rows = kernels.build_rows([out[1]])
-        _, points, blocks, (t0, dt, k, _, _, seg, *_) = out[1]
+        _, points, blocks, (t0, dt, k, _, _, seg, _) = out[1]
         at_points = {r for r, _ in points}
-        for r, ta, xs, count, m, vsw, rect, _ in blocks:
+        for r, ta, xs, count, m in blocks:
+            vsw, rect = m[16], m[18]
             for i, row in enumerate(rows[r:r + count]):
                 t = t0 + dt * k
                 k += stride
@@ -376,9 +377,9 @@ def test_sensitivity_matches_central_differences(p):
     assert np.max(np.abs(sens - central)) <= 1e-5 * size
 
 
-# Root searches skipped by a bound: ``_crest_peaks`` and the graze branch of
-# ``_crossing`` must give what locating every crest and every turn-back
-# gives.  The references below are the plain sums and searches.
+# Root searches skipped by a bound: ``sim.PeriodPeaks.exact`` and the graze
+# branch of ``_crossing`` must give what locating every crest and every
+# turn-back gives.  The references below are the plain sums and searches.
 
 def rate_at(w, s, h):
     """dx/dt at s h from the Taylor terms, by Horner's rule."""
@@ -404,11 +405,23 @@ def integrals_at(w, s, h):
     return i0 * s * h, i2 * s * h
 
 
+def filled(crests):
+    """Queued crest candidates (``kernels.integrate_segment``) as (terms,
+    s, rates at 0, rates at s), their terms and end rates built where the
+    kernel left them out."""
+    out = []
+    for w, s, ra, rb, x, h, m in crests:
+        w = w or kernels._series(*x, *m[7:10], h, m)
+        out.append((w, s, ra, rb or rate_at(w, s, h)))
+    return out
+
+
 def every_crest(crests, peaks):
-    """``_crest_peaks`` locating every crest of the queued steps in turn."""
+    """The peaks raised by every crest of the queued candidates, located in
+    turn: (peaks, crests located, root iterations)."""
     peaks = list(peaks)
     located = it = 0
-    for w, s, ra, rb in crests:
+    for w, s, ra, rb in filled(crests):
         for j in range(4):
             if ra[j] * rb[j] < 0.0:
                 dP = [k * w[k][j] for k in range(1, len(w))]
@@ -419,6 +432,14 @@ def every_crest(crests, peaks):
                 peaks[j] = max(peaks[j],
                                abs(kernels._peval([c[j] for c in w], u)[0]))
     return peaks, located, it
+
+
+def every_crest_exact(self, comps=(0, 1, 2, 3)):
+    """``sim.PeriodPeaks.exact`` locating every crest of its candidates."""
+    peaks, located, it = every_crest(self.crests, self.ends)
+    self._counter[0] += located
+    self._counter[1] += it
+    return tuple(peaks[j] for j in comps)
 
 
 def every_turn_back(slot, side, ga, gb, da, db, w, xb, tol):
@@ -533,13 +554,15 @@ def test_one_pass_values_are_the_separate_sums(p, s):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mode_steps(), st.data())
 def test_bounded_crests_give_the_peaks_of_every_crest(p, data):
-    # a queue of a few steps: some from a state with an extremum of one
-    # component placed in the step (within rounding of its start at sigma =
-    # 0 or 1e-15), some from random states, whose components may cross
-    # zero inside the step, some with random terms, and steps cut short at
-    # an event (s < 1).  The peaks start at 0, below a step's start value
-    # (as iLm can just after a diode turn-off reset), or on a located
-    # crest's value and its neighbours
+    # a queue of a few candidates, as the kernel queues them: some from a
+    # state with an extremum of one component placed in the step (within
+    # rounding of its start at sigma = 0 or 1e-15), some from random states,
+    # whose components may cross zero inside the step, some with random
+    # terms, and steps cut short at an event (s < 1).  A candidate from a
+    # state carries its terms and no end rate, as an event leaves it, or
+    # its end rate with or without its terms, as a whole step.  The peaks
+    # start at 0, below a step's start value (as iLm can just after a diode
+    # turn-off reset), or on a located crest's value and its neighbours
     m, h, x = p
     crests = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -548,7 +571,8 @@ def test_bounded_crests_give_the_peaks_of_every_crest(p, data):
         if kind == "terms":
             w = [tuple(data.draw(st.floats(-1.0, 1.0)) for _ in range(4))
                  for _ in range(data.draw(st.integers(2, 19)))]
-            crests.append((w, s, rate_at(w, 0.0, h), rate_at(w, s, h)))
+            crests.append((w, s, rate_at(w, 0.0, h), rate_at(w, s, h),
+                           None, h, None))
             continue
         if kind == "crest":
             c = [0.0] * 4
@@ -559,22 +583,31 @@ def test_bounded_crests_give_the_peaks_of_every_crest(p, data):
         else:
             x0 = tuple(data.draw(st.floats(-1.0, 1.0)) * v for v in x)
         w = kernels._series(*x0, m[7], m[8], m[9], h, m)
-        crests.append((w, s, rate(m, x0), rate_at(w, s, h)))
-    assume(any(a * b < 0.0 for _, _, ra, rb in crests
+        rb = rate_at(w, s, h)
+        if s < 1.0 and data.draw(st.booleans()):
+            rb = None  # ended by an event: the end rate comes from w
+        elif data.draw(st.booleans()):
+            w = None  # queued from its start state, length and mode
+        crests.append((w, s, rate(m, x0), rb, x0, h, m))
+    assume(any(a * b < 0.0 for _, _, ra, rb in filled(crests)
                for a, b in zip(ra, rb)))
     values = every_crest(crests, [0.0] * 4)[0]
     peaks = []
     for j in range(4):
-        start = max(abs(w[0][j]) for w, _, _, _ in crests)
+        start = max(abs(w[0][j]) for w, _, _, _ in filled(crests))
         v = values[j]
         peaks.append(data.draw(st.sampled_from((
             0.0, v, math.nextafter(v, 0.0), math.nextafter(v, math.inf),
             v * (1.0 - 2.0 ** -45), start))
             | st.floats(0.0, 1.0).map(lambda u, a=start: u * a)))
-    got, located, it = kernels._crest_peaks(crests, peaks)
+    counter = [0, 0]
+    resolver = sim.PeriodPeaks(0.0, counter)
+    resolver.ends = peaks
+    resolver.crests = crests
+    got = resolver.exact()
     ref, all_located, all_it = every_crest(crests, peaks)
     assert bits(got) == bits(ref)
-    assert located <= all_located and it <= all_it
+    assert counter[0] <= all_located and counter[1] <= all_it
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -631,7 +664,7 @@ def test_skipped_searches_leave_the_call_alone(p):
     # the whole call with every crest and every turn-back located gives the
     # same outputs, rows and events, in no fewer searches and iterations
     out, rows, events, acc = run(p)
-    with patch.object(kernels, "_crest_peaks", every_crest), \
+    with patch.object(sim.PeriodPeaks, "exact", every_crest_exact), \
             patch.object(kernels, "_crossing", every_turn_back):
         ref = run(p)
     assert out[:14] + out[15:19] == ref[0][:14] + ref[0][15:19]
@@ -685,7 +718,8 @@ def test_series_free_bound_holds_what_a_search_can_locate(p, s, data):
     r = rate(m, x)
     w = kernels._series(*x, m[7], m[8], m[9], h, m)
     u = np.linspace(0.0, s, 257)
-    located = every_crest([(w, s, r, rate_at(w, s, h))], [0.0] * 4)[0]
+    located = every_crest([(w, s, r, rate_at(w, s, h), x, h, m)],
+                          [0.0] * 4)[0]
     for terms in (None, w):
         bounds = crest_bounds(m, x, r, s, h, terms)
         for j in range(4):

@@ -872,6 +872,22 @@ class TestTimebase:
         # two dead times end in every whole period, none in a part period
         assert len(res.zvs.edges) == 2 * periods
 
+    def test_long_run_ends_without_a_sliver(self):
+        # 11000 whole periods to 0.1 s, unrecorded: their float sum ends
+        # 2.1e-14 s short of t_end, 21 times a 1e-15 s band.  The band
+        # grows with the periods summed, so the last period ends at t_end
+        # and counts, and no sliver period with a 44001st gate event follows
+        cfg = SimConfig(tank=TANK, vin=VIN, fsw=110e3,
+                        load=LoadSpec.resistance(RL), t_end=0.1)
+        drv = sim.PeriodDriver(cfg, warm_start_state(cfg), record=False)
+        while drv.t < cfg.t_end:
+            drv.advance_period(cfg.fsw, t_stop=cfg.t_end)
+        res = drv.result()
+        assert res.final_state.t == cfg.t_end
+        assert res.periods == 11000
+        assert sum(e.kind.startswith("gate") for e in res.events) == 44000
+        assert len(res.zvs.edges) == 22000
+
     def test_record_times_strictly_increase(self, resonant_settled):
         _, res = resonant_settled
         assert np.all(np.diff(res.waveform.t) > 0.0)

@@ -11,8 +11,9 @@ are solved, each by cycle iteration and by shooting at ``find_pop``'s
 default tolerance and budget: 0.5 A at the frequency the sinusoidal model
 picks for 12 V, 115 kHz into 24 ohm, 110 kHz at 0.1 A, and 73.5 and
 70 kHz at 0.5 A.  A solve reports its periods, the crest searches of its
-period peaks (the crests ``kernels._crest_peaks`` located, counted by
-wrapping it: a shooting driver's counts start over every period), its
+period peaks (the crests ``sim.PeriodPeaks.exact`` located, counted by
+wrapping it and reading what it adds to its driver's crest count: a
+shooting driver's counts start over every period), its
 ``PopResult.trace`` where the checkout has one, and the best of
 ``--repeat`` wall times.
 
@@ -73,20 +74,22 @@ def solve_points(repeat: int) -> list[dict]:
     """Every solve of every point, in the checkout llckit comes from."""
     from dataclasses import asdict
 
-    from llckit import kernels, sim, steady_state, synthesis
+    from llckit import sim, steady_state, synthesis
     from llckit.gain import solve_frequency
     from llckit.tank import series_resonance
 
     searches = 0
-    locate = kernels._crest_peaks
+    exact = sim.PeriodPeaks.exact
 
-    def counting(crests, peaks):
+    def counting(self, *args, **kwargs):
         nonlocal searches
-        got, located, it = locate(crests, peaks)
-        searches += located
-        return got, located, it
+        before = self._counter[0]
+        try:
+            return exact(self, *args, **kwargs)
+        finally:
+            searches += self._counter[0] - before
 
-    kernels._crest_peaks = counting
+    sim.PeriodPeaks.exact = counting
     req, tank = reference_tank()
     design = synthesis.check_feasibility(tank, req, 1.83)
     rows = []
