@@ -34,7 +34,9 @@ recorded.  H is ``STEP_FRACTION`` of the stage's fastest natural period
 2 pi / rho, where rho bounds every eigenvalue of the mode matrices (the
 largest row sum of |A| in energy coordinates).  On the reference tank the
 bound is 9.5 us against the 10.0 us D1/D2 series resonance, so H is
-1.19 us and a switching period at 110 kHz takes 12 steps.
+1.19 us and a switching period at 110 kHz takes ten steps, and one more
+for the rest of each step an event cuts short: 12 into 24 ohm, 14 at
+0.1 A.
 
 Waveform rows on the record grid never end a step, and a call does not
 evaluate them: it hands back its row plan, the rows at its entry, its
@@ -357,7 +359,8 @@ def _values(w, s, h):
     """The state x(s h) and the integrals of iLr and iLm over [0, s h]
     from the Taylor terms, summed by Horner's rule in one pass: the state
     from w_n, and the integrals from 0 with weights 1 / (k + 1), each as a
-    pass of its own would sum it.  Returns (x0, x1, x2, x3, i0, i2)."""
+    pass of its own would sum it.  Returns (x0, x1, x2, x3, i0, i2); at
+    s = 1 ``_values_end`` gives the same bits."""
     k = len(w) - 1
     x0, x1, x2, x3 = w[k]
     r = 1.0 / (k + 1)
@@ -375,6 +378,28 @@ def _values(w, s, h):
     c0, c1, c2, c3 = w[0]
     return (x0 * s + c0, x1 * s + c1, x2 * s + c2, x3 * s + c3,
             (i0 * s + c0) * s * h, (i2 * s + c2) * s * h)
+
+
+def _values_end(w, h):
+    """``_values(w, 1.0, h)``, the state and integrals at the step's end,
+    bit for bit without its products by s = 1, which are exact.  The
+    integrals start from 0.0 + r x as there, so a sum of signed zeros
+    comes out as +0.0 there too."""
+    k = len(w) - 1
+    x0, x1, x2, x3 = w[k]
+    r = 1.0 / (k + 1)
+    i0 = 0.0 + r * x0
+    i2 = 0.0 + r * x2
+    for c0, c1, c2, c3 in w[-2::-1]:
+        k -= 1
+        x0 += c0
+        x1 += c1
+        x2 += c2
+        x3 += c3
+        r = 1.0 / (k + 1)
+        i0 += r * c0
+        i2 += r * c2
+    return x0, x1, x2, x3, i0 * h, i2 * h
 
 
 def _rates(w, s, h):
@@ -475,9 +500,10 @@ def _step_map(m, h, cap):
 
 def _peval(P, s):
     """Polynomial sum_k P[k] s^k and its derivative at s."""
-    p = P[-1]
+    down = reversed(P)
+    p = next(down)
     dp = 0.0
-    for c in P[-2::-1]:
+    for c in down:
         dp = dp * s + p
         p = p * s + c
     return p, dp
@@ -952,10 +978,11 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 mmaps = m[13]
                 mapped = False  # the mode's step map over hp is loaded
                 r0, r1, r2, r3 = _rate(m, iLr, vCr, iLm, vOut)
-                g_a = [c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d
-                       for _, c0, c1, c2, c3, d, _ in slots]
-                d_a = [c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3
-                       for _, c0, c1, c2, c3, _, _ in slots]
+                g_a = []
+                d_a = []
+                for _, c0, c1, c2, c3, d, _ in slots:
+                    g_a.append(c0 * iLr + c1 * vCr + c2 * iLm + c3 * vOut + d)
+                    d_a.append(c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3)
                 stale = False
             w = None
             h = hp if full else t_b - t_cur
@@ -989,7 +1016,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             else:
                 # the rest of a step after an event
                 w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                ni, nc, nm, no, i0, i2 = _values(w, 1.0, h)
+                ni, nc, nm, no, i0, i2 = _values_end(w, h)
                 de_src = vsw * i0
                 de_dio = m[17] * (i0 - i2)
             steps += 1
@@ -998,32 +1025,34 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             rb2 = a21 * nc + a23 * no + b2
             rb3 = a30 * (ni - nm) + a33 * no + b3
 
-            # events: a sign change across the step, or a graze inside it
-            g_b = [c0 * ni + c1 * nc + c2 * nm + c3 * no + d
-                   for _, c0, c1, c2, c3, d, _ in slots]
-            d_b = [c0 * rb0 + c1 * rb1 + c2 * rb2 + c3 * rb3
-                   for _, c0, c1, c2, c3, _, _ in slots]
+            # events: a sign change across the step, or a graze inside it;
+            # the values g_b and slopes d_b at the step's end come first
+            g_b = []
+            d_b = []
             hit = -1
             s_hit = 2.0
-            for j in range(len(slots)):
+            for j, slot in enumerate(slots):
+                _, c0, c1, c2, c3, d, side = slot
+                gb = c0 * ni + c1 * nc + c2 * nm + c3 * no + d
+                db = c0 * rb0 + c1 * rb1 + c2 * rb2 + c3 * rb3
+                g_b.append(gb)
+                d_b.append(db)
                 ga = g_a[j]
-                gb = g_b[j]
-                db = d_b[j]
-                side = slots[j][6]
+                da = d_a[j]
                 if side == 0.0:
                     side = -1.0 if ga > 0.0 else 1.0 if ga < 0.0 else 0.0
                 if side * gb <= 0.0 and not (
-                        side * d_a[j] > 0.0 and side * db < 0.0
-                        and _reach([ga, h * d_a[j], _tail(
+                        side * da > 0.0 and side * db < 0.0
+                        and _reach([ga, h * da, _tail(
                             (r0, r1, r2, r3), h, m) * sum(map(abs, map(
-                                float.__truediv__, slots[j][1:5], m[15])))],
-                            1.0, side) > _noise(*slots[j][1:6], iLr, vCr,
+                                float.__truediv__, slot[1:5], m[15])))],
+                            1.0, side) > _noise(c0, c1, c2, c3, d, iLr, vCr,
                                                 iLm, vOut)):
                     continue  # nothing to look for, no side yet, or a
                     # turn-back whose bound stays short of the threshold
                 if w is None:
                     w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
-                s_j, it = _crossing(slots[j], side, ga, gb, d_a[j], db,
+                s_j, it = _crossing(slot, side, ga, gb, da, db,
                                     w, (ni, nc, nm, no), tol_t / h)
                 loc_iters += it
                 if s_j == -1.0:
@@ -1117,7 +1146,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 sens = _saltation(slots[hit], f_a,
                                   _rate(m, iLr, vCr, iLm, vOut)) @ sens
             if codes:
-                events.extend((base + t_ev, code) for code in codes)
+                for code in codes:
+                    events.append((base + t_ev, code))
                 if rows_on:
                     rec_n = _put_point(points, rec_n, t_last == t_ev, (
                         base + t_ev, iLr, vCr, iLm, vOut, vsw,

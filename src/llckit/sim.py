@@ -256,8 +256,10 @@ class SimConfig:
             raise ValueError("dead time does not fit in the switching period")
         if self.dt_max is not None and self.dt_max <= 0.0:
             raise ValueError("dt_max must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if not (isinstance(self.record_stride, (int, np.integer))
+                and self.record_stride >= 1):
+            raise ValueError(f"record_stride must be an integer >= 1, got "
+                             f"{self.record_stride!r}")
         if self.soft_start < 0.0:
             raise ValueError("soft_start must be nonnegative")
 
@@ -597,6 +599,13 @@ class PeriodDriver:
                         self._x[3], RectPhase(self._rect))
 
     @property
+    def x(self) -> list:
+        """(iLr, vCr, iLm, vOut) now, as a list of Python floats: the
+        driver's own, which it replaces rather than changes as it runs, so
+        it stays as read; a caller must not change it."""
+        return self._x
+
+    @property
     def period_peaks(self) -> PeriodPeaks:
         """The last period's record of max |iLr|, max |vCr|, max |iLm| and
         max |vOut|: its crests are located only when its exact peaks are
@@ -667,10 +676,19 @@ class PeriodDriver:
         self._steps += steps
         self._loc_iters += loc_iters
         self._queued += len(peaks.crests) - queued
-        self._energy = [a + b for a, b in zip(self._energy,
-                                              (e_src, e_load, e_dio))]
-        peaks.ends = [max(a, b) for a, b in zip(peaks.ends,
-                                                (m0, m1, m2, m3))]
+        energy = self._energy
+        energy[0] += e_src
+        energy[1] += e_load
+        energy[2] += e_dio
+        ends = peaks.ends  # max(ends[j], m_j), in place
+        if m0 > ends[0]:
+            ends[0] = m0
+        if m1 > ends[1]:
+            ends[1] = m1
+        if m2 > ends[2]:
+            ends[2] = m2
+        if m3 > ends[3]:
+            ends[3] = m3
         if self.record:
             self._plans.append(plan)
         return clamp_out
@@ -700,14 +718,19 @@ class PeriodDriver:
         within the rounding of the sum, if wider: each period since the
         reset added one rounding of at most half an ulp of ``self.t``, and
         the band allows twice that, 2^-52 t_stop, for each of them and one
-        more.
+        more.  A ``fsw`` that is not positive and finite, or whose period
+        the dead time does not fit, raises ``ValueError``.
         """
         cfg = self.cfg
         fsw = float(fsw)
-        period = 1.0 / fsw
         td = cfg.tank.t_dead
-        if 2.0 * td >= period:
-            raise ValueError("dead time does not fit in the switching period")
+        # one test for both: 1 / fsw is taken only for a positive fsw, and
+        # is 0 at inf, where no dead time fits
+        if not (fsw > 0.0 and 2.0 * td < (period := 1.0 / fsw)):
+            if 0.0 < fsw < math.inf:
+                raise ValueError(
+                    "dead time does not fit in the switching period")
+            raise ValueError(f"fsw must be positive and finite, got {fsw!r}")
         t0 = self.t
         end = period
         tol = max(1e-15 * max(1.0, t_stop),
@@ -751,8 +774,8 @@ class PeriodDriver:
                 # soft when the node already sits at the incoming rail
                 # (clamp 1: high)
                 hs = seg_kind == kernels.SEG_DEAD_TO_HIGH
-                self._zvs.append(ZvsEdge(self.t, "HS" if hs else "LS",
-                                         self._x[0], clamp == hs))
+                self._zvs.append((self.t, "HS" if hs else "LS", self._x[0],
+                                  clamp == hs))
         if s_end == end:
             self.periods += 1
 
@@ -778,7 +801,7 @@ class PeriodDriver:
         return SimResult(
             waveform=wf,
             events=events,
-            zvs=ZvsReport(tuple(self._zvs)),
+            zvs=ZvsReport(tuple(ZvsEdge(*e) for e in self._zvs)),
             final_state=self.state,
             energy=self.energy,
             periods=self.periods,

@@ -163,21 +163,41 @@ def _gated_residual(entry: list, tol: float = math.inf) -> float:
     return res
 
 
-def _check_norm(vec: np.ndarray, norm_ref: float) -> None:
-    if float(np.linalg.norm(vec)) > 100.0 * norm_ref:
-        raise Divergence("state norm grew past 100x the starting point")
+def _check_norm(x, norm_ref: float) -> None:
+    """Raise :class:`Divergence` where the 2-norm of the state x (four
+    components, floats or an array) has grown past 100 ``norm_ref``.
+
+    ||x||_2 <= 2 max |x_i| for four components, so the norm is computed
+    only where that bound, less a margin of 2^-40 that is far wider than
+    the norm's rounding, is not within the limit, or where the limit is so
+    large (past 2^500) that the squares the norm sums could overflow.
+    """
+    limit = 100.0 * norm_ref
+    if (not 2.0 * max(map(abs, x)) <= limit * (1.0 - 2.0 ** -40)
+            or limit > 2.0 ** 500):
+        if float(np.linalg.norm(x)) > limit:
+            raise Divergence("state norm grew past 100x the starting point")
 
 
 def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
                            max_cycles: int):
-    # The per-cycle delta understates the distance to the fixed point when
-    # a pole is slow (delta ~ distance * (1 - contraction)), so stopping on
-    # the raw delta alone would leave the answer many deltas short.
-    # Estimate the contraction from the delta decay over a 20-cycle window
-    # (a one-step ratio is fooled by beating between modes) and stop on the
-    # extrapolated remaining distance delta * r / (1 - r).
+    """Cycle iteration on ``drv``: (state, residual, periods) once the
+    state at the period boundary stops moving, else :class:`NoConvergence`.
+
+    The per-cycle delta understates the distance to the fixed point when a
+    pole is slow (delta ~ distance * (1 - contraction)), so stopping on the
+    raw delta alone would leave the answer many deltas short.  The
+    contraction is estimated from the delta's decay over a 20-cycle window
+    (a one-step ratio is fooled by beating between modes), and the solve
+    stops on the extrapolated remaining distance delta * r / (1 - r).
+
+    Each period works on the driver's state as Python floats
+    (:attr:`PeriodDriver.x`), whose differences are the bits numpy's would
+    be, and its blow-up guard (``_check_norm``) takes a norm only where a
+    bound from the largest component cannot settle it.
+    """
     lag = 20
-    prev = np.array(drv.state.vector())
+    prev = drv.x
     # reference scale for the blow-up guard; vin keeps a cold start from
     # tripping the threshold on its way up
     norm_ref = max(float(np.linalg.norm(prev)), drv.cfg.vin, 1.0)
@@ -188,10 +208,10 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
     history: deque = deque(maxlen=lag)
     for k in range(max_cycles):
         drv.advance_period(fsw)
-        vec = drv.state.vector()
-        # the state change as floats, the same bits as in the array
-        last = [(vec - prev).tolist(), drv.period_peaks, None]
-        _check_norm(vec, norm_ref)
+        x = drv.x
+        last = [[x[0] - prev[0], x[1] - prev[1], x[2] - prev[2],
+                 x[3] - prev[3]], drv.period_peaks, None]
+        _check_norm(x, norm_ref)
         res = _gated_residual(last, tol)
         if res < tol:
             if res < 1e-3 * tol:
@@ -202,7 +222,7 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
                     r = (res / old) ** (1.0 / lag)
                     if r < 1.0 and res * r / (1.0 - r) < tol:
                         return replace(drv.state, t=0.0), res, k + 1
-        prev = vec
+        prev = x
         history.append(last)
     if history:
         res = _gated_residual(history[-1])
@@ -337,6 +357,11 @@ def _solve_pop(cfg: SimConfig, method: str = "shooting", tol: float = 1e-6,
     :func:`find_pop` records on it."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
+        raise ValueError(f"max_cycles must be an integer >= 1, got "
+                         f"{max_cycles!r}")
     if cfg.load.switch_times:
         raise ValueError("periodic steady state needs a time-invariant load")
 

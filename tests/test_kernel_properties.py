@@ -19,6 +19,7 @@ differences.
 """
 
 import math
+import struct
 from unittest.mock import patch
 
 import numpy as np
@@ -549,6 +550,31 @@ def test_one_pass_values_are_the_separate_sums(p, s):
         got = kernels._values(w, u, h)
         assert bits(got) == bits(state_at(w, u) + integrals_at(w, u, h))
     assert bits(kernels._rates(w, s, h)) == bits(rate_at(w, s, h))
+
+
+def term_lists():
+    """Taylor-term lists: a mode's series from a random state, or terms
+    drawn alone, signed zeros and all-zero terms among them."""
+    entry = st.sampled_from((0.0, -0.0, 5e-324, -5e-324)) | st.floats(-1e6,
+                                                                      1e6)
+    drawn = st.lists(st.tuples(entry, entry, entry, entry), min_size=2,
+                     max_size=20)
+    series = mode_steps().map(
+        lambda p: kernels._series(*p[2], p[0][7], p[0][8], p[0][9], p[1],
+                                  p[0]))
+    return series | drawn
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(term_lists(), st.sampled_from((1e-6, 1.0)) | st.floats(0.0, 1e-5))
+@example(w=[(-0.0, -0.0, -0.0, -0.0)] * 3, h=1e-6)
+@example(w=[(0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0, 0.0)], h=0.0)
+def test_end_values_are_the_values_at_one(w, h):
+    # the sum at a step's end skips the products by s = 1, which are exact:
+    # the same bits as ``_values`` at s = 1, the sign of a zero included
+    got = kernels._values_end(w, h)
+    want = kernels._values(w, 1.0, h)
+    assert struct.pack("<6d", *got) == struct.pack("<6d", *want)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

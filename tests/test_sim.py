@@ -127,6 +127,32 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             full_load_cfg(F0, 1, dt_max=0.0)
 
+    @pytest.mark.parametrize("stride", [2.5, 8.0, "8"])
+    def test_rejects_a_stride_that_is_no_integer(self, stride):
+        # a float stride used to pass here and fail in the kernel's range()
+        with pytest.raises(ValueError, match="record_stride must be an "
+                                             "integer"):
+            full_load_cfg(F0, 1, record_stride=stride)
+
+    def test_takes_a_numpy_integer_stride(self):
+        assert run_transient(full_load_cfg(
+            F0, 1, record_stride=np.int64(8))).periods == 1
+
+    @pytest.mark.parametrize("fsw", [math.nan, 0.0, -F0, math.inf])
+    def test_period_rejects_a_bad_frequency_by_name(self, fsw):
+        # the command a period runs is checked there: NaN, 0 and inf used
+        # to fail as a conversion, a division or a dead-time misfit
+        drv = sim.PeriodDriver(full_load_cfg(F0, 1))
+        with pytest.raises(ValueError, match="fsw must be positive and "
+                                             "finite"):
+            drv.advance_period(fsw)
+        assert drv.periods == 0 and drv.t == 0.0
+
+    def test_period_rejects_a_dead_time_misfit(self):
+        drv = sim.PeriodDriver(full_load_cfg(F0, 1))
+        with pytest.raises(ValueError, match="dead time does not fit"):
+            drv.advance_period(6e6)
+
 
 class TestOpenRectifierCoast:
     def test_series_currents_stay_identical(self):

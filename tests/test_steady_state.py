@@ -268,6 +268,37 @@ class TestFailureModes:
         with pytest.raises(Divergence):
             _check_norm(np.array([1e4, 0.0, 0.0, 0.0]), 10.0)
 
+    @pytest.mark.parametrize("method", steady_state.METHODS)
+    @pytest.mark.parametrize("kw", [
+        {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": math.inf},
+        {"max_cycles": -3}, {"max_cycles": 0}, {"max_cycles": 2.5},
+        {"max_cycles": 2.0},
+    ])
+    def test_rejects_a_bad_tolerance_or_budget(self, method, kw):
+        # these used to return an unconverged state as a POP (tol NaN by
+        # shooting), spend the whole budget (tol <= 0), report a negative
+        # budget or die in range()
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            find_pop(cfg_at(115e3), method=method, **kw)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from(
+           (0.0, -0.0, 5e-324, 1e154, 1e308, math.inf, math.nan)),
+           min_size=4, max_size=4),
+       st.floats(1e-300, 1e300), st.booleans())
+def test_norm_guard_trips_where_the_norm_passes_its_limit(x, norm_ref, arr):
+    # the guard skips the norm only where 2 max |x_i| bounds it below the
+    # limit: it raises exactly where the norm itself is past the limit
+    with np.errstate(over="ignore"):
+        trips = float(np.linalg.norm(np.array(x))) > 100.0 * norm_ref
+        try:
+            _check_norm(np.array(x) if arr else x, norm_ref)
+        except Divergence:
+            assert trips
+        else:
+            assert not trips
+
 
 def test_result_carries_the_run_context(pop_shooting):
     assert isinstance(pop_shooting, PopResult)
@@ -284,6 +315,32 @@ REF_REQ = DesignRequirements(vin_min=39.0, vin_nom=48.0, vin_max=48.0,
                              fsw_min=60e3, fsw_max=130e3)
 
 
+# (fsw, method): the solve's state (iLr, vCr, iLm, vOut), rectifier phase,
+# residual and periods, as the solvers gave them before the per-period
+# interpreter work was cut (fused event checks, exact s = 1 sums, a
+# float-only cycle-iteration loop), which moved no bit
+POP_PINS = {
+    (115e3, "shooting"): ((-0.6091045378665695, 15.874284428261998,
+                           -0.5844664108500592, 11.32037413872456), 2,
+                          3.0172976587023366e-12, 10),
+    (115e3, "cycle_iteration"): ((-0.6091011334946956, 15.874443234775509,
+                                  -0.5844673274811515, 11.320378585157481),
+                                 2, 1.0752461544752297e-07, 83),
+    (110e3, "shooting"): ((-0.6127778327730342, 21.39018886493129,
+                           -0.6127778327730342, 12.109623181496097), 0,
+                          1.0199478170211613e-10, 5),
+    (110e3, "cycle_iteration"): ((-0.6127780489511379, 21.39015405089823,
+                                  -0.6127780489511379, 12.109618574070128),
+                                 0, 4.032918733814406e-08, 187),
+    (73.5e3, "shooting"): ((-1.5960859138563908, -4.036144457590777,
+                            -1.5960859138563908, 24.564334264194056), 0,
+                           3.3374393020312907e-09, 4),
+    (73.5e3, "cycle_iteration"): ((-1.5960929311082597, -4.035123774119834,
+                                   -1.5960929311082597, 24.564349565229133),
+                                  0, 1.3793291709337856e-07, 381),
+}
+
+
 @pytest.mark.parametrize("method", steady_state.METHODS)
 @pytest.mark.parametrize("fsw, load", [
     (115e3, LoadSpec.resistance(24.0)),
@@ -296,10 +353,20 @@ def test_gated_residuals_stop_where_exact_ones_do(fsw, load, method,
     # residual falls below tol, and shooting only for the components that
     # can hold a residual's max or pass its watchdog's 1; with every
     # residual resolved from all four exact peaks each solve stops at the
-    # same period with the same bits
+    # same period with the same bits, and those are the pinned ones
     tank = synthesize_tank(REF_REQ, 1.83, 2.05, 0.36)
     cfg = SimConfig(tank=tank, vin=48.0, fsw=fsw, load=load, t_end=1.0)
     gated = find_pop(cfg, method=method)
+    s = gated.state
+    x = (s.iLr, s.vCr, s.iLm, s.vOut)
+    x_pin, rect, res, cycles = POP_PINS[fsw, method]
+    assert repr(tuple(map(float, x))) == repr(x_pin)
+    assert s.rect == rect
+    assert repr(gated.residual) == repr(res)
+    assert gated.cycles == cycles
+    if method == "cycle_iteration":
+        # its state is the driver's Python floats, as it always was
+        assert all(type(v) is float for v in x)
     monkeypatch.setattr(
         steady_state, "_gated_residual",
         lambda entry, tol=math.inf: steady_state._residual(
