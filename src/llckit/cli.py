@@ -391,9 +391,6 @@ def cmd_simulate(args) -> int:
         # load-step baseline rejection and kindred pre-run checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SimError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
     wf.to_csv(outdir / f"wave_{mode}.csv")
     doc = {"schema_version": SCHEMA_VERSION}

@@ -1,40 +1,15 @@
 """Exact piecewise-linear integration kernel for the switched LLC power stage.
 
-The power stage is piecewise linear: within one mode the four states
-
-    x = (iLr, vCr, iLm, vOut)
-
-obey a constant-coefficient ODE dx/dt = A x + b (``_mode``).  A mode is one
-combination of
-
-  * rectifier phase: open, D1 or D2 conducting,
-  * bridge-node rail: vsw = vin or 0,
-  * for a current-sink load, sink state: drawing its current while
-    vOut > 0, or holding vOut where it is once the output is down at 0 V
-    (the sink cannot pull the output below ground, so there it takes only
-    what the rectifier delivers).
-
-Each mode is stepped by its exact affine propagator
-
-    x(t + h) = x + D(h) x + q(h),    D = Phi(h) - I,
-
-taken from the Taylor series of exp(A h) summed to double precision.
-Each mode keeps one Taylor table (``_terms``): the series over the step
-cap H of each unit state and of the inputs from rest.  The series over
-a step of length s H is the table's with its k-th term scaled by s^k
-(the scaling step of Moler & Van Loan, SIAM Review 45, 2003), so the
-table gives the waveform rows, the sensitivity's Phi and every step map.
-The maps of one mode and exact step length are built once and kept in
-the caller's ``maps`` cache, along with the integral rows that give the
-source and diode energy of a step exactly.
+The kernel steps the stage's modes through one span of constant gate
+state and finds where one mode gives way to the next.  What a mode is, its
+A and b, its event functions, what it fixes, its Taylor table and its step
+maps, is the business of :mod:`llckit.modes`; the kernel reads the mode
+record's fields by name.
 
 Since a step is exact at any length, the length is set by event detection
 alone: a span is split into ceil(span / H) equal steps, whatever is
-recorded.  H is ``STEP_FRACTION`` of the stage's fastest natural period
-2 pi / rho, where rho bounds every eigenvalue of the mode matrices (the
-largest row sum of |A| in energy coordinates).  On the reference tank the
-bound is 9.5 us against the 10.0 us D1/D2 series resonance, so H is
-1.19 us and a switching period at 110 kHz takes ten steps, and one more
+recorded, H the step cap (``modes._step_cap``).  On the reference tank H
+is 1.19 us, so a switching period at 110 kHz takes ten steps, and one more
 for the rest of each step an event cuts short: 12 into 24 ohm, 14 at
 0.1 A.
 
@@ -66,17 +41,17 @@ its threshold, or when the function turns back inside the step after
 crossing it (a graze: its slope changes sign towards the threshold, and its
 extremum lies past it).  A turn-back is looked at only where a bound on
 the function over the step can pass the threshold, and the bound needs no
-Taylor series (``_tail``): from the step's start state x, its rate
+Taylor series (``modes._tail``): from the step's start state x, its rate
 r = A x + b, its length h and the mode's rho, the terms past the linear one
 add at most |D r| (e^(rho h) - 1 - rho h) / rho sum_j |c_j| / D_j to
-c . x, D the energy scaling of ``_mode``.  So a vOut ripple minimum near
-12 V, turning back far above the sink's 0 V, costs neither a series nor a
-search.  The located instant lies on the fired side, within tol_t of the
-crossing.  When several fire inside one step the earliest located one is
-applied; a tie goes to the one listed first.
+c . x, D the energy scaling of ``modes.Mode``.  So a vOut ripple minimum
+near 12 V, turning back far above the sink's 0 V, costs neither a series
+nor a search.  The located instant lies on the fired side, within tol_t of
+the crossing.  When several fire inside one step the earliest located one
+is applied; a tie goes to the one listed first.
 
-Source energy (vin times the integral of iLr while the node is high) and
-diode loss come from integral maps.  The load energy of each span between
+Source energy (the node voltage times the integral of iLr) and diode loss
+come from integral maps.  The load energy of each span between
 transitions follows from the output capacitor, whose rectifier input is,
 while a diode conducts, the source energy less the diode loss and the
 tank's gain (``_span_load``).  The peaks per component include the extrema
@@ -85,7 +60,7 @@ steps: a call queues these crests as candidates in the caller's list (the
 step's Taylor terms where it built them for an event, else the start
 state, length and mode to build them from) and returns the peaks of its
 step ends.  The caller locates the crests when it needs them, with the
-bounds of ``_reach`` and the searches of ``_root``, in one place
+bounds of ``_reach`` and the searches of ``_extremum``, in one place
 (``sim.PeriodPeaks.exact``).  A search that runs out of ``LOC_MAX``
 iterations, for a crest or a turn-back, is a localization failure.
 
@@ -108,13 +83,11 @@ further apart or closer, which moves the state by about its own rounding.
 On request a call also carries the sensitivity S = dx/dx0 of the state to
 an earlier one, as a 4x4 array: the derivative of the map the steps
 compute (the shooting method of Aprille & Trick, Proc. IEEE 1972).  Every
-step, whole or a part of length tau, multiplies it by Phi(tau) = exp(A tau),
-summed from the mode's Taylor table.  A state event, whose instant moves
-with x0, multiplies S by its saltation matrix (Leine & Nijmeijer, Dynamics
-and Bifurcations of Non-Smooth Mechanical Systems, 2004).  Gate edges and
-the entry settle sit at fixed instants and leave S alone.
-Without the request a step's arithmetic is the same, at the cost of one
-branch.
+step, whole or a part of length tau, multiplies it by Phi(tau) = exp(A tau)
+(``modes._phi``), and a state event, whose instant moves with x0, by its
+saltation matrix (``modes._saltation``).  Gate edges and the entry settle
+sit at fixed instants and leave S alone.  Without the request a step's
+arithmetic is the same, at the cost of one branch.
 """
 
 from __future__ import annotations
@@ -123,18 +96,18 @@ import math
 
 import numpy as np
 
-# rectifier phases
-RECT_OFF = 0
-RECT_D1 = 1
-RECT_D2 = 2
+# the mode algebra; its codes RECT_*, LOAD_* and SINK_* stay reachable as
+# kernels.<code>
+from .modes import (  # noqa: F401
+    LOAD_CUR, LOAD_RES, RECT_D1, RECT_D2, RECT_OFF, SINK_HELD, SINK_NONE,
+    SINK_ON, _MAPS_MAX, _ROW_K, _SLACK, _iout, _mode_of, _phi, _rate,
+    _saltation, _series, _step_cap, _step_map, _tail, _terms)
+
 # switch-phase segments, in the order they occur inside one period
 SEG_HIGH = 0
 SEG_DEAD_TO_LOW = 1
 SEG_LOW = 2
 SEG_DEAD_TO_HIGH = 3
-# load kinds
-LOAD_RES = 0
-LOAD_CUR = 1
 # kernel error codes
 ERR_OK = 0
 ERR_EVENT_LOC = 1
@@ -151,10 +124,6 @@ EV_GATE_HS_ON = 7
 EV_GATE_HS_OFF = 8
 EV_GATE_LS_ON = 9
 EV_GATE_LS_OFF = 10
-# current-sink states (a resistive load has none)
-SINK_NONE = 0
-SINK_ON = 1
-SINK_HELD = 2
 
 # invariant slack: events are located far tighter than this, so a breach
 # means a genuinely missed transition
@@ -162,35 +131,14 @@ I_TOL = 1e-6  # A
 V_TOL = 1e-3  # V
 EVENT_GUARD = 16
 LOC_MAX = 100  # root-search iterations before a localization failure
-# step cap H as a fraction of the fastest natural period: rho H = pi / 4
-STEP_FRACTION = 0.125
 # an event function's extremum is located to this fraction of a step
 _EXT_TOL = 2.0 ** -30
 # an event function within this fraction of its terms' magnitude of its
 # threshold counts as on it
 _NOISE = 2.0 ** -50
-# the rounding margin of a polynomial's bound (``_reach``): relative to the
-# size of its terms, and absolute below the normal range
-_SLACK = 2.0 ** -40
+# the absolute rounding margin of a polynomial's bound (``_reach``) below
+# the normal range, where underflow cuts the relative one (``_SLACK``)
 _TINY = 2.0 ** -1000
-# a Taylor series stops once its term bound theta^k / k! drops below this
-_TERM_TOL = 2.0 ** -56
-# entries per propagator cache, and step lengths per mode
-_MAPS_MAX = 64
-
-
-def _term_count(theta):
-    """How many terms past w_0 ``_series`` sums at rho h = theta."""
-    bound = theta
-    k = 1
-    while bound > _TERM_TOL:
-        k += 1
-        bound *= theta / k
-    return k
-
-
-# Taylor terms past w_0 that a step of the cap length H sums (rho H = pi/4)
-_ROW_K = _term_count(STEP_FRACTION * 2.0 * math.pi)
 # grid rows, and grid blocks, that ``build_rows`` evaluates at once: its
 # temporaries stay within about 1 MB
 _ROW_CHUNK = 1024
@@ -198,162 +146,6 @@ _BLOCK_CHUNK = 256
 
 # record row layout
 REC_COLS = 9  # t, iLr, vCr, iLm, vOut, vsw, iload, rect, seg
-# the powers 0 .. _ROW_K of a step fraction (``_phi``)
-_POWERS = np.arange(_ROW_K + 1.0)
-
-# event-function slots: (slot, c0, c1, c2, c3, d, side) for
-# g = c0 iLr + c1 vCr + c2 iLm + c3 vOut + d, firing when side * g turns
-# positive (side 0: either sign flip)
-_DEAD_SLOT = (2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def _rate(m, x0, x1, x2, x3):
-    """The rate dx/dt = A x + b of mode m (``_mode``) at state x."""
-    return (m[0] * x1 + m[1] * x3 + m[7], m[2] * x0,
-            m[3] * x1 + m[4] * x3 + m[8],
-            m[5] * (x0 - x2) + m[6] * x3 + m[9])
-
-
-def _iout(m, iLr, iLm, vOut):
-    """The load current by the load rule (g, c, r) of mode m (``_mode``):
-    vOut / r for a resistor r, else g |iLr - iLm| where g is not 0, else c."""
-    g, c, r = m[19]
-    if r:
-        return vOut / r
-    return g * abs(iLr - iLm) if g else c
-
-
-def _mode(rect, vsw, sink, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
-    """A and b of one mode, its eigenvalue bound and its event functions.
-
-    Every mode shares the pattern
-
-        d iLr/dt  = a01 vCr + a03 vOut + b0
-        d vCr/dt  = a10 iLr
-        d iLm/dt  = a21 vCr + a23 vOut + b2
-        d vOut/dt = a30 (iLr - iLm) + a33 vOut + b3
-
-    Returns [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-    dead_slots, maps, terms, scales, vsw, dio, rect, load]: rho is the
-    largest row sum of |A| in the energy coordinates D x, D =
-    diag(sqrt(Lr), sqrt(Cr), sqrt(Lm), sqrt(Cout)), which bounds every
-    eigenvalue; slots lists the mode's rectifier and sink event functions
-    in slot order, and dead_slots adds the dead-time one; maps caches the
-    step maps by exact step length, terms holds the mode's Taylor table
-    (``_terms``) once built (None until then), and scales is the diagonal
-    of D.  vsw is the node voltage, which draws the source energy vsw iLr;
-    dio the diode-loss factor, 0 or +/- n Vf, of the loss dio (iLr - iLm);
-    rect the rectifier phase; and load the rule (g, c, r) of the load
-    current (``_iout``): vOut / r for a resistor, g |iLr - iLm| for a sink
-    holding the output at 0 V through a conducting rectifier, and the
-    constant c otherwise.
-    """
-    a10 = 1.0 / Cr
-    kq = Lm / (Lr + Lm)
-    if rect == RECT_OFF:
-        a01 = a21 = -1.0 / (Lr + Lm)
-        a03 = a23 = a30 = 0.0
-        b0 = b2 = vsw / (Lr + Lm)
-        nv = n * Vf
-        slots = [(0, 0.0, -kq, 0.0, -n, kq * vsw - nv, 1.0),
-                 (1, 0.0, kq, 0.0, -n, -kq * vsw - nv, 1.0)]
-        s = 0.0
-    else:
-        s = 1.0 if rect == RECT_D1 else -1.0
-        a01 = -1.0 / Lr
-        a03 = -s * n / Lr
-        a21 = 0.0
-        a23 = s * n / Lm
-        a30 = s * n / Cout
-        b0 = (vsw - s * n * Vf) / Lr
-        b2 = s * n * Vf / Lm
-        slots = [(0, s, 0.0, -s, 0.0, 0.0, -1.0)]
-    a33 = b3 = 0.0
-    load = (0.0, 0.0, 0.0)
-    if load_kind == LOAD_RES:
-        a33 = -1.0 / (load_val * Cout)
-        load = (0.0, 0.0, load_val)
-    elif sink == SINK_ON:
-        b3 = -load_val / Cout
-        slots.append((3, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0))
-        load = (0.0, load_val, 0.0)
-    else:
-        a30 = 0.0
-        if s != 0.0:
-            slots.append((3, n * s, 0.0, -n * s, 0.0, -load_val, 1.0))
-            load = (n, 0.0, 0.0)
-    sl, sc = math.sqrt(Lr), math.sqrt(Cr)
-    sm, so = math.sqrt(Lm), math.sqrt(Cout)
-    rho = max(abs(a01) * sl / sc + abs(a03) * sl / so,
-              abs(a10) * sc / sl,
-              abs(a21) * sm / sc + abs(a23) * sm / so,
-              abs(a30) * (so / sl + so / sm) + abs(a33))
-    return [a01, a03, a10, a21, a23, a30, a33, b0, b2, b3, rho, slots,
-            sorted(slots + [_DEAD_SLOT]), {}, None, (sl, sc, sm, so), vsw,
-            s * n * Vf, rect, load]
-
-
-def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
-             load_kind, load_val):
-    """The cached mode record (see ``_mode``)."""
-    key = (rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind,
-           load_val)
-    m = maps.get(key)
-    if m is None:
-        if len(maps) >= _MAPS_MAX:
-            maps.clear()
-        m = _mode(rect, vin if node_hi == 1 else 0.0, sink, Lr, Cr, Lm, n,
-                  Vf, Cout, load_kind, load_val)
-        maps[key] = m
-    return m
-
-
-def _step_cap(maps, vin, Lr, Cr, Lm, n, Vf, Cout, load_kind, load_val):
-    """H: ``STEP_FRACTION`` of the stage's fastest natural period, kept in
-    maps by the load (maps serves one stage).
-
-    The bound rho of a conducting mode covers both D1 and D2 and is at
-    least that of a holding sink; the open rectifier is bounded apart.
-    """
-    cap = maps.get((load_kind, load_val))
-    if cap is None:
-        sink = SINK_NONE if load_kind == LOAD_RES else SINK_ON
-        rho = max(_mode_of(maps, rect, 0, sink, vin, Lr, Cr, Lm, n, Vf,
-                           Cout, load_kind, load_val)[10]
-                  for rect in (RECT_D1, RECT_OFF))
-        cap = STEP_FRACTION * 2.0 * math.pi / rho
-        maps[load_kind, load_val] = cap
-    return cap
-
-
-def _series(x0, x1, x2, x3, e0, e2, e3, h, m):
-    """Taylor terms w_k of x(s h) = sum_k w_k s^k over one step.
-
-    x is the start state and e the input (b of the mode, or 0 for the
-    homogeneous part), so w_0 = x, w_1 = h (A x + e) and
-    w_(k+1) = h/(k+1) A w_k.  The terms stop once the bound
-    (rho h)^k / k! on their size relative to the state drops below
-    ``_TERM_TOL``.
-    """
-    a01, a03, a10, a21, a23, a30, a33 = m[:7]
-    theta = m[10] * h
-    u0 = h * (a01 * x1 + a03 * x3 + e0)
-    u1 = h * (a10 * x0)
-    u2 = h * (a21 * x1 + a23 * x3 + e2)
-    u3 = h * (a30 * (x0 - x2) + a33 * x3 + e3)
-    w = [(x0, x1, x2, x3), (u0, u1, u2, u3)]
-    bound = theta
-    k = 1
-    while bound > _TERM_TOL:
-        k += 1
-        c = h / k
-        u0, u1, u2, u3 = (c * (a01 * u1 + a03 * u3), c * (a10 * u0),
-                          c * (a21 * u1 + a23 * u3),
-                          c * (a30 * (u0 - u2) + a33 * u3))
-        w.append((u0, u1, u2, u3))
-        bound *= theta / k
-    return w
-
 
 def _values(w, s, h):
     """The state x(s h) and the integrals of iLr and iLm over [0, s h]
@@ -417,87 +209,6 @@ def _rates(w, s, h):
     return r0 / h, r1 / h, r2 / h, r3 / h
 
 
-def _terms(m, cap):
-    """The mode's Taylor table W over the step cap, built on first use.
-
-    W is a (5, ``_ROW_K`` + 1, 4) array: W[j] holds the terms w_0 ..
-    w_ROW_K over a step of length cap of the unit state e_j with the inputs
-    off (j < 4), and W[4] those of rest with the inputs (b) on.  From a
-    state x the terms of a step of length s cap are those of (x, 1) . W,
-    the k-th scaled by s^k, and x(t + s cap) is their sum.
-    """
-    w = m[14]
-    if w is None:
-        b0, b2, b3 = m[7:10]
-        w = np.zeros((5, _ROW_K + 1, 4))
-        for j, x in enumerate(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                               (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                               (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-                               (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
-                               (0.0, 0.0, 0.0, 0.0, b0, b2, b3))):
-            series = _series(*x, cap, m)[:_ROW_K + 1]
-            w[j, :len(series)] = series
-        m[14] = w
-    return w
-
-
-def _phi(m, s, cap):
-    """The mode's Phi(s cap) = exp(A s cap) as a 4x4 array, summed from its
-    Taylor table (``_terms``)."""
-    return (np.power(s, _POWERS) @ _terms(m, cap)[:4]).T
-
-
-def _saltation(slot, fa, fb):
-    """The saltation matrix of a state event (Leine & Nijmeijer),
-
-        S_e = R + (f+ - R f-) grad^T / (grad . f-),
-
-    as a 4x4 array: grad is the event function's gradient and fa = f-,
-    fb = f+ the rates just before the event and just after it.  R is the
-    Jacobian of the transition's reset.  The two resets, iLm := iLr at a
-    diode turn-off and vOut := 0 where the sink starts holding, leave every
-    point of their event surface g = 0 where it is, so R is I on the
-    surface's tangent space; and S_e, which maps that space by R and f- to
-    f+, is the same as with R = I.  At a diode turn-on and where the sink
-    lets go, the rate is continuous (the new branch starts from zero
-    current), so there S_e is I up to rounding.
-    """
-    _, c0, c1, c2, c3, _, _ = slot
-    den = c0 * fa[0] + c1 * fa[1] + c2 * fa[2] + c3 * fa[3]
-    u0, u1, u2, u3 = ((b - a) / den if den != 0.0 else 0.0
-                      for a, b in zip(fa, fb))
-    return np.array(((1.0 + u0 * c0, u0 * c1, u0 * c2, u0 * c3),
-                     (u1 * c0, 1.0 + u1 * c1, u1 * c2, u1 * c3),
-                     (u2 * c0, u2 * c1, 1.0 + u2 * c2, u2 * c3),
-                     (u3 * c0, u3 * c1, u3 * c2, 1.0 + u3 * c3)))
-
-
-def _step_map(m, h, cap):
-    """The maps of one mode over a step of length h, read off its Taylor
-    table (``_terms``) at s = h / cap.
-
-    Returns (D by rows, q, src, dio): x(h) = x + D x + q, and the step's
-    source energy src . (x, 1) and diode loss dio . (x, 1) by the mode's
-    node voltage and diode-loss factor (None where that is 0).  Column j of D
-    and of the integral map comes from W[j], the unit state e_j with the
-    inputs off; q and the input column from W[4], the inputs from rest.
-    One product sums the terms twice: with weights s^k past k = 0, which
-    gives D = Phi - I without cancellation, and with h s^k / (k + 1),
-    which gives the integrals of the state over the step.
-    """
-    p = np.empty((2, _ROW_K + 1))
-    p[0] = np.power(h / cap, _POWERS)
-    p[1] = p[0] * h / (_POWERS + 1.0)
-    p[0, 0] = 0.0
-    cols, ints = (p @ _terms(m, cap)).transpose(1, 0, 2).tolist()
-    rows = tuple(cols[j][i] for i in range(4) for j in range(4))
-    q = tuple(cols[4])
-    vsw, f = m[16], m[17]
-    src = tuple(vsw * c[0] for c in ints) if vsw != 0.0 else None
-    dio = tuple(f * (c[0] - c[2]) for c in ints) if f != 0.0 else None
-    return rows, q, src, dio
-
-
 def _peval(P, s):
     """Polynomial sum_k P[k] s^k and its derivative at s."""
     down = reversed(P)
@@ -553,6 +264,15 @@ def _root(P, lo, hi, side, tol, p_lo, p_hi):
     return hi, it
 
 
+def _extremum(P, hi, side, a, b):
+    """Where polynomial P has its extremum inside (0, hi]: the zero of its
+    derivative P', side P' <= 0 at 0 and > 0 at hi (values a and b),
+    located to ``_EXT_TOL`` by ``_root``.  Returns (s, iterations), s -1.0
+    where the search runs out of iterations."""
+    return _root([k * P[k] for k in range(1, len(P))], 0.0, hi, side,
+                 _EXT_TOL, a, b)
+
+
 def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
     """Where event ``slot`` fires inside a step, as a fraction of it.
 
@@ -577,8 +297,7 @@ def _crossing(slot, side, ga, gb, da, db, w, xb, tol):
         if not (side * da > 0.0 and side * db < 0.0):
             return -2.0, 0
         noise = _noise(c0, c1, c2, c3, d, *w[0])
-        dP = [k * P[k] for k in range(1, len(P))]
-        lo_end, it = _root(dP, 0.0, 1.0, -side, _EXT_TOL, da, db)
+        lo_end, it = _extremum(P, 1.0, -side, da, db)
         if lo_end < 0.0:
             return -1.0, it
         gb = _peval(P, lo_end)[0]
@@ -617,34 +336,16 @@ def _reach(P, s, side):
     return top + tail + (_SLACK * (abs(p0) + abs(p1) + tail) + _TINY)
 
 
-def _tail(r, h, m):
-    """A bound, in the energy coordinates D x of ``_mode``, on what the
-    Taylor terms past the linear one add to the state over a step of mode m
-    and length h from a state with rate r = A x + b, without the terms.
-
-    There |D A D^-1| is at most rho in the max norm, so D w_k =
-    h^k / k! D A^(k-1) r, the k-th term, is at most h^k rho^(k-1) / k! |D r|,
-    and the terms past k = 1 add at most |D r| (e^(rho h) - 1 - rho h) / rho
-    to each component of D x: to c . x at most that times
-    sum_j |c_j| / D_j.  The computed terms grow by a few roundings per term
-    at most, well inside the margin of ``_reach``; rho h times ``_SLACK``
-    more covers the rounding of e^(rho h) - 1 - rho h and of the linear
-    part h c . r, whose terms are at most h |D r| |c_j| / D_j.
-    """
-    theta = m[10] * h
-    return (max(map(abs, map(float.__mul__, r, m[15])))
-            * (math.expm1(theta) - theta * (1.0 - _SLACK)) / m[10])
-
-
 def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
                 vOut, vin, Lr, Lm, n, Vf, load_kind, load_val):
     """The mode after event slot ``sid`` fires at state x.
 
-    Returns (rect, clamp_hi, vsw, sink, iLm, vOut, codes): the new mode,
-    the resets it imposes (iLm = iLr when a diode turns off, vOut = 0 when
-    the sink starts holding it) and the event codes to log, the event's own
-    and then a settle's turn-on; a sink's mode change logs none.  g_start
-    is the function's value at the step start.
+    Returns (rect, clamp_hi, sink, iLm, vOut, codes): the new mode, the
+    resets it imposes (iLm = iLr when a diode turns off, vOut = 0 when the
+    sink starts holding it) and the event codes to log, the event's own and
+    then a settle's turn-on; a sink's mode change logs none.  g_start is
+    the function's value at the step start, and vsw the node voltage of the
+    mode it fires in.
     """
     codes = []
     if sid == 0:
@@ -674,7 +375,7 @@ def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
         sink = SINK_ON  # the rectifier lifts the output
     else:
         sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
-    return rect, clamp_hi, vsw, sink, iLm, vOut, codes
+    return rect, clamp_hi, sink, iLm, vOut, codes
 
 
 def _noise(c0, c1, c2, c3, d, x0, x1, x2, x3):
@@ -782,7 +483,7 @@ def build_rows(plans):
     """
     n_rows = 0
     at, points, blocks = [], [], []
-    modes = {}  # id of a mode record -> its index in tables
+    table_of = {}  # id of a mode record -> its index in tables
     tables = []  # each mode's Taylor table as (unit state, power, component)
     for rec_n, pts, grid_blocks, grid in plans:
         if at and at[-1] == n_rows - 1 and points[-1][0] == pts[0][1][0]:
@@ -793,11 +494,12 @@ def build_rows(plans):
         points += [row for _, row in pts]
         t0, dt, k, stride, cap, seg_kind, base = grid
         for r, ta, x, cnt, m in grid_blocks:
-            if id(m) not in modes:
-                modes[id(m)] = len(tables)
+            if id(m) not in table_of:
+                table_of[id(m)] = len(tables)
                 tables.append(_terms(m, cap).reshape(5, -1))
-            blocks.append((modes[id(m)], n_rows + r, cnt, k, stride, t0, dt,
-                           ta, cap, *x, m[16], m[18], seg_kind, *m[19], base))
+            blocks.append((table_of[id(m)], n_rows + r, cnt, k, stride, t0, dt,
+                           ta, cap, *x, m.vsw, m.rect, seg_kind, *m.load,
+                           base))
             k += cnt * stride
         n_rows += rec_n
     out = np.empty((n_rows, REC_COLS))
@@ -911,7 +613,6 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     ev_0 = len(events)
     is_dead = seg_kind in (SEG_DEAD_TO_LOW, SEG_DEAD_TO_HIGH)
     node_hi = clamp_hi if is_dead else int(seg_kind == SEG_HIGH)
-    vsw = vin if node_hi == 1 else 0.0
 
     max_ilr = abs(iLr)
     max_vcr = abs(vCr)
@@ -919,7 +620,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_vout = abs(vOut)
 
     # entry settle, then the segment entry row
-    rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
+    rect, code = _settle(rect, vCr, vOut, vin if node_hi == 1 else 0.0,
+                         Lr, Lm, n, Vf)
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
                  load_kind, load_val)
@@ -928,7 +630,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     rows_on = stride > 0
     points = []  # (row, values) of the entry, event and end rows
     if rows_on:
-        points.append((0, (base + t0, iLr, vCr, iLm, vOut, vsw,
+        points.append((0, (base + t0, iLr, vCr, iLm, vOut, m.vsw,
                            _iout(m, iLr, iLm, vOut), rect, seg_kind)))
     rec_n = 1
 
@@ -973,9 +675,10 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
         guard = 0
         while t_cur < t_b:
             if stale:
-                a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
-                slots = m[12] if is_dead else m[11]
-                mmaps = m[13]
+                a01, a03, a10, a21, a23, a30, a33 = m.a
+                b0, b2, b3 = m.b
+                slots = m.dead_slots if is_dead else m.slots
+                mmaps = m.maps
                 mapped = False  # the mode's step map over hp is loaded
                 r0, r1, r2, r3 = _rate(m, iLr, vCr, iLm, vOut)
                 g_a = []
@@ -1017,8 +720,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                 # the rest of a step after an event
                 w = _series(iLr, vCr, iLm, vOut, b0, b2, b3, h, m)
                 ni, nc, nm, no, i0, i2 = _values_end(w, h)
-                de_src = vsw * i0
-                de_dio = m[17] * (i0 - i2)
+                de_src = m.vsw * i0
+                de_dio = m.dio * (i0 - i2)
             steps += 1
             rb0 = a01 * nc + a03 * no + b0
             rb1 = a10 * ni
@@ -1045,7 +748,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                         side * da > 0.0 and side * db < 0.0
                         and _reach([ga, h * da, _tail(
                             (r0, r1, r2, r3), h, m) * sum(map(abs, map(
-                                float.__truediv__, slot[1:5], m[15])))],
+                                float.__truediv__, slot[1:5], m.scales)))],
                             1.0, side) > _noise(c0, c1, c2, c3, d, iLr, vCr,
                                                 iLm, vOut)):
                     continue  # nothing to look for, no side yet, or a
@@ -1114,8 +817,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             s = s_hit
             iLr, vCr, iLm, vOut, i0, i2 = _values(w, s, h)
             crests.append((w, s, (r0, r1, r2, r3), None, w[0], h, m))
-            sp_src += vsw * i0
-            sp_dio += m[17] * (i0 - i2)
+            sp_src += m.vsw * i0
+            sp_dio += m.dio * (i0 - i2)
             if sens is not None:
                 sens = _phi(m, s * h / cap, cap) @ sens
                 f_a = _rate(m, iLr, vCr, iLm, vOut)
@@ -1134,8 +837,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
 
             # apply the transition; a logged one also records the instant
             # with the post-transition mode
-            rect, clamp_hi, vsw, sink, iLm, vOut, codes = _transition(
-                slots[hit][0], g_a[hit], rect, clamp_hi, vsw, sink,
+            rect, clamp_hi, sink, iLm, vOut, codes = _transition(
+                slots[hit][0], g_a[hit], rect, clamp_hi, m.vsw, sink,
                 iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
             if is_dead:
                 node_hi = clamp_hi
@@ -1150,7 +853,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
                     events.append((base + t_ev, code))
                 if rows_on:
                     rec_n = _put_point(points, rec_n, t_last == t_ev, (
-                        base + t_ev, iLr, vCr, iLm, vOut, vsw,
+                        base + t_ev, iLr, vCr, iLm, vOut, m.vsw,
                         _iout(m, iLr, iLm, vOut), rect, seg_kind))
                     t_last = t_ev
 
@@ -1169,7 +872,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     if rows_on:
         if err == ERR_OK and count > 0:
             rec_n = _put_point(points, rec_n, t_last == t1, (
-                base + t1, iLr, vCr, iLm, vOut, vsw,
+                base + t1, iLr, vCr, iLm, vOut, m.vsw,
                 _iout(m, iLr, iLm, vOut), rect, seg_kind))
         plan = (rec_n, points, blocks, (t0, dt, k_first, stride, cap,
                                         seg_kind, base))

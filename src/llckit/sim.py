@@ -3,8 +3,9 @@
 One switching period is four gate segments in fixed order: high switch on,
 dead time into the low side, low switch on, dead time back to the high
 side.  Each segment is handed to the kernel (:mod:`llckit.kernels`), which
-steps the piecewise-linear circuit by each mode's exact propagator and
-locates rectifier, dead-time and sink events on the exact trajectory.
+steps the piecewise-linear circuit by each mode's exact propagator
+(:mod:`llckit.modes`) and locates rectifier, dead-time and sink events on
+the exact trajectory.
 Each period runs in its own local time, from 0 at its start: the kernel
 gets the segment bounds 0, T/2 - td, T/2, T - td and T, and the period's
 absolute start only as the base of the times it reports (events and rows;
@@ -46,7 +47,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import kernels
+from . import kernels, modes
 from .tank import TankParams, effective_load, normalize, series_resonance
 from .gain import GainPoleError, gain, tank_input_impedance
 
@@ -445,7 +446,7 @@ class PeriodPeaks:
     rate changes sign, and the steps an event ends.  Each has a bound on
     |x_j| over its step: from its Taylor terms where it carries them
     (``kernels._reach``), and otherwise from no series at all
-    (``kernels._tail``), the component's larger value along the step's
+    (``modes._tail``), the component's larger value along the step's
     linear part plus what its higher terms can add.  :meth:`upper` bounds
     a peak by these alone.  :meth:`exact` is the one place crests are
     located.  It uses that |x_j| over the step fraction s <= 1 is at most
@@ -492,7 +493,7 @@ class PeriodPeaks:
         if w is not None:
             return kernels._reach([c[j] for c in w], s, 0.0)
         return kernels._reach([x[j], s * h * ra[j],
-                               kernels._tail(ra, s * h, m) / m[15][j]],
+                               modes._tail(ra, s * h, m) / m.scales[j]],
                               1.0, 0.0)
 
     def upper(self, j: int) -> float:
@@ -520,16 +521,15 @@ class PeriodPeaks:
                     continue
                 rb = rb or self._end_rate(i)
                 if ra[j] * rb[j] < 0.0:
-                    w = w or kernels._series(*x, *m[7:10], h, m)
+                    w = w or modes._series(*x, *m.b, h, m)
                     P = [c[j] for c in w]
                     queue.append((kernels._reach(P, s, 0.0), len(queue), j,
                                   P, s, ra[j], rb[j]))
         queue.sort(reverse=True)
         for top, _, j, P, s, a, b in queue:
             if top > peaks[j]:
-                u, it = kernels._root([k * P[k] for k in range(1, len(P))],
-                                      0.0, s, 1.0 if b > 0.0 else -1.0,
-                                      kernels._EXT_TOL, a, b)
+                u, it = kernels._extremum(P, s, 1.0 if b > 0.0 else -1.0,
+                                          a, b)
                 self._counter[0] += 1
                 self._counter[1] += it
                 if u < 0.0:
@@ -719,7 +719,8 @@ class PeriodDriver:
         reset added one rounding of at most half an ulp of ``self.t``, and
         the band allows twice that, 2^-52 t_stop, for each of them and one
         more.  A ``fsw`` that is not positive and finite, or whose period
-        the dead time does not fit, raises ``ValueError``.
+        the dead time does not fit, raises ``ValueError``, and so does a NaN
+        ``t_stop``.
         """
         cfg = self.cfg
         fsw = float(fsw)
@@ -731,6 +732,8 @@ class PeriodDriver:
                 raise ValueError(
                     "dead time does not fit in the switching period")
             raise ValueError(f"fsw must be positive and finite, got {fsw!r}")
+        if t_stop != t_stop:  # NaN, which no comparison below catches
+            raise ValueError(f"t_stop must not be NaN, got {t_stop!r}")
         t0 = self.t
         end = period
         tol = max(1e-15 * max(1.0, t_stop),

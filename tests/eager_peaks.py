@@ -1,10 +1,12 @@
 """The eager reference for the peaks of a kernel call.
 
 ``kernels.integrate_segment`` queues the crests (extrema) inside its
-steps and returns the peaks of its step ends; ``sim.PeriodPeaks`` locates
-the queued crests only where a read needs them.  The reference locates
-every crest a call queues at the call's end, through a ``PeriodPeaks`` of
-the call alone, so its peaks are the call's own.
+steps, each with its step's mode record (``modes.Mode``) to build its
+Taylor terms from, and returns the peaks of its step ends;
+``sim.PeriodPeaks`` locates the queued crests only where a read needs
+them.  The reference locates every crest a call queues at the call's end,
+through a ``PeriodPeaks`` of the call alone, so its peaks are the call's
+own.
 """
 
 from llckit import kernels, sim

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from llckit import kernels, sim
+from llckit import kernels, modes, sim
 
 from eager_peaks import eager_segment
 
@@ -175,7 +175,7 @@ def test_grid_rows_are_their_steps_series(p):
         _, points, blocks, (t0, dt, k, _, _, seg, _) = out[1]
         at_points = {r for r, _ in points}
         for r, ta, xs, count, m in blocks:
-            vsw, rect = m[16], m[18]
+            vsw, rect = m.vsw, m.rect
             for i, row in enumerate(rows[r:r + count]):
                 t = t0 + dt * k
                 k += stride
@@ -183,7 +183,7 @@ def test_grid_rows_are_their_steps_series(p):
                     continue
                 assert row[0] == t and row[5] == vsw
                 assert row[7] == rect and row[8] == seg
-                w = kernels._series(*xs[:4], m[7], m[8], m[9], t - ta, m)
+                w = modes._series(*xs[:4], *m.b, t - ta, m)
                 ref = state_at(w, 1.0)
                 size = np.max(scale * np.sum(np.abs(np.array(w)), axis=0))
                 assert np.max(scale * np.abs(row[1:5] - ref)) \
@@ -211,27 +211,27 @@ def test_grid_and_coarse_steps_find_the_same_events(p):
 
 def _stage_matrix(rect, vsw, vf, cout, load_kind, load_val):
     """The augmented 5x5 matrix of one mode, from the circuit equations."""
-    m = np.zeros((5, 5))
-    m[1, 0] = 1.0 / CR  # Cr carries iLr
+    mat = np.zeros((5, 5))
+    mat[1, 0] = 1.0 / CR  # Cr carries iLr
     if rect == kernels.RECT_OFF:
         # Lr and Lm in series across vsw - vCr
-        m[0, 1] = m[2, 1] = -1.0 / (LR + LM)
-        m[0, 4] = m[2, 4] = vsw / (LR + LM)
+        mat[0, 1] = mat[2, 1] = -1.0 / (LR + LM)
+        mat[0, 4] = mat[2, 4] = vsw / (LR + LM)
     else:
         # the conducting diode clamps Lm at +/- n (vOut + Vf)
         s = 1.0 if rect == kernels.RECT_D1 else -1.0
-        m[0, 1] = -1.0 / LR
-        m[0, 3] = -s * N / LR
-        m[0, 4] = (vsw - s * N * vf) / LR
-        m[2, 3] = s * N / LM
-        m[2, 4] = s * N * vf / LM
-        m[3, 0] = s * N / cout
-        m[3, 2] = -s * N / cout
+        mat[0, 1] = -1.0 / LR
+        mat[0, 3] = -s * N / LR
+        mat[0, 4] = (vsw - s * N * vf) / LR
+        mat[2, 3] = s * N / LM
+        mat[2, 4] = s * N * vf / LM
+        mat[3, 0] = s * N / cout
+        mat[3, 2] = -s * N / cout
     if load_kind == kernels.LOAD_RES:
-        m[3, 3] = -1.0 / (load_val * cout)
+        mat[3, 3] = -1.0 / (load_val * cout)
     else:
-        m[3, 4] = -load_val / cout
-    return m
+        mat[3, 4] = -load_val / cout
+    return mat
 
 
 @st.composite
@@ -412,7 +412,7 @@ def filled(crests):
     kernel left them out."""
     out = []
     for w, s, ra, rb, x, h, m in crests:
-        w = w or kernels._series(*x, *m[7:10], h, m)
+        w = w or modes._series(*x, *m.b, h, m)
         out.append((w, s, ra, rb or rate_at(w, s, h)))
     return out
 
@@ -460,6 +460,8 @@ def every_turn_back(slot, side, ga, gb, da, db, w, xb, tol):
         dP = [k * P[k] for k in range(1, len(P))]
         lo_end, it = kernels._root(dP, 0.0, 1.0, -side, kernels._EXT_TOL,
                                    da, db)
+        if lo_end < 0.0:
+            return -1.0, it
         gb = kernels._peval(P, lo_end)[0]
         if side * gb <= kernels._noise(c0, c1, c2, c3, d, *w[0]):
             return -2.0, it
@@ -469,7 +471,8 @@ def every_turn_back(slot, side, ga, gb, da, db, w, xb, tol):
 
 def mode_matrices(m):
     """A and b of a mode record."""
-    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+    a01, a03, a10, a21, a23, a30, a33 = m.a
+    b0, b2, b3 = m.b
     return (np.array([[0.0, a01, 0.0, a03], [a10, 0.0, 0.0, 0.0],
                       [0.0, a21, 0.0, a23], [a30, 0.0, -a30, a33]]),
             np.array([b0, 0.0, b2, b3]))
@@ -477,7 +480,8 @@ def mode_matrices(m):
 
 def rate(m, x):
     """dx/dt at state x, as the kernel forms it."""
-    a01, a03, a10, a21, a23, a30, a33, b0, b2, b3 = m[:10]
+    a01, a03, a10, a21, a23, a30, a33 = m.a
+    b0, b2, b3 = m.b
     return (a01 * x[1] + a03 * x[3] + b0, a10 * x[0],
             a21 * x[1] + a23 * x[3] + b2,
             a30 * (x[0] - x[2]) + a33 * x[3] + b3)
@@ -520,10 +524,10 @@ def mode_steps(draw):
     else:
         sink = draw(st.sampled_from((kernels.SINK_ON, kernels.SINK_HELD)))
         load_val = draw(st.floats(0.0, 2.0))
-    m = kernels._mode(rect, vsw, sink, LR, CR, LM, N, vf, cout, load_kind,
-                      load_val)
-    cap = kernels._step_cap({}, vsw, LR, CR, LM, N, vf, cout, load_kind,
-                            load_val)
+    m = modes.Mode(rect, vsw, sink, LR, CR, LM, N, vf, cout, load_kind,
+                   load_val)
+    cap = modes._step_cap({}, vsw, LR, CR, LM, N, vf, cout, load_kind,
+                          load_val)
     h = cap * draw(st.sampled_from((1.0, 1e-9))
                    | st.floats(1e-6, 1.0))
     x = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-100.0, 150.0)),
@@ -545,7 +549,7 @@ def test_one_pass_values_are_the_separate_sums(p, s):
     # state and integrals at s and at 1 in one pass, and the rate at s in
     # its own (``_rates``), each bit for bit as its own Horner pass sums it
     m, h, x = p
-    w = kernels._series(*x, m[7], m[8], m[9], h, m)
+    w = modes._series(*x, *m.b, h, m)
     for u in (s, 1.0):
         got = kernels._values(w, u, h)
         assert bits(got) == bits(state_at(w, u) + integrals_at(w, u, h))
@@ -560,8 +564,7 @@ def term_lists():
     drawn = st.lists(st.tuples(entry, entry, entry, entry), min_size=2,
                      max_size=20)
     series = mode_steps().map(
-        lambda p: kernels._series(*p[2], p[0][7], p[0][8], p[0][9], p[1],
-                                  p[0]))
+        lambda p: modes._series(*p[2], *p[0].b, p[1], p[0]))
     return series | drawn
 
 
@@ -608,7 +611,7 @@ def test_bounded_crests_give_the_peaks_of_every_crest(p, data):
                 x0 = x
         else:
             x0 = tuple(data.draw(st.floats(-1.0, 1.0)) * v for v in x)
-        w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+        w = modes._series(*x0, *m.b, h, m)
         rb = rate_at(w, s, h)
         if s < 1.0 and data.draw(st.booleans()):
             rb = None  # ended by an event: the end rate comes from w
@@ -654,10 +657,15 @@ def test_reach_bounds_its_polynomial(P, s, side):
 def test_bounded_graze_fires_as_every_turn_back(p, data):
     # an event function with an extremum placed inside the step, and its
     # threshold moved to the extremum's value plus delta times the size of
-    # its terms: on both sides of the rounding band 2^-50, on it, and
-    # clear past it, where the graze must fire
+    # its terms: on both sides of the rounding band 2^-50, on it, and clear
+    # past it, where a graze (its slope turning towards the threshold
+    # between the step's ends) must fire.  The size is sum_j |c_j| times
+    # the size of component j's Taylor terms over the step, sum_k |w_kj|,
+    # and of the products that form its rate, h (|A| |x| + |b|)_j: the
+    # computed trajectory's rounding and the error of the extremum's
+    # location are relative to it
     m, h, x = p
-    slot = data.draw(st.sampled_from(m[12]))
+    slot = data.draw(st.sampled_from(m.dead_slots))
     _, c0, c1, c2, c3, d, _ = slot
     x0, xc = with_crest(m, x, (c0, c1, c2, c3), data.draw(fractions()), h)
     assume(x0 is not None)
@@ -667,10 +675,11 @@ def test_bounded_graze_fires_as_every_turn_back(p, data):
     delta = data.draw(st.sampled_from((
         -1e-3, -1e-9, -2.0 ** -46, -2.0 ** -50, -2.0 ** -53, 0.0,
         2.0 ** -53, 2.0 ** -50, 2.0 ** -46, 1e-9, 1e-3)))
-    size = float(np.sum(np.abs(c * xc)))
+    w = modes._series(*x0, *m.b, h, m)
+    size = float(np.abs(c) @ (np.sum(np.abs(np.array(w)), axis=0) + h * (
+        np.abs(A) @ np.abs(x0) + np.abs(b))))
     d = side * delta * size - float(c @ xc)
     slot = slot[:5] + (d, slot[6])
-    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
     xb = state_at(w, 1.0)
     ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
               for v in (x0, xb))
@@ -680,7 +689,8 @@ def test_bounded_graze_fires_as_every_turn_back(p, data):
     got = kernels._crossing(*args)
     ref = every_turn_back(*args)
     assert got[0] == ref[0] and got[1] <= ref[1]
-    if delta >= 1e-9 and size > 0.0 and side * ga < 0.0 and side * gb < 0.0:
+    if (delta >= 1e-9 and size > 0.0 and side * ga < 0.0 and side * gb < 0.0
+            and side * da > 0.0 and side * db < 0.0):
         assert got[0] >= 0.0
 
 
@@ -700,7 +710,7 @@ def test_skipped_searches_leave_the_call_alone(p):
     assert bits(acc) == bits(ref[3])
 
 
-# The bound from a step's start state and rate alone (``kernels._tail``):
+# The bound from a step's start state and rate alone (``modes._tail``):
 # where it cannot pass a threshold or a peak, no search could, so the
 # kernel rejects a graze, and ``sim.PeriodPeaks`` skips a crest, without
 # the step's Taylor terms.
@@ -708,8 +718,8 @@ def test_skipped_searches_leave_the_call_alone(p):
 def graze_bound(slot, side, ga, da, r, h, m):
     """The kernel's bound on side g over a step from a state with rate r,
     where g = c . x + d is ga and its slope da."""
-    weight = sum(abs(c) / e for c, e in zip(slot[1:5], m[15]))
-    return kernels._reach([ga, h * da, kernels._tail(r, h, m) * weight],
+    weight = sum(abs(c) / e for c, e in zip(slot[1:5], m.scales))
+    return kernels._reach([ga, h * da, modes._tail(r, h, m) * weight],
                           1.0, side)
 
 
@@ -731,7 +741,7 @@ def test_series_free_bound_holds_what_a_search_can_locate(p, s, data):
     # the turn-back a graze search locates, on either side.  Some states
     # have a crest of a component or an event function placed inside
     m, h, x = p
-    slots = m[12]
+    slots = m.dead_slots
     if data.draw(st.booleans()):
         c = data.draw(st.sampled_from([s_[1:5] for s_ in slots]
                                       + [(1.0, 0.0, 0.0, 0.0),
@@ -742,7 +752,7 @@ def test_series_free_bound_holds_what_a_search_can_locate(p, s, data):
         if x0 is not None:
             x = x0
     r = rate(m, x)
-    w = kernels._series(*x, m[7], m[8], m[9], h, m)
+    w = modes._series(*x, *m.b, h, m)
     u = np.linspace(0.0, s, 257)
     located = every_crest([(w, s, r, rate_at(w, s, h), x, h, m)],
                           [0.0] * 4)[0]
@@ -783,7 +793,7 @@ def test_grazes_the_bound_rejects_do_not_fire(p, data):
     # kernel's bound rejects the graze, ``_crossing`` and locating every
     # turn-back both report that the slot does not fire
     m, h, x = p
-    slot = data.draw(st.sampled_from(m[12]))
+    slot = data.draw(st.sampled_from(m.dead_slots))
     _, c0, c1, c2, c3, d, _ = slot
     x0, xc = with_crest(m, x, (c0, c1, c2, c3), data.draw(fractions()), h)
     assume(x0 is not None)
@@ -795,7 +805,7 @@ def test_grazes_the_bound_rejects_do_not_fire(p, data):
     size = float(np.sum(np.abs(c * xc)))
     d = side * delta * size - float(c @ xc)
     slot = slot[:5] + (d, slot[6])
-    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+    w = modes._series(*x0, *m.b, h, m)
     xb = state_at(w, 1.0)
     r = rate(m, x0)
     ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
@@ -861,11 +871,11 @@ def test_failed_turn_back_search_fails_the_localization():
     # a graze clear past its threshold fires; with one root iteration its
     # extremum cannot be located, and the search reports a failure instead
     # of evaluating outside the step
-    m = kernels._mode(kernels.RECT_D1, 48.0, kernels.SINK_NONE, LR, CR, LM,
-                      N, 0.7, 20e-6, kernels.LOAD_RES, 24.0)
-    h = kernels._step_cap({}, 48.0, LR, CR, LM, N, 0.7, 20e-6,
-                          kernels.LOAD_RES, 24.0)
-    slot = m[11][0]
+    m = modes.Mode(modes.RECT_D1, 48.0, modes.SINK_NONE, LR, CR, LM, N, 0.7,
+                   20e-6, modes.LOAD_RES, 24.0)
+    h = modes._step_cap({}, 48.0, LR, CR, LM, N, 0.7, 20e-6, modes.LOAD_RES,
+                        24.0)
+    slot = m.slots[0]
     _, c0, c1, c2, c3, _, _ = slot
     x0, xc = with_crest(m, (1.0, 10.0, 0.2, 12.0), (c0, c1, c2, c3), 0.5, h)
     A, b = mode_matrices(m)
@@ -873,7 +883,7 @@ def test_failed_turn_back_search_fails_the_localization():
     side = 1.0 if c @ A @ (A @ xc + b) < 0.0 else -1.0
     d = side * 1e-3 * float(np.sum(np.abs(c * xc))) - float(c @ xc)
     slot = slot[:5] + (d, slot[6])
-    w = kernels._series(*x0, m[7], m[8], m[9], h, m)
+    w = modes._series(*x0, *m.b, h, m)
     xb = state_at(w, 1.0)
     ga, gb = (c0 * v[0] + c1 * v[1] + c2 * v[2] + c3 * v[3] + d
               for v in (x0, xb))

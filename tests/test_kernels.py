@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from llckit import kernels
+from llckit import kernels, modes
 
 from eager_peaks import eager_segment
 
@@ -87,8 +87,8 @@ class TestExactPropagator:
         vin, v0 = 48.0, 30.0
         vout = kq * v0 / (1.01 * N)
         maps = {}
-        span = 0.95 * kernels._step_cap(maps, vin, LR, CR, LM, N, 0.0, 1.0,
-                                         RES, 1e12)
+        span = 0.95 * modes._step_cap(maps, vin, LR, CR, LM, N, 0.0, 1.0,
+                                       RES, 1e12)
         tp = 0.5 * span  # the crest: vCr = vin - v0 cos(wp (t - tp))
         x0 = np.array([-CR * v0 * wp * math.sin(wp * tp),
                        vin - v0 * math.cos(wp * tp), 0.0, vout])

@@ -153,6 +153,19 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="dead time does not fit"):
             drv.advance_period(6e6)
 
+    def test_period_rejects_a_nan_stop_by_name(self):
+        # a NaN t_stop used to reach the kernel and fail there as a float
+        # conversion; a stop at or before the start still runs nothing
+        drv = sim.PeriodDriver(full_load_cfg(110e3, 1))
+        with pytest.raises(ValueError, match="t_stop must not be NaN"):
+            drv.advance_period(110e3, t_stop=math.nan)
+        for t_stop in (0.0, -1.0, -math.inf):
+            drv.advance_period(110e3, t_stop=t_stop)
+        assert drv.periods == 0 and drv.t == 0.0
+        assert drv.result().events == ()
+        drv.advance_period(110e3)
+        assert drv.periods == 1
+
 
 class TestOpenRectifierCoast:
     def test_series_currents_stay_identical(self):

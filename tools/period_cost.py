@@ -19,7 +19,7 @@ there.  From it the tool reports
 * the opcodes one such period runs, counted by ``sys.settrace`` with
   opcode events on, with its Python calls and, among them, the
   comprehension frames;
-* the calls of the Taylor sums (``kernels._series``, ``_values``,
+* the calls of the Taylor sums (``modes._series``, and ``kernels._values``,
   ``_values_end`` and ``_peval``) in that period, by call site: the calling
   function and line.
 
