@@ -96,12 +96,10 @@ import math
 
 import numpy as np
 
-# the mode algebra; its codes RECT_*, LOAD_* and SINK_* stay reachable as
-# kernels.<code>
-from .modes import (  # noqa: F401
-    LOAD_CUR, LOAD_RES, RECT_D1, RECT_D2, RECT_OFF, SINK_HELD, SINK_NONE,
-    SINK_ON, _MAPS_MAX, _ROW_K, _SLACK, _iout, _mode_of, _phi, _rate,
-    _saltation, _series, _step_cap, _step_map, _tail, _terms)
+from .modes import (
+    LOAD_RES, RECT_D1, RECT_D2, RECT_OFF, SINK_HELD, SINK_NONE, SINK_ON,
+    _MAPS_MAX, _ROW_K, _SLACK, _TINY, _iout, _mode_of, _node_voltage, _phi,
+    _rate, _saltation, _series, _step_cap, _step_map, _tail, _terms)
 
 # switch-phase segments, in the order they occur inside one period
 SEG_HIGH = 0
@@ -136,9 +134,6 @@ _EXT_TOL = 2.0 ** -30
 # an event function within this fraction of its terms' magnitude of its
 # threshold counts as on it
 _NOISE = 2.0 ** -50
-# the absolute rounding margin of a polynomial's bound (``_reach``) below
-# the normal range, where underflow cuts the relative one (``_SLACK``)
-_TINY = 2.0 ** -1000
 # grid rows, and grid blocks, that ``build_rows`` evaluates at once: its
 # temporaries stay within about 1 MB
 _ROW_CHUNK = 1024
@@ -336,7 +331,7 @@ def _reach(P, s, side):
     return top + tail + (_SLACK * (abs(p0) + abs(p1) + tail) + _TINY)
 
 
-def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
+def _transition(sid, g_start, rect, clamp_hi, node_hi, sink, iLr, vCr, iLm,
                 vOut, vin, Lr, Lm, n, Vf, load_kind, load_val):
     """The mode after event slot ``sid`` fires at state x.
 
@@ -344,8 +339,8 @@ def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
     resets it imposes (iLm = iLr when a diode turns off, vOut = 0 when the
     sink starts holding it) and the event codes to log, the event's own and
     then a settle's turn-on; a sink's mode change logs none.  g_start is
-    the function's value at the step start, and vsw the node voltage of the
-    mode it fires in.
+    the function's value at the step start, and node_hi the bridge node's
+    rail in the mode it fires in.
     """
     codes = []
     if sid == 0:
@@ -363,12 +358,13 @@ def _transition(sid, g_start, rect, clamp_hi, vsw, sink, iLr, vCr, iLm,
         # node swaps rails when iLr reverses during dead time
         clamp_hi = 1 if g_start > 0.0 else 0
         codes.append(EV_CLAMP_HIGH if clamp_hi == 1 else EV_CLAMP_LOW)
-        vsw = vin if clamp_hi == 1 else 0.0
+        node_hi = clamp_hi
     elif sink == SINK_ON:
         vOut = 0.0  # the sink holds the output at ground
     if codes:
         # the new Off state may sit past the other clamp already
-        rect, code = _settle(rect, vCr, vOut, vsw, Lr, Lm, n, Vf)
+        rect, code = _settle(rect, vCr, vOut, _node_voltage(node_hi, vin),
+                             Lr, Lm, n, Vf)
         if code != 0:
             codes.append(code)
     if sid == 3 and sink == SINK_HELD:
@@ -620,8 +616,8 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
     max_vout = abs(vOut)
 
     # entry settle, then the segment entry row
-    rect, code = _settle(rect, vCr, vOut, vin if node_hi == 1 else 0.0,
-                         Lr, Lm, n, Vf)
+    rect, code = _settle(rect, vCr, vOut, _node_voltage(node_hi, vin), Lr,
+                         Lm, n, Vf)
     sink = _settle_sink(rect, iLr, iLm, vOut, n, load_kind, load_val)
     m = _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
                  load_kind, load_val)
@@ -838,7 +834,7 @@ def integrate_segment(iLr, vCr, iLm, vOut, t0, t1, seg_kind, clamp_hi, rect,
             # apply the transition; a logged one also records the instant
             # with the post-transition mode
             rect, clamp_hi, sink, iLm, vOut, codes = _transition(
-                slots[hit][0], g_a[hit], rect, clamp_hi, m.vsw, sink,
+                slots[hit][0], g_a[hit], rect, clamp_hi, node_hi, sink,
                 iLr, vCr, iLm, vOut, vin, Lr, Lm, n, Vf, load_kind, load_val)
             if is_dead:
                 node_hi = clamp_hi

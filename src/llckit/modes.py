@@ -68,9 +68,11 @@ SINK_HELD = 2
 
 # step cap H as a fraction of the fastest natural period: rho H = pi / 4
 STEP_FRACTION = 0.125
-# the rounding margin of a polynomial's bound (``kernels._reach``), relative
-# to the size of its terms
+# the rounding margin of a polynomial's bound (``kernels._reach``) and of
+# ``_tail``, relative to the size of its terms, and its absolute floor
+# below the normal range, where underflow cuts the relative one
 _SLACK = 2.0 ** -40
+_TINY = 2.0 ** -1000
 # a Taylor series stops once its term bound theta^k / k! drops below this
 _TERM_TOL = 2.0 ** -56
 # entries per propagator cache, and step lengths per mode
@@ -195,6 +197,11 @@ def _iout(m, iLr, iLm, vOut):
     return g * abs(iLr - iLm) if g else c
 
 
+def _node_voltage(node_hi, vin):
+    """The bridge node's voltage: vin on the high rail (node_hi 1), else 0."""
+    return vin if node_hi == 1 else 0.0
+
+
 def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
              load_kind, load_val):
     """The cached mode record (``Mode``)."""
@@ -204,8 +211,8 @@ def _mode_of(maps, rect, node_hi, sink, vin, Lr, Cr, Lm, n, Vf, Cout,
     if m is None:
         if len(maps) >= _MAPS_MAX:
             maps.clear()
-        m = Mode(rect, vin if node_hi == 1 else 0.0, sink, Lr, Cr, Lm, n,
-                 Vf, Cout, load_kind, load_val)
+        m = Mode(rect, _node_voltage(node_hi, vin), sink, Lr, Cr, Lm, n, Vf,
+                 Cout, load_kind, load_val)
         maps[key] = m
     return m
 

@@ -121,9 +121,9 @@ class NotSettled(SimError):
 
 
 class RectPhase(IntEnum):
-    OFF = kernels.RECT_OFF
-    D1 = kernels.RECT_D1
-    D2 = kernels.RECT_D2
+    OFF = modes.RECT_OFF
+    D1 = modes.RECT_D1
+    D2 = modes.RECT_D2
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ class LoadSpec:
         return v
 
     def kind_code(self) -> int:
-        return kernels.LOAD_RES if self.kind == "resistance" else kernels.LOAD_CUR
+        return modes.LOAD_RES if self.kind == "resistance" else modes.LOAD_CUR
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ LM = 75e-6
 N = 1.83
 COUT = 100e-6
 
-RES = kernels.LOAD_RES
+RES = modes.LOAD_RES
 
 
 def call_segment(x0, t0, t1, seg, clamp, rect, vin, load_val, dt_max,
@@ -55,9 +55,9 @@ class TestExactPropagator:
         x0 = np.array([0.0, 0.0, 0.0, 50.0])
         for stride in (1, 1 << 30, 0):
             out = call_segment(x0, 0.0, 20e-6, kernels.SEG_HIGH, 0,
-                               kernels.RECT_OFF, vin, 1e12, 5e-9,
+                               modes.RECT_OFF, vin, 1e12, 5e-9,
                                stride=stride, Cout=1.0)
-            assert out["rect"] == kernels.RECT_OFF
+            assert out["rect"] == modes.RECT_OFF
             assert out["ev"].shape[0] == 0
             rows = out["rec"]
             if stride == 0:
@@ -98,7 +98,7 @@ class TestExactPropagator:
         assert max(ends) < 0.0  # no sign change across the step
         # dt_max = span: the whole span is one step
         out = call_segment(x0, 0.0, span, kernels.SEG_HIGH, 0,
-                           kernels.RECT_OFF, vin, 1e12, span,
+                           modes.RECT_OFF, vin, 1e12, span,
                            stride=1 << 30, Cout=1.0)
         ons = out["ev"][out["ev"][:, 1] == kernels.EV_D1_ON]
         assert ons.shape[0] == 1
@@ -109,7 +109,7 @@ class TestExactPropagator:
 class TestRk4Order:
     def test_zero_everything_stays_zero(self):
         out = call_segment(np.zeros(4), 0.0, 5e-6, kernels.SEG_HIGH, 0,
-                           kernels.RECT_OFF, 0.0, 24.0, 5e-9)
+                           modes.RECT_OFF, 0.0, 24.0, 5e-9)
         assert np.all(out["x"] == 0.0)
         assert np.all(out["acc"] == 0.0)
         assert out["ev"].shape[0] == 0
@@ -120,8 +120,8 @@ class TestRk4Order:
         # and both inductors integrate the same voltage, exactly
         x0 = np.array([0.1, 3.0, 0.1, 50.0])
         out = call_segment(x0, 0.0, 4e-6, kernels.SEG_LOW, 0,
-                           kernels.RECT_OFF, 48.0, 1e12, 4e-9, Cout=1.0)
-        assert out["rect"] == kernels.RECT_OFF
+                           modes.RECT_OFF, 48.0, 1e12, 4e-9, Cout=1.0)
+        assert out["rect"] == modes.RECT_OFF
         assert out["x"][0] == out["x"][2]
         assert np.all(out["rec"][:, 1] == out["rec"][:, 3])
 
@@ -142,12 +142,12 @@ class TestEventLocation:
         assert ratio < 1.0
         t_true = math.asin(ratio) / wp
         out = call_segment(np.array([i0, vin, i0, vout]), 0.0, 6e-6,
-                           kernels.SEG_HIGH, 0, kernels.RECT_OFF, vin,
+                           kernels.SEG_HIGH, 0, modes.RECT_OFF, vin,
                            1e12, 3e-9, Cout=1.0)
         ons = out["ev"][out["ev"][:, 1] == kernels.EV_D2_ON]
         assert ons.shape[0] == 1
         assert abs(ons[0, 0] - t_true) < 1e-10
-        assert out["rect"] != kernels.RECT_OFF
+        assert out["rect"] != modes.RECT_OFF
 
     def test_event_located_at_step_end_keeps_its_slot(self):
         # with a tolerance wider than the step, bisection returns the full
@@ -155,7 +155,7 @@ class TestEventLocation:
         # through to the dead-time clamp branch of an on-segment
         vin = 48.0
         out = call_segment(np.array([0.5, vin, 0.5, 5.0]), 0.0, 6e-6,
-                           kernels.SEG_HIGH, 0, kernels.RECT_OFF, vin,
+                           kernels.SEG_HIGH, 0, modes.RECT_OFF, vin,
                            1e12, 3e-9, tol_t=1.0, Cout=1.0)
         codes = out["ev"][:, 1]
         assert np.count_nonzero(codes == kernels.EV_D2_ON) == 1
@@ -166,7 +166,7 @@ class TestEventLocation:
     def test_record_times_strictly_increase_through_events(self):
         vin = 48.0
         out = call_segment(np.array([0.0, 0.0, 0.0, 5.0]), 0.0, 6e-6,
-                           kernels.SEG_HIGH, 0, kernels.RECT_OFF, vin,
+                           kernels.SEG_HIGH, 0, modes.RECT_OFF, vin,
                            24.0, 3e-9)
         t = out["rec"][:, 0]
         assert np.all(np.diff(t) > 0)
@@ -184,12 +184,12 @@ class TestEventLocation:
         zp = math.sqrt(L / CR)
         t_true = math.atan(i0 * zp / vcr0) / wp
         out = call_segment(x0, 0.0, 4e-6, kernels.SEG_DEAD_TO_LOW, 0,
-                           kernels.RECT_OFF, 48.0, 1e12, 2e-9, Cout=1.0)
+                           modes.RECT_OFF, 48.0, 1e12, 2e-9, Cout=1.0)
         flips = out["ev"][out["ev"][:, 1] == kernels.EV_CLAMP_HIGH]
         assert flips.shape[0] == 1
         assert abs(flips[0, 0] - t_true) < 1e-10
         assert out["clamp"] == 1
-        assert out["rect"] == kernels.RECT_OFF
+        assert out["rect"] == modes.RECT_OFF
         # iLr at the located flip is at the zero crossing
         k = np.searchsorted(out["rec"][:, 0], flips[0, 0])
         assert abs(out["rec"][k, 1]) < 1e-9
@@ -200,7 +200,7 @@ class TestEnergyAccounting:
         v0 = 5.0
         rl = 24.0
         out = call_segment(np.array([0.0, 0.0, 0.0, v0]), 0.0, 1e-3,
-                           kernels.SEG_LOW, 0, kernels.RECT_OFF, 48.0,
+                           kernels.SEG_LOW, 0, modes.RECT_OFF, 48.0,
                            rl, 5e-7)
         v1 = out["x"][3]
         tau = rl * COUT
@@ -212,9 +212,9 @@ class TestEnergyAccounting:
     def test_source_energy_only_while_node_high(self):
         x0 = np.array([0.2, 10.0, 0.1, 5.0])
         hi = call_segment(x0, 0.0, 2e-6, kernels.SEG_HIGH, 0,
-                          kernels.RECT_D1, 48.0, 24.0, 2e-9)
+                          modes.RECT_D1, 48.0, 24.0, 2e-9)
         lo = call_segment(x0, 0.0, 2e-6, kernels.SEG_LOW, 0,
-                          kernels.RECT_D1, 48.0, 24.0, 2e-9)
+                          modes.RECT_D1, 48.0, 24.0, 2e-9)
         assert hi["acc"][0] != 0.0
         assert lo["acc"][0] == 0.0
 
@@ -230,7 +230,7 @@ class TestSinkCutoff:
         events = []
         out = kernels.integrate_segment(
             0.05, 47.5, 0.05, v0, 0.0, 20 * 5e-9, kernels.SEG_HIGH, 0,
-            kernels.RECT_OFF, vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR,
+            modes.RECT_OFF, vin, LR, CR, LM, N, vf, COUT, modes.LOAD_CUR,
             il, 5e-9, 1e-18, 1, events, [])
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
@@ -281,8 +281,8 @@ class TestSinkCutoff:
         t_lift = hi
         events = []
         out = kernels.integrate_segment(
-            i0, c0, m0, 0.0, 0.0, 1e-6, kernels.SEG_HIGH, 0, kernels.RECT_D1,
-            vin, LR, CR, LM, N, vf, COUT, kernels.LOAD_CUR, il, 5e-9, 1e-18,
+            i0, c0, m0, 0.0, 0.0, 1e-6, kernels.SEG_HIGH, 0, modes.RECT_D1,
+            vin, LR, CR, LM, N, vf, COUT, modes.LOAD_CUR, il, 5e-9, 1e-18,
             1, events, [])
         assert out[0] == kernels.ERR_OK
         assert out[2] == 0 and events == []
@@ -350,7 +350,7 @@ class TestSensitivity:
         events = []
         out = kernels.integrate_segment(
             0.0, 0.0, 0.0, 50.0, 0.0, t1, kernels.SEG_HIGH, 0,
-            kernels.RECT_OFF, 48.0, LR, CR, LM, N, 0.0, 1.0, RES, 1e12,
+            modes.RECT_OFF, 48.0, LR, CR, LM, N, 0.0, 1.0, RES, 1e12,
             5e-9, 1e-18, 0, events, [], None, np.eye(4))
         assert out[0] == kernels.ERR_OK and events == []
         c, s = math.cos(wp * t1), math.sin(wp * t1)
@@ -369,7 +369,7 @@ class TestSensitivity:
                               ([-0.5, 0.0, -0.5, 5.0], kernels.SEG_LOW,
                                kernels.EV_D1_ON)):
             sens, central, _, events = sensitivity(
-                x0, 3e-6, seg, 0, kernels.RECT_OFF, 48.0, 1e12, 3e-9,
+                x0, 3e-6, seg, 0, modes.RECT_OFF, 48.0, 1e12, 3e-9,
                 Cout=1.0)
             assert [c for _, c in events] == [code]
             self.check(sens, central)
@@ -377,9 +377,9 @@ class TestSensitivity:
     def test_diode_turn_off(self):
         # a conducting pair whose secondary current falls through zero
         for x0, seg, rect, code in (
-                ([0.2, 10.0, 0.1, 5.0], kernels.SEG_LOW, kernels.RECT_D1,
+                ([0.2, 10.0, 0.1, 5.0], kernels.SEG_LOW, modes.RECT_D1,
                  kernels.EV_D1_OFF),
-                ([-0.2, 38.0, -0.1, 5.0], kernels.SEG_HIGH, kernels.RECT_D2,
+                ([-0.2, 38.0, -0.1, 5.0], kernels.SEG_HIGH, modes.RECT_D2,
                  kernels.EV_D2_OFF)):
             sens, central, x1, events = sensitivity(
                 x0, 2e-6, seg, 0, rect, 48.0, 24.0, 2e-9)
@@ -391,7 +391,7 @@ class TestSensitivity:
         # the node swaps rails where iLr reverses (TestEventLocation)
         sens, central, _, events = sensitivity(
             [0.05, 60.0, 0.05, 30.0], 4e-6, kernels.SEG_DEAD_TO_LOW, 0,
-            kernels.RECT_OFF, 48.0, 1e12, 2e-9, Cout=1.0)
+            modes.RECT_OFF, 48.0, 1e12, 2e-9, Cout=1.0)
         assert [c for _, c in events] == [kernels.EV_CLAMP_HIGH]
         self.check(sens, central)
 
@@ -401,7 +401,7 @@ class TestSensitivity:
         # below the sink's to the end
         sens, central, x1, events = sensitivity(
             [0.2, 40.0, 0.1, 1e-4], 2e-7, kernels.SEG_HIGH, 0,
-            kernels.RECT_D1, 48.0, 0.5, 5e-9, load_kind=kernels.LOAD_CUR,
+            modes.RECT_D1, 48.0, 0.5, 5e-9, load_kind=modes.LOAD_CUR,
             Vf=0.5)
         assert events == [] and x1[3] == 0.0
         assert np.all(sens[3] == 0.0)  # a held output forgets its start
@@ -414,7 +414,7 @@ class TestSensitivity:
         # out
         sens, central, x1, events = sensitivity(
             [0.3, 20.0, 0.1, 0.0], 1e-6, kernels.SEG_HIGH, 0,
-            kernels.RECT_D1, 48.0, 0.5, 5e-9, load_kind=kernels.LOAD_CUR,
+            modes.RECT_D1, 48.0, 0.5, 5e-9, load_kind=modes.LOAD_CUR,
             Vf=0.5)
         assert events == [] and x1[3] > 0.0
         self.check(sens, central, cols=3)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from llckit import kernels, sim
+from llckit import kernels, modes, sim
 from llckit.gain import gain
 from llckit.sim import (
     CHANNELS,
@@ -781,16 +781,20 @@ class TestPeaksOnDemand:
         cfg = SimConfig(tank=TANK, vin=VIN, fsw=110e3,
                         load=LoadSpec.current(0.1), t_end=1.0)
         runs = []
-        series = kernels._series
-        for tail in (kernels._tail, lambda *args: math.inf):
+        series = modes._series
+        for tail in (modes._tail, lambda *args: math.inf):
             built = []
 
             def counting(*args):
                 built.append(args)
                 return series(*args)
 
+            # kernels binds both helpers by name, modes and sim reach them
+            # through modes
             with patch.object(kernels, "_series", counting), \
-                    patch.object(kernels, "_tail", tail):
+                    patch.object(modes, "_series", counting), \
+                    patch.object(kernels, "_tail", tail), \
+                    patch.object(modes, "_tail", tail):
                 drv = sim.PeriodDriver(cfg, warm_start_state(cfg),
                                        record=False)
                 for _ in range(20):
