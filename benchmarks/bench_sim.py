@@ -14,10 +14,12 @@ steps and the wall time of each.  Next, from the same point, it times 64
 unrecorded periods at 110 kHz (1 + 1e-5 k), k = 0 .. 63: like the closed
 loop, which moves the frequency every period, each period has a new
 length, so each builds its own step maps.  It runs them twice, reading
-no peaks and reading every period's peaks (as shooting does), and prints
-the root-search and crest counts per period of each.  Last, it times 64
-periods from the same point recorded at strides 8 and 32 (the strides of
-the ``transient`` and ``step`` benchmark workloads) and unrecorded, at
+no exact peaks (as the steady-state solvers do, judging their residuals
+by the step-end peaks) and reading every period's exact peaks (as the
+closed loop does, for the iLr peak alone), and prints the root-search
+and crest counts per period of each.  Last, it times 64 periods from the
+same point recorded at strides 8 and 32 (the strides of the
+``transient`` and ``step`` benchmark workloads) and unrecorded, at
 110 kHz and at a new length each period, each with the driver's
 ``result()``, which builds the rows, and prints the us per period with
 rows and without.

@@ -416,8 +416,11 @@ def cmd_solve(args) -> int:
     vin = args.vin if args.vin is not None else req.vin_nom
     iout = args.iout if args.iout is not None else req.iout_max
     vout = args.target_vout
-    if vin <= 0 or vout <= 0 or iout < 0:
-        print("error: need vin > 0, target vout > 0, iout >= 0", file=sys.stderr)
+    # a NaN fails every comparison, so it is rejected too
+    if not (0 < vin < math.inf and 0 < vout < math.inf
+            and 0 <= iout < math.inf):
+        print("error: need finite vin > 0, target vout > 0, iout >= 0",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     rl = math.inf if iout == 0.0 else vout / iout
@@ -466,13 +469,14 @@ def cmd_sweep(args) -> int:
         except ValueError:
             print("error: --qe expects comma-separated numbers", file=sys.stderr)
             return EXIT_CONFIG
-        if any(q < 0 for q in qes) or not qes:
-            print("error: --qe values must be non-negative", file=sys.stderr)
+        if not qes or not all(0 <= q < math.inf for q in qes):
+            print("error: --qe values must be finite and non-negative",
+                  file=sys.stderr)
             return EXIT_CONFIG
     else:
         qes = _curve_qe_set(design.Qe)
-    if not (0 < args.fn_lo < args.fn_hi) or args.samples < 2:
-        print("error: need 0 < --fn-lo < --fn-hi and --samples >= 2",
+    if not (0 < args.fn_lo < args.fn_hi < math.inf) or args.samples < 2:
+        print("error: need 0 < --fn-lo < --fn-hi < inf and --samples >= 2",
               file=sys.stderr)
         return EXIT_CONFIG
     outdir = _resolve_out(args, cfg)

@@ -59,10 +59,12 @@ inside a step, where the component's rate changes sign.  The kernel only
 steps: a call queues these crests as candidates in the caller's list (the
 step's Taylor terms where it built them for an event, else the start
 state, length and mode to build them from) and returns the peaks of its
-step ends.  The caller locates the crests when it needs them, with the
-bounds of ``_reach`` and the searches of ``_extremum``, in one place
-(``sim.PeriodPeaks.exact``).  A search that runs out of ``LOC_MAX``
-iterations, for a crest or a turn-back, is a localization failure.
+step ends, which are all the steady-state solvers read.  A caller that
+needs an exact peak, as the closed loop does the iLr one, locates the
+crests with the bounds of ``_reach`` and the searches of ``_extremum``,
+in one place (``sim.PeriodPeaks.exact``).  A search that runs out of
+``LOC_MAX`` iterations, for a crest or a turn-back, is a localization
+failure.
 
 Gate transitions are segment boundaries handled by the caller; each call
 integrates one span of constant gate state and hands back what it wrote:

@@ -14,7 +14,7 @@ arithmetic does not depend on when it starts.  The driver keeps the kernel's
 propagator cache for the run, has each call append its events to the run's
 log and its crest candidates to the period's (see :class:`PeriodPeaks`, the
 one place crests are located: the extrema inside steps are located only
-when a period's peaks are read), keeps the row plan each call hands back,
+when a period's exact peaks are read), keeps the row plan each call hands back,
 adds up its energies, and counts the kernel's steps, its localization
 iterations, the crest candidates, the crests located and their iterations,
 and the events by kind (:attr:`PeriodDriver.counts`).  The waveform rows are
@@ -441,25 +441,20 @@ class PeriodPeaks:
     resolved only where they are read.
 
     The kernel hands back the largest values at its steps' ends
-    (``ends``) and queues its crest candidates (``crests``, see
-    ``kernels.integrate_segment``): the whole steps in which a component's
-    rate changes sign, and the steps an event ends.  Each has a bound on
-    |x_j| over its step: from its Taylor terms where it carries them
-    (``kernels._reach``), and otherwise from no series at all
-    (``modes._tail``), the component's larger value along the step's
-    linear part plus what its higher terms can add.  :meth:`upper` bounds
-    a peak by these alone.  :meth:`exact` is the one place crests are
-    located.  It uses that |x_j| over the step fraction s <= 1 is at most
-    max(|w_0|, |w_0 + w_1 s|) + s^2 sum_(k >= 2) |w_k| plus a rounding
-    margin (``kernels._reach``), so a crest is located, largest bound
-    first, only where that bound can still pass the peak; those whose
-    bound, where :meth:`upper` has computed it, stays within the step ends'
-    value are left out at once.  A peak is a max, so neither the crests
-    left out nor the order of the rest can change it, and the exact peaks
-    are the bits that locating every crest gives.  Ripple minima and other
-    extrema that move towards zero need no search.  Searches and their
-    iterations are added to ``counter``, the driver's [crests located,
-    root iterations].
+    (``ends``), at most the peaks, and queues its crest candidates
+    (``crests``, see ``kernels.integrate_segment``): the whole steps in
+    which a component's rate changes sign, and the steps an event ends.
+    The steady-state solvers judge their residuals by ``ends`` alone.
+    :meth:`exact` is the one place crests are located.  It uses that |x_j|
+    over the step fraction s <= 1 is at most max(|w_0|, |w_0 + w_1 s|) +
+    s^2 sum_(k >= 2) |w_k| plus a rounding margin (``kernels._reach``), so
+    a crest is located, largest bound first, only where that bound can
+    still pass the peak.  A peak is a max, so neither the crests left out
+    nor the order of the rest can change it, and the exact peaks are the
+    bits that locating every crest gives.  Ripple minima and other extrema
+    that move towards zero need no search.  Searches and their iterations
+    are added to ``counter``, the driver's [crests located, root
+    iterations].
     """
 
     def __init__(self, t0: float, counter: list):
@@ -467,41 +462,7 @@ class PeriodPeaks:
         self.ends = [0.0, 0.0, 0.0, 0.0]
         self.crests: list = []
         self._counter = counter
-        # per component: its bound in each candidate, once computed, and
-        # its exact peak
-        self._bounds: list = [None, None, None, None]
-        self._exact: list = [None, None, None, None]
-        self._rates: dict = {}  # end rates of event-ended candidates
-
-    def _end_rate(self, i: int):
-        """Candidate i's rates at the end of its part of the step."""
-        w, s, _, rb, _, h, _ = self.crests[i]
-        if rb is None:
-            rb = self._rates.get(i)
-            if rb is None:
-                rb = self._rates[i] = kernels._rates(w, s, h)
-        return rb
-
-    @staticmethod
-    def _bound(cand, j: int) -> float:
-        """A bound on |x_j| over a candidate's step, 0.0 where its rate
-        is known to keep its sign (no crest); an event-ended step's end
-        rate is not at hand, and its bound holds either way."""
-        w, s, ra, rb, x, h, m = cand
-        if rb is not None and not ra[j] * rb[j] < 0.0:
-            return 0.0
-        if w is not None:
-            return kernels._reach([c[j] for c in w], s, 0.0)
-        return kernels._reach([x[j], s * h * ra[j],
-                               modes._tail(ra, s * h, m) / m.scales[j]],
-                              1.0, 0.0)
-
-    def upper(self, j: int) -> float:
-        """An upper bound on component j's peak, with no crest search."""
-        b = self._bounds[j]
-        if b is None:
-            b = self._bounds[j] = [self._bound(c, j) for c in self.crests]
-        return max([self.ends[j]] + b)
+        self._exact: list = [None, None, None, None]  # once located
 
     def exact(self, comps=(0, 1, 2, 3)) -> tuple:
         """The exact peaks of the components ``comps``; raises
@@ -510,16 +471,14 @@ class PeriodPeaks:
         if not todo:
             return tuple(self._exact[j] for j in comps)
         peaks = list(self.ends)
-        bounds = self._bounds
         # (bound, entry, component, its Taylor terms, s, rates at 0 and s)
-        # of each crest whose bound is not known to stay within the step
-        # ends' value, in candidate order and then component order
+        # of each crest, in candidate order and then component order; an
+        # event-ended candidate carries its terms, and its end rates are
+        # read off them
         queue = []
-        for i, (w, s, ra, rb, x, h, m) in enumerate(self.crests):
+        for w, s, ra, rb, x, h, m in self.crests:
+            rb = rb or kernels._rates(w, s, h)
             for j in todo:
-                if bounds[j] is not None and not bounds[j][i] > peaks[j]:
-                    continue
-                rb = rb or self._end_rate(i)
                 if ra[j] * rb[j] < 0.0:
                     w = w or modes._series(*x, *m.b, h, m)
                     P = [c[j] for c in w]
@@ -608,8 +567,9 @@ class PeriodDriver:
     @property
     def period_peaks(self) -> PeriodPeaks:
         """The last period's record of max |iLr|, max |vCr|, max |iLm| and
-        max |vOut|: its crests are located only when its exact peaks are
-        read (:meth:`PeriodPeaks.exact`)."""
+        max |vOut|: its step ends' values need no search, and its crests
+        are located only when its exact peaks are read
+        (:meth:`PeriodPeaks.exact`)."""
         return self._peaks
 
     @property
@@ -632,8 +592,9 @@ class PeriodDriver:
         event-localization iterations, the steps queued as crest candidates
         for the peaks, the crests located among them and their root
         iterations, and logged events by kind.  Crests are located only
-        when a period's peaks are read (:class:`PeriodPeaks`), so a run
-        that reads none, such as a transient, locates none."""
+        when a period's exact peaks are read (:meth:`PeriodPeaks.exact`):
+        a transient and the steady-state solvers read none, so they locate
+        none, and the closed loop reads the iLr peak alone."""
         events = dict.fromkeys(_EVENT_NAMES.values(), 0)
         for _, code in self._events:
             events[_EVENT_NAMES[code]] += 1

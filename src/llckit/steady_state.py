@@ -14,23 +14,21 @@ Two solvers over the start-of-period state (iLr, vCr, iLm, vOut):
   pole, whose multiplier sits near one, costs no more than the rest.
   The map is only piecewise smooth: a conduction edge near the period
   boundary kinks it, and the residual can rise on the way across a kink.
-  So a full step that raises the residual is taken once on watch, a short
+  So a full step that raises the residual is taken once on watch, where
+  it moves no component by more than the period's step-end peak, a short
   line search damps the rest, and where no step along the Newton
   direction helps, plain cycles (twice as many at each such failure) move
   on to another piece of the map.  Newton runs until the residual is
   below the tolerance or the period budget is spent.
 
-Residuals are normalized per state component by the peak excursion of that
-component over the last integrated period, so volts and amperes are judged
-on equal footing.  The peaks include extrema inside kernel steps, which
-take a root search each, so both solvers read a residual through
-``_gated_residual``: it locates the extrema only of the components that
-can hold the residual's max, and, given a threshold, compares a lower
-bound on the residual, from bounds on the peaks that need no search, with
-it first.  Cycle iteration gates each period's residual at the tolerance
-and resolves it exactly only where it can be below it, or where the
-contraction estimate reads it; shooting needs every iterate's residual
-exactly, and gates its watchdog's test at 1.
+Residuals are normalized per state component by the largest value of that
+component at the step ends of the last integrated period
+(:attr:`PeriodPeaks.ends <llckit.sim.PeriodPeaks>`, floored at
+``_PEAK_FLOOR``), so volts and amperes are judged on equal footing.  The
+step ends leave out only the extrema inside kernel steps, so they are at
+most the period's peaks, and each residual is at least the one the exact
+peaks would give: the tolerance test is no looser for it, and neither
+solver locates a crest.
 """
 
 from __future__ import annotations
@@ -67,9 +65,6 @@ __all__ = [
 METHODS = ("shooting", "cycle_iteration")
 
 _PEAK_FLOOR = 1e-9  # residual denominator floor, amps or volts
-# shooting's watchdog takes a step whose residual against the period's
-# peaks is at most 1: below this
-_WATCH = math.nextafter(1.0, math.inf)
 
 
 class PopError(SimError):
@@ -131,38 +126,6 @@ def _residual(delta: np.ndarray, peaks) -> float:
                      for d, p in zip(delta, peaks)))
 
 
-def _gated_residual(entry: list, tol: float = math.inf) -> float:
-    """The residual of ``entry`` = [state change, :class:`PeriodPeaks` of
-    its period, its residual once known] where it is below ``tol``; where
-    it is not, perhaps only a lower bound on it that is not below ``tol``
-    either.
-
-    Component j's share |d_j| / max(peak_j, floor) lies between ``lo``,
-    from an upper bound on its peak, and ``hi``, from the step ends' value,
-    at most the peak; division and max are monotone, so in floats too.
-    The shares are bounded from the largest hi down: one lo at or above
-    tol settles the residual's comparison, and a component whose hi stays
-    below the largest lo cannot hold the max.  So the crests are located
-    only for the components that can, and the max over those is the
-    residual's exact bits, kept in the entry.
-    """
-    delta, peaks, res = entry
-    if res is not None:
-        return res
-    hi = [abs(d) / max(p, _PEAK_FLOOR) for d, p in zip(delta, peaks.ends)]
-    top = 0.0
-    for j in sorted(range(4), key=hi.__getitem__, reverse=True):
-        if hi[j] < top:
-            break
-        lo = abs(delta[j]) / max(peaks.upper(j), _PEAK_FLOOR)
-        if lo >= tol:
-            return lo
-        top = max(top, lo)
-    need = [j for j in range(4) if not hi[j] < top]
-    entry[2] = res = _residual([delta[j] for j in need], peaks.exact(need))
-    return res
-
-
 def _check_norm(x, norm_ref: float) -> None:
     """Raise :class:`Divergence` where the 2-norm of the state x (four
     components, floats or an array) has grown past 100 ``norm_ref``.
@@ -202,30 +165,24 @@ def _solve_cycle_iteration(drv: PeriodDriver, fsw: float, tol: float,
     # tripping the threshold on its way up
     norm_ref = max(float(np.linalg.norm(prev)), drv.cfg.vin, 1.0)
     res = math.inf
-    # the last lag periods' [state change, peak record, residual once
-    # resolved]: a residual is resolved, with the crest searches behind its
-    # peaks, only where it decides something
-    history: deque = deque(maxlen=lag)
+    history: deque = deque(maxlen=lag)  # the last lag periods' residuals
     for k in range(max_cycles):
         drv.advance_period(fsw)
         x = drv.x
-        last = [[x[0] - prev[0], x[1] - prev[1], x[2] - prev[2],
-                 x[3] - prev[3]], drv.period_peaks, None]
         _check_norm(x, norm_ref)
-        res = _gated_residual(last, tol)
+        res = _residual([x[0] - prev[0], x[1] - prev[1], x[2] - prev[2],
+                         x[3] - prev[3]], drv.period_peaks.ends)
         if res < tol:
             if res < 1e-3 * tol:
                 return replace(drv.state, t=0.0), res, k + 1
             if len(history) == lag:
-                old = _gated_residual(history[0])
+                old = history[0]
                 if old > 0.0:
                     r = (res / old) ** (1.0 / lag)
                     if r < 1.0 and res * r / (1.0 - r) < tol:
                         return replace(drv.state, t=0.0), res, k + 1
         prev = x
-        history.append(last)
-    if history:
-        res = _gated_residual(history[-1])
+        history.append(res)
     raise NoConvergence(
         f"cycle iteration still at residual {res:.3e} after "
         f"{max_cycles} periods", res, max_cycles)
@@ -238,17 +195,17 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
     plain = 0
 
     def period_map(st: SimState):
-        """The iterate at st: (residual, x, st, P(x), the period's peak
-        record, rectifier phase at its end, Jacobian of P at x)."""
+        """The iterate at st: (residual, x, st, P(x), the period's step-end
+        peaks, rectifier phase at its end, Jacobian of P at x)."""
         nonlocal cycles
         drv.reset(consistent_rect(st), jacobian=True)
         drv.advance_period(fsw)
         cycles += 1
         x = st.vector()
         px = drv.state.vector()
-        peaks = drv.period_peaks
-        return (_gated_residual([(px - x).tolist(), peaks, None]), x, st, px,
-                peaks, drv.state.rect, drv.jacobian)
+        ends = drv.period_peaks.ends
+        return (_residual(px - x, ends), x, st, px, ends, drv.state.rect,
+                drv.jacobian)
 
     def trial(x):
         """The iterate at state vector x, or None if its period fails."""
@@ -285,13 +242,12 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         if new is not None and new[0] <= goal:
             ref = None
         elif (new is not None and ref is None
-              and _gated_residual([delta.tolist(), cur[4], None],
-                                  _WATCH) < _WATCH):
+              and _residual(delta, cur[4]) <= 1.0):
             # watchdog (Chamberlain et al. 1982): a conduction edge near the
             # period boundary kinks the map, and a full step across it can
             # raise the residual on its way to the fixed point, so take it
-            # if it moves no state by more than the period's own excursion,
-            # and ask the next full step to land below 0.9 of here
+            # if it moves no component by more than its largest value at
+            # the period's step ends, and ask the next full step to land below 0.9 of here
             ref = (cur, delta)
         else:
             # back to where the watchdog step started, if one did, and damp:

@@ -407,6 +407,17 @@ class TestSolveCommand:
         assert rc == EXIT_INFEASIBLE
         assert "peak" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--target-vout", "--vin", "--iout"])
+    def test_non_finite_number_exits_1(self, flag, value, capsys):
+        # these died in effective_load or solve_frequency with a traceback
+        argv = ["solve", "--config", str(REFERENCE_CONFIG)]
+        if flag != "--target-vout":
+            argv.append("--target-vout=12")
+        rc = main(argv + [f"{flag}={value}"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSweepCommand:
     def test_long_format_csv(self, tmp_path):
@@ -424,6 +435,17 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(REFERENCE_CONFIG), "--out",
                    str(tmp_path), "--qe", "0.2,-1"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--qe", "--fn-lo", "--fn-hi"])
+    def test_non_finite_number_exits_1(self, flag, value, tmp_path, capsys):
+        # a NaN Qe wrote 480 NaN rows, and an infinite --fn-hi a CSV before
+        # the plot overflowed; neither writes anything now
+        rc = main(["sweep", "--config", str(REFERENCE_CONFIG), "--out",
+                   str(tmp_path), f"{flag}={value}"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "sweep_gain.csv").exists()
 
 
 class TestOutputDirResolution:

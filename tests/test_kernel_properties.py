@@ -695,11 +695,14 @@ def test_bounded_graze_fires_as_every_turn_back(p, data):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(segments())
 def test_skipped_searches_leave_the_call_alone(p):
-    # the whole call with every crest and every turn-back located gives the
-    # same outputs, rows and events, in no fewer searches and iterations
+    # the whole call with every crest and every turn-back located, the
+    # series-free graze bound made useless so that no turn-back is skipped
+    # before ``_crossing``, gives the same outputs, rows, events and
+    # energy, in no fewer searches and iterations
     out, rows, events, acc = run(p)
     with patch.object(sim.PeriodPeaks, "exact", every_crest_exact), \
-            patch.object(kernels, "_crossing", every_turn_back):
+            patch.object(kernels, "_crossing", every_turn_back), \
+            patch.object(kernels, "_tail", lambda *args: math.inf):
         ref = run(p)
     assert out[:14] + out[15:19] == ref[0][:14] + ref[0][15:19]
     assert all(a <= b for a, b in zip(out[19:] + out[14:15],
@@ -709,9 +712,9 @@ def test_skipped_searches_leave_the_call_alone(p):
 
 
 # The bound from a step's start state and rate alone (``modes._tail``):
-# where it cannot pass a threshold or a peak, no search could, so the
-# kernel rejects a graze, and ``sim.PeriodPeaks`` skips a crest, without
-# the step's Taylor terms.
+# where it cannot pass a threshold, no search could, so the kernel rejects
+# a graze without the step's Taylor terms.  ``sim.PeriodPeaks.exact``
+# bounds a crest from the terms (``kernels._reach``).
 
 def graze_bound(slot, side, ga, da, r, h, m):
     """The kernel's bound on side g over a step from a state with rate r,
@@ -721,13 +724,10 @@ def graze_bound(slot, side, ga, da, r, h, m):
                           1.0, side)
 
 
-def crest_bounds(m, x, r, s, h, w=None):
-    """``sim.PeriodPeaks.upper`` of one candidate step over [0, s] in which
-    every component's rate is taken to change sign, from its Taylor terms
-    w where given, else from no series."""
-    peaks = sim.PeriodPeaks(0.0, [0, 0])
-    peaks.crests = [(w, s, r, tuple(-v for v in r), x, h, m)]
-    return [peaks.upper(j) for j in range(4)]
+def crest_bounds(w, s):
+    """The bound on each component's |x_j| over [0, s] of a step with
+    Taylor terms w that ``sim.PeriodPeaks.exact`` sorts its crests by."""
+    return [kernels._reach([c[j] for c in w], s, 0.0) for j in range(4)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -754,15 +754,14 @@ def test_series_free_bound_holds_what_a_search_can_locate(p, s, data):
     u = np.linspace(0.0, s, 257)
     located = every_crest([(w, s, r, rate_at(w, s, h), x, h, m)],
                           [0.0] * 4)[0]
-    for terms in (None, w):
-        bounds = crest_bounds(m, x, r, s, h, terms)
-        for j in range(4):
-            if not r[j] * r[j] > 0.0:
-                continue  # no sign change seen (a rate of 0, or one whose
-                # product underflows): no crest queued
-            P = [c[j] for c in w]
-            assert np.all(np.abs(np.polyval(P[::-1], u)) <= bounds[j])
-            assert located[j] <= bounds[j]
+    bounds = crest_bounds(w, s)
+    for j in range(4):
+        if not r[j] * r[j] > 0.0:
+            continue  # no sign change seen (a rate of 0, or one whose
+            # product underflows): no crest queued
+        P = [c[j] for c in w]
+        assert np.all(np.abs(np.polyval(P[::-1], u)) <= bounds[j])
+        assert located[j] <= bounds[j]
     u = np.linspace(0.0, 1.0, 257)
     xb = state_at(w, 1.0)
     rb = rate(m, xb)
@@ -819,30 +818,12 @@ def test_grazes_the_bound_rejects_do_not_fire(p, data):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(segments())
-def test_graze_bound_leaves_the_call_alone(p):
-    # with the bound made useless, every turn-back goes to ``_crossing``
-    # and every crest to its search (``_tail`` is bound in kernels, and
-    # ``sim.PeriodPeaks`` reads it through modes): the call gives the same
-    # outputs, rows, events and energy, in no fewer localization iterations
-    out, rows, events, acc = run(p)
-    with patch.object(kernels, "_tail", lambda *args: math.inf), \
-            patch.object(modes, "_tail", lambda *args: math.inf):
-        ref = run(p)
-    assert out[:14] + out[15:] == ref[0][:14] + ref[0][15:]
-    assert out[14] <= ref[0][14]
-    assert bits(rows) == bits(ref[1]) and bits(events) == bits(ref[2])
-    assert bits(acc) == bits(ref[3])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(segments(), st.permutations(range(4)))
 def test_queued_crests_resolve_to_the_eager_peaks(p, order):
     # a call that queues its crest candidates returns the peaks of its
     # step ends; resolved on demand (``sim.PeriodPeaks``), all four at
-    # once, or one at a time after their series-free bounds, they are the
-    # peaks of the call with its crests located at its end, bit for bit,
-    # and each bound is at least its peak
+    # once, or one at a time, they are the peaks of the call with its
+    # crests located at its end, bit for bit
     eager = run(p)[0]
     queue = []
     x = p["x0"]
@@ -863,7 +844,6 @@ def test_queued_crests_resolve_to_the_eager_peaks(p, order):
     peaks.ends = list(out[9:13])
     peaks.crests = queue
     for j in order:
-        assert peaks.upper(j) >= eager[9 + j]
         assert bits(peaks.exact((j,))) == bits(eager[9 + j:10 + j])
 
 

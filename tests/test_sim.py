@@ -789,12 +789,11 @@ class TestPeaksOnDemand:
                 built.append(args)
                 return series(*args)
 
-            # kernels binds both helpers by name, modes and sim reach them
-            # through modes
+            # kernels binds both helpers by name, and modes and sim reach
+            # ``_series`` through modes; only the kernel reads ``_tail``
             with patch.object(kernels, "_series", counting), \
                     patch.object(modes, "_series", counting), \
-                    patch.object(kernels, "_tail", tail), \
-                    patch.object(modes, "_tail", tail):
+                    patch.object(kernels, "_tail", tail):
                 drv = sim.PeriodDriver(cfg, warm_start_state(cfg),
                                        record=False)
                 for _ in range(20):

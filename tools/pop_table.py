@@ -13,9 +13,10 @@ picks for 12 V, 115 kHz into 24 ohm, 110 kHz at 0.1 A, and 73.5 and
 70 kHz at 0.5 A.  A solve reports its periods, the crest searches of its
 period peaks (the crests ``sim.PeriodPeaks.exact`` located, counted by
 wrapping it and reading what it adds to its driver's crest count: a
-shooting driver's counts start over every period), its
-``PopResult.trace`` where the checkout has one, and the best of
-``--repeat`` wall times.
+shooting driver's counts start over every period; a checkout whose
+solvers judge their residuals by the step-end peaks alone reads no exact
+peaks and reports 0), its ``PopResult.trace`` where the checkout has one,
+and the best of ``--repeat`` wall times.
 
 ``--grid`` solves 144 points by shooting instead: 62, 65, 68, 71, 75 and
 80 to 130 kHz in 5 kHz steps, each into 6, 12, 24, 48 and 200 ohm and at
