@@ -818,6 +818,22 @@ def test_grazes_the_bound_rejects_do_not_fire(p, data):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(segments())
+def test_graze_bound_leaves_the_call_alone(p):
+    # with the bound made useless, every turn-back goes to the kernel's own
+    # ``_crossing`` (only the kernel reads ``_tail``): the call gives the
+    # same outputs, rows, events and energy, in no fewer localization
+    # iterations
+    out, rows, events, acc = run(p)
+    with patch.object(kernels, "_tail", lambda *args: math.inf):
+        ref = run(p)
+    assert out[:14] + out[15:] == ref[0][:14] + ref[0][15:]
+    assert out[14] <= ref[0][14]
+    assert bits(rows) == bits(ref[1]) and bits(events) == bits(ref[2])
+    assert bits(acc) == bits(ref[3])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(segments(), st.permutations(range(4)))
 def test_queued_crests_resolve_to_the_eager_peaks(p, order):
     # a call that queues its crest candidates returns the peaks of its
