@@ -18,7 +18,6 @@ from .tank import (
     noload_resonance,
     effective_load,
     normalize,
-    denormalize,
     derived_quantities,
 )
 from .gain import (
@@ -28,17 +27,13 @@ from .gain import (
     BelowAsymptote,
     Region,
     GainPoint,
-    GainCurve,
     GainBand,
     gain,
     gain_magnitude,
-    gain_curve,
     asymptotic_gain,
     peak_gain,
     solve_frequency,
     gain_band,
-    input_impedance_norm,
-    input_reactance,
     boundary_frequency,
     classify_region,
     tank_input_impedance,

@@ -36,7 +36,6 @@ from .gain import (
     SHORT_CIRCUIT_FN_TOL,
     SHORT_CIRCUIT_QE,
     BelowAsymptote,
-    GainError,
     UnreachableGain,
     classify_region,
     gain_magnitude,
@@ -177,16 +176,11 @@ def _assemble_controller(cfg: ProjectConfig, design: DesignReport) -> Controller
 
 
 def _sim_inputs(cfg: ProjectConfig, design: DesignReport):
-    """(vin, load, fsw, controller) with design-derived defaults filled in."""
+    """(vin, load, controller) with design-derived defaults filled in."""
     req = cfg.requirements
     vin = cfg.sim.vin if cfg.sim.vin is not None else req.vin_nom
     load = cfg.sim.load if cfg.sim.load is not None else LoadSpec.current(req.iout_max)
-    ctrl = _assemble_controller(cfg, design)
-    if cfg.sim.fsw is not None:
-        fsw = cfg.sim.fsw
-    else:
-        fsw = baseline_frequency(design, load, ctrl.v_ref)
-    return vin, load, fsw, ctrl
+    return vin, load, _assemble_controller(cfg, design)
 
 
 def _jnum(x) -> float | None:
@@ -324,11 +318,14 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: design failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    try:
-        vin, load, fsw, ctrl = _sim_inputs(cfg, design)
-    except GainError as exc:
-        print(f"error: operating point unreachable: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    vin, load, ctrl = _sim_inputs(cfg, design)
+    fsw = cfg.sim.fsw
+    if fsw is None:
+        try:
+            fsw = baseline_frequency(design, load, ctrl.v_ref)
+        except ValueError as exc:
+            print(f"error: operating point unreachable: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
     outdir = _resolve_out(args, cfg)
     mode = args.mode
     s = cfg.sim

@@ -286,7 +286,8 @@ def run_load_step(design: DesignReport, scenario: LoadSpec,
     settles = (tr.vout.size > 0
                and abs(float(tr.vout[-1]) - ctrl.v_ref) <= band_abs
                and recovery < t_end - t_step)
-    lo, hi = tr.fsw_span
+    # an empty trace (t_end 0) commanded nothing but the final frequency
+    lo, hi = tr.fsw_span if tr.fsw.size else (out.final_fsw, out.final_fsw)
     report = LoadStepReport(
         v_ref=ctrl.v_ref,
         band=band_abs,

@@ -17,9 +17,14 @@ Useful structure of |Mg|:
 * For Qe > 0 a single finite peak sits between fp/f0 and 1; regulation
   happens on the monotone branch at fn above the peak.
 
+A curve is |Mg| sampled by :func:`gain_magnitude` on an fn array, which
+takes poles as inf.
+
 Region classification (inductive vs capacitive) is decided from the sign of
 the tank input reactance Im{ jwLr + 1/(jwCr) + (jwLm || Re) }, which is the
-criterion that actually governs zero-voltage switching.
+criterion that actually governs zero-voltage switching.  The impedance
+itself is :func:`tank_input_impedance`, in ohm; :func:`boundary_frequency`
+is the zero of its imaginary part in closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,17 +46,13 @@ __all__ = [
     "BelowAsymptote",
     "Region",
     "GainPoint",
-    "GainCurve",
     "GainBand",
     "gain",
     "gain_magnitude",
-    "gain_curve",
     "asymptotic_gain",
     "peak_gain",
     "solve_frequency",
     "gain_band",
-    "input_impedance_norm",
-    "input_reactance",
     "boundary_frequency",
     "classify_region",
     "tank_input_impedance",
@@ -69,7 +70,6 @@ SHORT_CIRCUIT_FN_TOL = 1e-9
 # Upper end of the frequency bracket used when solving gain targets.
 FN_SOLVE_MAX = 100.0
 BOUNDARY_FN_TOL = 1e-9
-CURVE_SAMPLES_PER_DECADE = 400
 # (Qe Ln)^2 stays a finite float below this Qe Ln
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -120,41 +120,6 @@ class GainPoint:
     Mg_complex: complex
     Mg: float
     phase: float  # rad, in (-pi, pi]
-    pole: bool = False
-
-
-@dataclass(frozen=True)
-class GainCurve:
-    """Sampled |Mg| over a strictly increasing log-spaced fn grid.
-
-    Pole samples (possible only at Qe = 0) carry Mg = inf and pole = True
-    instead of aborting the sweep.
-    """
-
-    Ln: float
-    Qe: float
-    fn: np.ndarray
-    Mg_complex: np.ndarray
-    Mg: np.ndarray
-    phase: np.ndarray
-    pole: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.fn) < 2:
-            raise ValueError("curve needs at least 2 samples")
-        if not np.all(np.diff(self.fn) > 0):
-            raise ValueError("fn grid must be strictly increasing")
-
-    def points(self):
-        """Iterate the samples as :class:`GainPoint` objects."""
-        for k in range(len(self.fn)):
-            yield GainPoint(
-                fn=float(self.fn[k]),
-                Mg_complex=complex(self.Mg_complex[k]),
-                Mg=float(self.Mg[k]),
-                phase=float(self.phase[k]),
-                pole=bool(self.pole[k]),
-            )
 
 
 @dataclass(frozen=True)
@@ -261,29 +226,6 @@ def gain(point: NormalizedPoint) -> GainPoint:
     if phase <= -math.pi:
         phase = math.pi
     return GainPoint(fn=point.fn, Mg_complex=mg, Mg=abs(mg), phase=phase)
-
-
-def gain_curve(Ln: float, Qe: float, fn_lo: float, fn_hi: float,
-               samples: int | None = None) -> GainCurve:
-    """Sample the gain on a log grid between ``fn_lo`` and ``fn_hi``.
-
-    Default density is ``CURVE_SAMPLES_PER_DECADE``; ``samples=2`` gives
-    exactly the endpoints.
-    """
-    if not (0 < fn_lo < fn_hi):
-        raise ValueError("need 0 < fn_lo < fn_hi")
-    if samples is None:
-        decades = math.log10(fn_hi / fn_lo)
-        samples = max(2, int(round(CURVE_SAMPLES_PER_DECADE * decades)))
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    fn = np.geomspace(fn_lo, fn_hi, samples)
-    den = _gain_den(Ln, Qe, fn)
-    pole = np.abs(den) < POLE_DEN_TOL
-    mgc = np.where(pole, np.inf + 0j, Ln * fn * fn / np.where(pole, 1.0, den))
-    return GainCurve(Ln=Ln, Qe=Qe, fn=fn, Mg_complex=mgc,
-                     Mg=gain_magnitude(Ln, Qe, fn), phase=np.angle(mgc),
-                     pole=pole)
 
 
 def asymptotic_gain(Ln: float) -> float:
@@ -555,28 +497,9 @@ def gain_band(req: DesignRequirements, n: float, Ln: float) -> GainBand:
     )
 
 
-def input_impedance_norm(Ln: float, Qe: float, fn: float) -> complex:
-    """Tank input impedance in units of Z0 = sqrt(Lr/Cr).
-
-    Z/Z0 = j(fn - 1/fn) + (j fn Ln || 1/Qe);  Qe = 0 gives the open-load
-    series string j(fn - 1/fn + fn Ln).
-    """
-    if fn <= 0:
-        raise ValueError("fn must be positive")
-    xm = fn * Ln
-    t = xm * Qe
-    re = xm * t / (1.0 + t * t)
-    im = fn - 1.0 / fn + xm / (1.0 + t * t)
-    return complex(re, im)
-
-
-def input_reactance(Ln: float, Qe: float, fn: float) -> float:
-    """Im{Zin}/Z0; positive means the tank looks inductive."""
-    return input_impedance_norm(Ln, Qe, fn).imag
-
-
 def boundary_frequency(Ln: float, Qe: float) -> float:
-    """fn where the input reactance crosses zero (always below fn = 1)."""
+    """fn where the input reactance, Im of :func:`tank_input_impedance`,
+    crosses zero (always below fn = 1)."""
     if Ln <= 1:
         raise ValueError("Ln must exceed 1")
     if Qe < 0:

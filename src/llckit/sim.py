@@ -52,6 +52,7 @@ from .tank import TankParams, effective_load, normalize, series_resonance
 from .gain import GainPoleError, gain, tank_input_impedance
 
 __all__ = [
+    "CHANNELS",
     "RectPhase",
     "SimState",
     "LoadSpec",

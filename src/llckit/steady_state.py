@@ -36,11 +36,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .sim import (
     PeriodDriver,
+    RectPhase,
     SimConfig,
     SimError,
     SimState,
@@ -105,6 +107,18 @@ class PopTrace:
     # periods run as plain cycles: shooting's fallback where no Newton step
     # helps, and every period of cycle iteration
     plain: int
+
+
+class _Iterate(NamedTuple):
+    """One shooting iterate: the period map run from ``state``."""
+
+    residual: float  # normalized |P(x) - x|
+    x: np.ndarray  # the start state as a vector
+    state: SimState
+    px: np.ndarray  # P(x), the state one period on
+    ends: list[float]  # the period's step-end peaks, the residual's scale
+    rect: RectPhase  # rectifier phase at the period's end
+    jacobian: np.ndarray  # dP/dx at x
 
 
 @dataclass
@@ -194,9 +208,8 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
     halvings = 0
     plain = 0
 
-    def period_map(st: SimState):
-        """The iterate at st: (residual, x, st, P(x), the period's step-end
-        peaks, rectifier phase at its end, Jacobian of P at x)."""
+    def period_map(st: SimState) -> _Iterate:
+        """The iterate at st."""
         nonlocal cycles
         drv.reset(consistent_rect(st), jacobian=True)
         drv.advance_period(fsw)
@@ -204,8 +217,8 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         x = st.vector()
         px = drv.state.vector()
         ends = drv.period_peaks.ends
-        return (_residual(px - x, ends), x, st, px, ends, drv.state.rect,
-                drv.jacobian)
+        return _Iterate(_residual(px - x, ends), x, st, px, ends,
+                        drv.state.rect, drv.jacobian)
 
     def trial(x):
         """The iterate at state vector x, or None if its period fails."""
@@ -223,26 +236,26 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
         for _ in range(4):
             step *= 0.5
             halvings += 1
-            new = trial(cur[1] + step * delta)
-            if new is not None and new[0] <= 0.9 * cur[0]:
+            new = trial(cur.x + step * delta)
+            if new is not None and new.residual <= 0.9 * cur.residual:
                 return new
         return None
 
     norm_ref = max(float(np.linalg.norm(state0.vector())), drv.cfg.vin, 1.0)
     cur = period_map(state0)
-    residuals = [cur[0]]
+    residuals = [cur.residual]
     # the iterate a watchdog step left, with its Newton step (None when the
     # last step was an ordinary one)
     ref = None
     run = 1  # plain cycles the next failed Newton step falls back on
-    while cur[0] >= tol and cycles < max_cycles:
-        delta = np.linalg.solve(cur[6] - np.eye(4), cur[1] - cur[3])
-        new = trial(cur[1] + delta)
-        goal = 0.9 * (cur if ref is None else ref[0])[0]
-        if new is not None and new[0] <= goal:
+    while cur.residual >= tol and cycles < max_cycles:
+        delta = np.linalg.solve(cur.jacobian - np.eye(4), cur.x - cur.px)
+        new = trial(cur.x + delta)
+        goal = 0.9 * (cur if ref is None else ref[0]).residual
+        if new is not None and new.residual <= goal:
             ref = None
         elif (new is not None and ref is None
-              and _residual(delta, cur[4]) <= 1.0):
+              and _residual(delta, cur.ends) <= 1.0):
             # watchdog (Chamberlain et al. 1982): a conduction edge near the
             # period boundary kinks the map, and a full step across it can
             # raise the residual on its way to the fixed point, so take it
@@ -264,12 +277,12 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                 # plain cycles, twice as many as at the last such failure,
                 # which land on other pieces and, where Newton cannot
                 # finish, contract towards the fixed point
-                new = trial(cur[3])
+                new = trial(cur.px)
                 plain += 1
                 for _ in range(min(run, max_cycles - cycles) - 1):
-                    if new is None or new[0] < tol:
+                    if new is None or new.residual < tol:
                         break
-                    nxt = trial(new[3])
+                    nxt = trial(new.px)
                     plain += 1
                     if nxt is None:
                         break
@@ -278,14 +291,13 @@ def _solve_shooting(drv: PeriodDriver, state0: SimState, fsw: float,
                     break
                 run *= 2
         cur = new
-        residuals.append(cur[0])
-        _check_norm(cur[1], norm_ref)
-    res, _, st, _, _, rect_out, _ = cur
-    if res >= tol:
+        residuals.append(cur.residual)
+        _check_norm(cur.x, norm_ref)
+    if cur.residual >= tol:
         raise NoConvergence(
-            f"shooting still at residual {res:.3e} after {cycles} periods",
-            res, cycles)
-    return (replace(st, rect=rect_out), res, cycles,
+            f"shooting still at residual {cur.residual:.3e} after {cycles} "
+            "periods", cur.residual, cycles)
+    return (replace(cur.state, rect=cur.rect), cur.residual, cycles,
             PopTrace(tuple(residuals), halvings, plain))
 
 

@@ -12,6 +12,8 @@ the usual dimensionless coordinates:
 
 with the AC-side effective load ``Re = 8 n^2 RL / pi^2`` coming from the
 fundamental-approximation mapping of the rectified DC load.
+:func:`normalize` maps a tank to these coordinates;
+:func:`llckit.synthesis.synthesize_tank` is the way back.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "noload_resonance",
     "effective_load",
     "normalize",
-    "denormalize",
     "derived_quantities",
 ]
 
@@ -193,23 +194,6 @@ def normalize(tank: TankParams, Re: float, fsw: float) -> NormalizedPoint:
     _require(fsw > 0, "fsw must be positive")
     qe = 0.0 if math.isinf(Re) else tank.Z0 / Re
     return NormalizedPoint(Ln=tank.Ln, Qe=qe, fn=fsw / series_resonance(tank))
-
-
-def denormalize(Ln: float, Qe: float, f0: float, Re: float) -> tuple[float, float, float]:
-    """Invert :func:`normalize`: recover (Lr, Cr, Lm) from (Ln, Qe, f0, Re).
-
-    Z0 = Qe * Re fixes the impedance scale, f0 the frequency scale:
-        Lr = Z0 / (2 pi f0),  Cr = 1 / (2 pi f0 Z0),  Lm = Ln * Lr.
-    """
-    _require(Ln > 1, "Ln must exceed 1")
-    _require(Qe > 0, "Qe must be positive to recover an impedance scale")
-    _require(f0 > 0, "f0 must be positive")
-    _require(Re > 0 and not math.isinf(Re), "Re must be positive and finite")
-    z0 = Qe * Re
-    w0 = 2.0 * math.pi * f0
-    lr = z0 / w0
-    cr = 1.0 / (w0 * z0)
-    return lr, cr, Ln * lr
 
 
 def derived_quantities(tank: TankParams, vout: float, iout: float) -> DerivedQuantities:

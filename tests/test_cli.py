@@ -319,6 +319,63 @@ class TestSimulateCommand:
         assert metrics["vOut_final"] is None
         assert metrics["periods"] == 0
 
+    def test_zero_span_step(self, tmp_path):
+        # an empty control trace has no frequency excursion to reduce
+        doc = reference_doc()
+        doc["sim"]["t_end"] = 0.0
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "step", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_OK
+        text = (tmp_path / "wave_step.csv").read_text()
+        assert text == WAVE_HEADER + "\n"
+        m = json.loads((tmp_path / "metrics_step.json").read_text())
+        assert m["fsw_lo"] == m["fsw_hi"] == m["final_fsw"]
+        assert [m[k] for k in ("vOut_min", "vOut_max", "final_vOut")] == [
+            None, None, None]
+
+    @pytest.mark.parametrize("v_ref, load, verdict", [
+        (1.0, {"kind": "resistance", "value": 1e6}, "below gain"),
+        (100.0, {"kind": "resistance", "value": 1.0}, "above peak"),
+    ], ids=["below", "above"])
+    @pytest.mark.parametrize("mode", ["transient", "pop", "step"])
+    def test_unreachable_baseline_exits_2(self, tmp_path, capsys, mode, v_ref,
+                                          load, verdict):
+        # with sim.fsw unset the run starts at the gain model's baseline;
+        # a reference it cannot reach died with a traceback
+        doc = reference_doc()
+        doc["controller"]["v_ref"] = v_ref
+        doc["sim"]["load"] = load
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", mode, "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: operating point unreachable: ")
+        assert verdict in err
+        assert not (tmp_path / f"wave_{mode}.csv").exists()
+
+    def test_step_unreachable_baseline_with_fsw_set_exits_2(self, tmp_path):
+        doc = reference_doc()
+        doc["controller"]["v_ref"] = 1.0
+        doc["sim"]["load"] = {"kind": "resistance", "value": 1e6}
+        doc["sim"]["fsw"] = 110e3
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "step", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+
+    def test_controller_error_exits_1(self, tmp_path, capsys):
+        # the controller is assembled before the baseline; its errors stay
+        # configuration errors
+        doc = reference_doc()
+        doc["controller"]["ki"] = -1.0
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "step", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "controller" in capsys.readouterr().err
+
     def test_short_transient_waveform(self, tmp_path):
         doc = reference_doc()
         doc["sim"]["t_end"] = 3e-4

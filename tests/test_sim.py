@@ -706,11 +706,13 @@ class TestSinkCurrent:
         # unrecorded run are summed along different paths
         from llckit import cli
         from llckit.config import load_config
+        from llckit.control import baseline_frequency
 
         project = load_config(Path(__file__).resolve().parent.parent
                               / "configs" / "reference_design.json")
         design = cli._sim_report(project)
-        vin, load, fsw, _ = cli._sim_inputs(project, design)
+        vin, load, ctrl = cli._sim_inputs(project, design)
+        fsw = baseline_frequency(design, load, ctrl.v_ref)
         assert load.value_at(0.0) == 0.5
         cfg = SimConfig(tank=design.tank, vin=vin, fsw=fsw, load=load,
                         t_end=20e-6, record_stride=stride)

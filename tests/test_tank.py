@@ -11,7 +11,6 @@ from llckit.tank import (
     NormalizedPoint,
     TankParams,
     char_impedance,
-    denormalize,
     derived_quantities,
     effective_load,
     noload_resonance,
@@ -119,22 +118,6 @@ class TestNormalization:
         p = normalize(make_ref_tank(), math.inf, 100e3)
         assert p.Qe == 0.0
 
-    def test_round_trip_normalize_denormalize(self):
-        """(Ln, Qe, f0, Re) -> components -> back, to 1e-12 relative."""
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            ln = rng.uniform(1.05, 10.0)
-            qe = rng.uniform(0.02, 3.0)
-            f0 = 10 ** rng.uniform(3.5, 6.5)
-            re = 10 ** rng.uniform(-1, 3)
-            lr, cr, lm = denormalize(ln, qe, f0, re)
-            t = TankParams(Lr=lr, Cr=cr, Lm=lm, n=1.7)
-            assert abs(series_resonance(t) - f0) < 1e-12 * f0
-            p = normalize(t, re, f0)
-            assert abs(p.Ln - ln) < 1e-12 * ln
-            assert abs(p.Qe - qe) < 1e-12 * qe
-            assert abs(p.fn - 1.0) < 1e-12
-
     def test_round_trip_components_first(self):
         rng = np.random.default_rng(29)
         for _ in range(300):
@@ -145,7 +128,12 @@ class TestNormalization:
             t = TankParams(Lr=lr, Cr=cr, Lm=ln * lr, n=2.0)
             f0 = series_resonance(t)
             p = normalize(t, re, f0)
-            lr2, cr2, lm2 = denormalize(p.Ln, p.Qe, f0, re)
+            # the way back is synthesize_tank's: Cr from (f0, Qe, Re), then
+            # Lr from f0
+            w0 = 2.0 * math.pi * f0
+            cr2 = 1.0 / (w0 * p.Qe * re)
+            lr2 = 1.0 / (w0 * w0 * cr2)
+            lm2 = p.Ln * lr2
             assert abs(lr2 - lr) < 1e-12 * lr
             assert abs(cr2 - cr) < 1e-12 * cr
             assert abs(lm2 - t.Lm) < 1e-12 * t.Lm
