@@ -11,14 +11,13 @@ from .tank import (
     TankParams,
     DesignRequirements,
     NormalizedPoint,
-    DerivedQuantities,
+    LoadSpec,
     resonant_frequency,
     char_impedance,
     series_resonance,
     noload_resonance,
     effective_load,
     normalize,
-    derived_quantities,
 )
 from .gain import (
     GainError,
@@ -33,6 +32,7 @@ from .gain import (
     asymptotic_gain,
     peak_gain,
     solve_frequency,
+    operating_point,
     gain_band,
     boundary_frequency,
     classify_region,
@@ -59,7 +59,6 @@ from .sim import (
     NotSettled,
     RectPhase,
     SimState,
-    LoadSpec,
     SimConfig,
     SimEvent,
     ZvsEdge,

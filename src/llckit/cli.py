@@ -39,9 +39,9 @@ from .gain import (
     UnreachableGain,
     classify_region,
     gain_magnitude,
-    solve_frequency,
+    operating_point,
 )
-from .sim import LoadSpec, SimConfig, SimError, run_transient
+from .sim import SimConfig, SimError, run_transient
 from .steady_state import NoConvergence, find_pop
 from .svgplot import HLine, Series, render_line_plot
 from .synthesis import (
@@ -52,7 +52,7 @@ from .synthesis import (
     search_design_point,
     synthesize_tank,
 )
-from .tank import NormalizedPoint, effective_load, normalize, series_resonance
+from .tank import LoadSpec, series_resonance
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_INFEASIBLE", "EXIT_NUMERIC"]
 
@@ -322,7 +322,7 @@ def cmd_simulate(args) -> int:
     fsw = cfg.sim.fsw
     if fsw is None:
         try:
-            fsw = baseline_frequency(design, load, ctrl.v_ref)
+            fsw = baseline_frequency(design, load, ctrl.v_ref, vin)
         except ValueError as exc:
             print(f"error: operating point unreachable: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
@@ -362,7 +362,7 @@ def cmd_simulate(args) -> int:
         else:
             out, rep = run_load_step(design, load, ctrl=ctrl, t_end=s.t_end,
                                      record_stride=s.record_stride, band=s.band,
-                                     dt_max=s.dt_max)
+                                     dt_max=s.dt_max, vin=vin)
             wf = out.sim.waveform
             metrics = {
                 "mode": "step",
@@ -420,13 +420,8 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    rl = math.inf if iout == 0.0 else vout / iout
-    re = effective_load(tank.n, rl)
-    f0 = series_resonance(tank)
-    qe = normalize(tank, re, f0).Qe
-    mg = 2.0 * tank.n * vout / vin
     try:
-        fn = solve_frequency(tank.Ln, qe, mg)
+        pt = operating_point(tank, vin, vout, LoadSpec.current(iout))
     except UnreachableGain as exc:
         print(f"error: unreachable operating point: {exc} "
               f"(peak |Mg| = {exc.Mg_peak:.4f} at fn = {exc.fn_peak:.4f})",
@@ -435,19 +430,20 @@ def cmd_solve(args) -> int:
     except BelowAsymptote as exc:
         print(f"error: unreachable operating point: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    fsw = fn * f0
-    region = classify_region(NormalizedPoint(tank.Ln, qe, fn)).value
+    f0 = series_resonance(tank)
+    fsw = pt.fn * f0
+    region = classify_region(pt).value
     doc = {
         "schema_version": SCHEMA_VERSION,
         "fsw": fsw,
-        "fn": fn,
+        "fn": pt.fn,
         "f0": f0,
-        "Mg": mg,
-        "Qe": qe,
+        "Mg": 2.0 * tank.n * vout / vin,
+        "Qe": pt.Qe,
         "region": region,
     }
-    _emit(args, doc, [f"fsw = {fsw:.3f} Hz (fn = {fn:.6f}, f0 = {f0:.3f} Hz, "
-                      f"region = {region})"])
+    _emit(args, doc, [f"fsw = {fsw:.3f} Hz (fn = {pt.fn:.6f}, "
+                      f"f0 = {f0:.3f} Hz, region = {region})"])
     return EXIT_OK
 
 

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .sim import LoadSpec
 from .synthesis import SERIES_NAMES
-from .tank import DesignRequirements, TankParams
+from .tank import DesignRequirements, LoadSpec, TankParams
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -17,9 +17,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .gain import GainError, solve_frequency
+from .gain import GainError, operating_point
 from .sim import (
-    LoadSpec,
     PeriodDriver,
     SimConfig,
     SimResult,
@@ -30,12 +29,7 @@ from .sim import (
 # module; the load step seeds from the solve alone
 from .steady_state import _solve_pop, find_pop  # noqa: F401
 from .synthesis import DesignReport
-from .tank import (
-    effective_load,
-    normalize,
-    noload_resonance,
-    series_resonance,
-)
+from .tank import LoadSpec, noload_resonance, series_resonance
 
 __all__ = [
     "ControllerConfig",
@@ -218,43 +212,44 @@ def default_controller(design: DesignReport) -> ControllerConfig:
 
 
 def baseline_frequency(design: DesignReport, load: LoadSpec,
-                        v_ref: float) -> float:
+                       v_ref: float, vin: float) -> float:
+    """The frequency at which the gain model holds ``v_ref`` across the
+    first value of ``load`` from ``vin``
+    (:func:`llckit.gain.operating_point`); an unreachable point raises
+    ValueError."""
     tank = design.tank
-    v0 = load.points[0][1]
-    if load.kind == "resistance":
-        rl = v0
-    else:
-        rl = math.inf if v0 == 0.0 else v_ref / v0
-    re = effective_load(tank.n, rl)
-    f0 = series_resonance(tank)
-    pt = normalize(tank, re, f0)
-    mg = v_ref * 2.0 * tank.n / design.requirements.vin_nom
     try:
-        return solve_frequency(tank.Ln, pt.Qe, mg) * f0
+        fn = operating_point(tank, vin, v_ref, load).fn
     except GainError as exc:
         raise ValueError(
             f"scenario baseline is outside the reachable gain range: {exc}"
         ) from exc
+    return fn * series_resonance(tank)
 
 
 def run_load_step(design: DesignReport, scenario: LoadSpec,
                   ctrl: ControllerConfig | None = None,
                   t_end: float | None = None, record_stride: int = 32,
                   band: float = 0.01, dt_max: float | None = None,
+                  vin: float | None = None,
                   ) -> tuple[ClosedLoopResult, LoadStepReport]:
     """Run a closed-loop load scenario from a settled starting cycle.
 
+    The converter runs from ``vin`` (default: the design's ``vin_nom``).
     The starting frequency comes from inverting the sinusoidal gain model
-    at the scenario's first load value; the initial state is the periodic
-    operating point there, so the run begins settled rather than cold.
-    ``band`` is the regulation band as a fraction of the reference;
-    ``dt_max`` sets the record grid of both the seed and the run.
+    for the controller's reference at the scenario's first load value and
+    ``vin`` (:func:`baseline_frequency`), clamped to the controller's
+    window; the initial state is the periodic operating point there, so
+    the run begins settled rather than cold.  ``band`` is the regulation
+    band as a fraction of the reference; ``dt_max`` sets the record grid
+    of both the seed and the run.
     """
     if ctrl is None:
         ctrl = default_controller(design)
     tank = design.tank
-    req = design.requirements
-    fsw0 = baseline_frequency(design, scenario, ctrl.v_ref)
+    if vin is None:
+        vin = design.requirements.vin_nom
+    fsw0 = baseline_frequency(design, scenario, ctrl.v_ref, vin)
     fsw0 = min(max(fsw0, ctrl.fsw_min), ctrl.fsw_max)
     if t_end is None:
         last = scenario.switch_times[-1] if scenario.switch_times else 0.0
@@ -264,10 +259,10 @@ def run_load_step(design: DesignReport, scenario: LoadSpec,
     # records no period and computes no metrics
     base = LoadSpec(scenario.kind, (scenario.points[0],))
     seed = _solve_pop(
-        SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=base,
+        SimConfig(tank=tank, vin=vin, fsw=fsw0, load=base,
                   t_end=1.0, dt_max=dt_max),
         method="shooting")[0]
-    cfg = SimConfig(tank=tank, vin=req.vin_nom, fsw=fsw0, load=scenario,
+    cfg = SimConfig(tank=tank, vin=vin, fsw=fsw0, load=scenario,
                     t_end=t_end, dt_max=dt_max, record_stride=record_stride)
     out = run_closed_loop(cfg, ctrl, initial=seed, fsw0=fsw0)
 

@@ -37,7 +37,14 @@ from enum import Enum
 
 import numpy as np
 
-from .tank import DesignRequirements, NormalizedPoint, TankParams
+from .tank import (
+    DesignRequirements,
+    LoadSpec,
+    NormalizedPoint,
+    TankParams,
+    normalize,
+    series_resonance,
+)
 
 __all__ = [
     "GainError",
@@ -52,6 +59,7 @@ __all__ = [
     "asymptotic_gain",
     "peak_gain",
     "solve_frequency",
+    "operating_point",
     "gain_band",
     "boundary_frequency",
     "classify_region",
@@ -356,6 +364,24 @@ def solve_frequency(Ln: float, Qe: float, Mg_target: float) -> float:
             if Mg_target == mg_peak:
                 return fn_peak
     return _solve_branch(Ln, Qe, Mg_target)
+
+
+def operating_point(tank: TankParams, vin: float, vout: float,
+                    load: LoadSpec) -> NormalizedPoint:
+    """The point at which ``tank``, fed from ``vin``, holds ``vout`` across
+    the first value of ``load``.
+
+    Qe is the tank's at the load's Re at ``vout``
+    (:meth:`LoadSpec.effective_load`), and fn solves |Mg| = 2 n vout / vin
+    by :func:`solve_frequency`, whose errors it raises.  A ``vin`` that is
+    not positive raises ValueError.
+    """
+    if not vin > 0.0:
+        raise ValueError(f"vin must be positive, got {vin!r}")
+    qe = normalize(tank, load.effective_load(tank.n, vout),
+                   series_resonance(tank)).Qe
+    fn = solve_frequency(tank.Ln, qe, 2.0 * tank.n * vout / vin)
+    return NormalizedPoint(tank.Ln, qe, fn)
 
 
 def _branch_terms(Ln: float, Qe: float, Mg_target: float):

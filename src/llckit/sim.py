@@ -48,14 +48,15 @@ from enum import IntEnum
 import numpy as np
 
 from . import kernels, modes
-from .tank import TankParams, effective_load, normalize, series_resonance
+# LoadSpec stays importable from here for callers that take it from this
+# module
+from .tank import LoadSpec, TankParams, normalize, series_resonance
 from .gain import GainPoleError, gain, tank_input_impedance
 
 __all__ = [
     "CHANNELS",
     "RectPhase",
     "SimState",
-    "LoadSpec",
     "SimConfig",
     "Waveform",
     "SimEvent",
@@ -168,66 +169,6 @@ def consistent_rect(state: SimState) -> SimState:
     if rect == state.rect:
         return state
     return replace(state, rect=rect)
-
-
-@dataclass(frozen=True)
-class LoadSpec:
-    """Piecewise-constant output load.
-
-    ``kind`` is "resistance" (ohms across the output) or "current" (a sink
-    that drops out when the output reaches zero).  ``points`` holds
-    (time, value) steps; the first value also applies before its time.
-    """
-
-    kind: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.kind not in ("resistance", "current"):
-            raise ValueError(f"unknown load kind {self.kind!r}")
-        if not self.points:
-            raise ValueError("load needs at least one (time, value) point")
-        for t, v in self.points:
-            if not math.isfinite(t):
-                raise ValueError(f"load switch time must be finite, got {t!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"load value must be finite, got {v!r}")
-        times = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("load switch times must be strictly increasing")
-        for _, v in self.points:
-            if self.kind == "resistance" and not v > 0.0:
-                raise ValueError("load resistance must be positive")
-            if self.kind == "current" and v < 0.0:
-                raise ValueError("load current must be nonnegative")
-
-    @classmethod
-    def resistance(cls, ohms: float) -> "LoadSpec":
-        return cls("resistance", ((0.0, float(ohms)),))
-
-    @classmethod
-    def current(cls, amps: float) -> "LoadSpec":
-        return cls("current", ((0.0, float(amps)),))
-
-    @classmethod
-    def profile(cls, kind: str, points) -> "LoadSpec":
-        return cls(kind, tuple((float(t), float(v)) for t, v in points))
-
-    @property
-    def switch_times(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points[1:])
-
-    def value_at(self, t: float) -> float:
-        v = self.points[0][1]
-        for tk, vk in self.points:
-            if tk <= t:
-                v = vk
-            else:
-                break
-        return v
-
-    def kind_code(self) -> int:
-        return modes.LOAD_RES if self.kind == "resistance" else modes.LOAD_CUR
 
 
 @dataclass(frozen=True)
@@ -389,23 +330,19 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
     load no diode conducts, so the magnetizing current equals the resonant
     one.  Rough by construction; meant to cut the settling transient, not
     replace it.
+
+    The load is its first value, as an Re at the output voltage
+    (:meth:`LoadSpec.effective_load`, at no less than 1 mV): ``vout``
+    where given, else the fixed point of the gain model's output at
+    ``cfg.fsw``, from 0 V in at most eight passes.
     """
     tank = cfg.tank
-    lv = cfg.load.value_at(0.0)
-
-    def load_re(vout: float) -> float:
-        if cfg.load.kind == "resistance":
-            rl = lv
-        else:
-            rl = math.inf if lv == 0.0 else max(vout, 1e-3) / lv
-        return effective_load(tank.n, rl)
-
     if vout is None:
         vout = 0.0
         for _ in range(8):
-            pt = normalize(tank, load_re(vout), cfg.fsw)
+            re = cfg.load.effective_load(tank.n, max(vout, 1e-3))
             try:
-                mg = gain(pt).Mg
+                mg = gain(normalize(tank, re, cfg.fsw)).Mg
             except GainPoleError:
                 mg = 1.0
             vout_new = mg * cfg.vin / (2.0 * tank.n)
@@ -414,7 +351,7 @@ def warm_start_state(cfg: SimConfig, vout: float | None = None) -> SimState:
                 break
             vout = vout_new
 
-    re = load_re(vout)
+    re = cfg.load.effective_load(tank.n, max(vout, 1e-3))
     w = 2.0 * math.pi * cfg.fsw
     v1 = 2.0 * cfg.vin / math.pi  # peak fundamental of the bridge voltage
     i_ph = v1 / tank_input_impedance(tank, re, cfg.fsw)
@@ -526,7 +463,9 @@ class PeriodDriver:
         # numpy-scalar one, several times slower
         self._stage = (float(cfg.vin), float(tank.Lr), float(tank.Cr),
                        float(tank.Lm), float(tank.n), float(tank.Vf),
-                       float(tank.Cout), cfg.load.kind_code())
+                       float(tank.Cout),
+                       modes.LOAD_RES if cfg.load.kind == "resistance"
+                       else modes.LOAD_CUR)
         self._switch_times = cfg.load.switch_times
         self._load0 = float(cfg.load.points[0][1])
         # mode propagators, shared by every kernel call of this run

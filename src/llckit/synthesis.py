@@ -36,10 +36,9 @@ from .tank import (
     DEFAULT_COUT,
     DEFAULT_T_DEAD,
     DesignRequirements,
+    LoadSpec,
     NormalizedPoint,
     TankParams,
-    derived_quantities,
-    effective_load,
     normalize,
     series_resonance,
 )
@@ -136,7 +135,7 @@ def synthesize_tank(req: DesignRequirements, n: float, Ln: float, Qe: float,
         raise ValueError("Qe must be positive")
     if n <= 0:
         raise ValueError("n must be positive")
-    re = effective_load(n, req.vout_nom / req.iout_max)
+    re = LoadSpec.current(req.iout_max).effective_load(n, req.vout_nom)
     w0 = 2.0 * math.pi * req.f0_target
     cr = 1.0 / (w0 * Qe * re)
     lr = 1.0 / (w0 * w0 * cr)
@@ -195,9 +194,10 @@ def round_components(tank: TankParams, series: str = "E12") -> tuple[TankParams,
 def _band_qe(tank: TankParams, req: DesignRequirements) -> tuple[float, float]:
     """(Qe at heaviest load, Qe at lightest load) for this tank."""
     f0 = series_resonance(tank)
-    qe_hi = normalize(tank, derived_quantities(tank, req.vout_nom, req.iout_max).Re, f0).Qe
-    qe_lo = normalize(tank, derived_quantities(tank, req.vout_nom, req.iout_min).Re, f0).Qe
-    return qe_hi, qe_lo
+    return tuple(
+        normalize(tank, LoadSpec.current(i).effective_load(tank.n, req.vout_nom),
+                  f0).Qe
+        for i in (req.iout_max, req.iout_min))
 
 
 def check_feasibility(tank: TankParams, req: DesignRequirements, n: float,

@@ -14,6 +14,11 @@ with the AC-side effective load ``Re = 8 n^2 RL / pi^2`` coming from the
 fundamental-approximation mapping of the rectified DC load.
 :func:`normalize` maps a tank to these coordinates;
 :func:`llckit.synthesis.synthesize_tank` is the way back.
+
+The DC load itself is a :class:`LoadSpec`: a resistance or a current sink,
+piecewise constant in time.  :meth:`LoadSpec.effective_load` is the one
+place a load becomes an Re: a resistor is its own RL, and a sink drawing I
+at an output vout is RL = vout / I (no load, Re = inf, at 0 A).
 """
 
 from __future__ import annotations
@@ -25,14 +30,13 @@ __all__ = [
     "TankParams",
     "DesignRequirements",
     "NormalizedPoint",
-    "DerivedQuantities",
+    "LoadSpec",
     "resonant_frequency",
     "char_impedance",
     "series_resonance",
     "noload_resonance",
     "effective_load",
     "normalize",
-    "derived_quantities",
 ]
 
 DEFAULT_COUT = 100e-6  # F
@@ -131,22 +135,74 @@ class NormalizedPoint:
 
 
 @dataclass(frozen=True)
-class DerivedQuantities:
-    """Secondary quantities computed from a tank at one load point.
+class LoadSpec:
+    """Piecewise-constant output load.
 
-    f0: series resonance of Lr-Cr, Hz.
-    fp: resonance of (Lr+Lm)-Cr seen with the rectifier open, Hz (fp < f0).
-    Re: effective AC-side load resistance, ohm (inf at no load).
-    RL: DC load resistance vout/iout, ohm (inf at no load).
+    ``kind`` is "resistance" (ohms across the output) or "current" (a sink
+    that drops out when the output reaches zero).  ``points`` holds
+    (time, value) steps; the first value also applies before its time, and
+    every later step switches at a positive time, so the first value is
+    the one in force at t = 0.
     """
 
-    f0: float
-    fp: float
-    Re: float
-    RL: float
+    kind: str
+    points: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        _require(self.fp < self.f0, "fp must fall below f0")
+    def __post_init__(self):
+        if self.kind not in ("resistance", "current"):
+            raise ValueError(f"unknown load kind {self.kind!r}")
+        if not self.points:
+            raise ValueError("load needs at least one (time, value) point")
+        for t, v in self.points:
+            if not math.isfinite(t):
+                raise ValueError(f"load switch time must be finite, got {t!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"load value must be finite, got {v!r}")
+        times = [p[0] for p in self.points]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("load switch times must be strictly increasing")
+        if len(times) > 1 and times[1] <= 0.0:
+            raise ValueError(f"load switch times must be positive, got "
+                             f"{times[1]!r}")
+        for _, v in self.points:
+            if self.kind == "resistance" and not v > 0.0:
+                raise ValueError("load resistance must be positive")
+            if self.kind == "current" and v < 0.0:
+                raise ValueError("load current must be nonnegative")
+
+    @classmethod
+    def resistance(cls, ohms: float) -> "LoadSpec":
+        return cls("resistance", ((0.0, float(ohms)),))
+
+    @classmethod
+    def current(cls, amps: float) -> "LoadSpec":
+        return cls("current", ((0.0, float(amps)),))
+
+    @classmethod
+    def profile(cls, kind: str, points) -> "LoadSpec":
+        return cls(kind, tuple((float(t), float(v)) for t, v in points))
+
+    @property
+    def switch_times(self) -> tuple[float, ...]:
+        return tuple(p[0] for p in self.points[1:])
+
+    def value_at(self, t: float) -> float:
+        v = self.points[0][1]
+        for tk, vk in self.points:
+            if tk <= t:
+                v = vk
+            else:
+                break
+        return v
+
+    def effective_load(self, n: float, vout: float) -> float:
+        """Re of the first value at output voltage ``vout`` for turns
+        ratio ``n`` (see :func:`effective_load`); a sink of 0 A is no load,
+        Re = inf."""
+        v0 = self.points[0][1]
+        if self.kind == "resistance":
+            return effective_load(n, v0)
+        return effective_load(n, math.inf if v0 == 0.0 else vout / v0)
 
 
 def resonant_frequency(L: float, C: float) -> float:
@@ -194,16 +250,3 @@ def normalize(tank: TankParams, Re: float, fsw: float) -> NormalizedPoint:
     _require(fsw > 0, "fsw must be positive")
     qe = 0.0 if math.isinf(Re) else tank.Z0 / Re
     return NormalizedPoint(Ln=tank.Ln, Qe=qe, fn=fsw / series_resonance(tank))
-
-
-def derived_quantities(tank: TankParams, vout: float, iout: float) -> DerivedQuantities:
-    """Resonances and load resistances for ``tank`` delivering ``iout`` at ``vout``."""
-    _require(vout > 0, "vout must be positive")
-    _require(iout >= 0, "iout must be non-negative")
-    rl = math.inf if iout == 0.0 else vout / iout
-    return DerivedQuantities(
-        f0=series_resonance(tank),
-        fp=noload_resonance(tank),
-        Re=effective_load(tank.n, rl),
-        RL=rl,
-    )

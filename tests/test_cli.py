@@ -355,6 +355,57 @@ class TestSimulateCommand:
         assert verdict in err
         assert not (tmp_path / f"wave_{mode}.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["transient", "pop", "step"])
+    def test_zero_vin_baseline_exits_2(self, tmp_path, capsys, mode):
+        # no gain reaches v_ref from 0 V
+        doc = reference_doc()
+        doc["sim"]["vin"] = 0.0
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", mode, "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: operating point unreachable: ")
+        assert "vin must be positive" in err
+
+    def test_pop_baseline_reads_sim_vin(self, tmp_path):
+        # with sim.fsw unset the POP runs where the gain model holds v_ref
+        # from sim.vin, not from vin_nom
+        doc = reference_doc()
+        doc["sim"]["vin"] = 39.0
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "pop", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_OK
+        m = json.loads((tmp_path / "metrics_pop.json").read_text())
+        assert abs(m["fsw"] - 89933.63) < 0.01
+
+    def test_step_reads_sim_vin(self, tmp_path):
+        waves = []
+        for vin in (39.0, 48.0):
+            doc = reference_doc()
+            doc["sim"]["vin"] = vin
+            doc["sim"]["t_end"] = 1.5e-3
+            out = tmp_path / str(vin)
+            rc = main(["simulate", "step", "--config",
+                       str(write_cfg(tmp_path, doc)), "--out", str(out)])
+            assert rc == EXIT_OK
+            waves.append((out / "wave_step.csv").read_bytes())
+        assert waves[0] != waves[1]
+
+    def test_load_switch_at_zero_exits_1(self, tmp_path, capsys):
+        # a step at t = 0 would seed the run at one load and draw another
+        # from its first period
+        doc = reference_doc()
+        doc["sim"]["load"]["points"] = [[-0.001, 0.3], [0.0, 0.5],
+                                        [0.001, 0.7]]
+        p = write_cfg(tmp_path, doc)
+        rc = main(["simulate", "step", "--config", str(p), "--out",
+                   str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "sim.load: load switch times must be positive" in (
+            capsys.readouterr().err)
+
     def test_step_unreachable_baseline_with_fsw_set_exits_2(self, tmp_path):
         doc = reference_doc()
         doc["controller"]["v_ref"] = 1.0
@@ -585,6 +636,24 @@ class TestDeterminism:
         "solve": "50f9b1a7172f388fc00c203cd4b9aab242cb320c72b04990f66f01f8244de0b5",
     }
 
+    # SHA-256 of what ``llc simulate MODE`` writes for the reference
+    # config with sim.t_end at 2 ms, as commit 5d25577 wrote them, before
+    # the operating point was solved in one place
+    SIMULATE_OUTPUT_SHA256 = {
+        "transient": {
+            "wave_transient.csv": "00ff5efe40e8888d128fc6c1fb4c3a3d7c02a04b409152901be5c36afc7cf452",
+            "metrics_transient.json": "c36b1e3de3838ee09e7aa7a35db9f16672c5aea8658955685cf6989e19bc0a19",
+        },
+        "pop": {
+            "wave_pop.csv": "1e87718164ae027b5aaa8fa10bfacf7f8c4f623a28f8e6a0d8a875e093c888cb",
+            "metrics_pop.json": "1d9e0ef8652ee717d42f13aece498b4363925a3f5eb81092dd49acea0f4a291a",
+        },
+        "step": {
+            "wave_step.csv": "ec2a44728a849f528dcc78953d2b35e9e461de833dd850311e2d36ac40be3d3f",
+            "metrics_step.json": "84aeadac2b0286f4decf5495d5f277d541587cb2b6ee9f1410702c80ee5ad988",
+        },
+    }
+
     @staticmethod
     def fha_output_sha256(cfg, out, run_llc, design_rc):
         """SHA-256 of what design, sweep and ``solve --json`` write for
@@ -619,6 +688,17 @@ class TestDeterminism:
         cfg = write_cfg(tmp_path, doc)
         got = self.fha_output_sha256(cfg, tmp_path, run_llc, EXIT_OK)
         assert got == self.SEARCH_OUTPUT_SHA256
+
+    @pytest.mark.parametrize("mode", sorted(SIMULATE_OUTPUT_SHA256))
+    def test_simulate_outputs_are_pinned(self, mode, tmp_path):
+        doc = reference_doc()
+        doc["sim"]["t_end"] = 2e-3
+        rc = main(["simulate", mode, "--config", str(write_cfg(tmp_path, doc)),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in self.SIMULATE_OUTPUT_SHA256[mode]}
+        assert got == self.SIMULATE_OUTPUT_SHA256[mode]
 
     def test_cli_import_leaves_scipy_out(self, run_python):
         """Every ``llc`` start imports llckit.cli; scipy is not part of it."""

@@ -16,11 +16,12 @@ from llckit.control import (
     run_closed_loop,
     run_load_step,
 )
-from llckit.sim import LoadSpec, SimConfig
+from llckit.sim import SimConfig
 from llckit.steady_state import find_pop
 from llckit.synthesis import check_feasibility
 from llckit.tank import (
     DesignRequirements,
+    LoadSpec,
     TankParams,
     noload_resonance,
     series_resonance,
@@ -245,10 +246,14 @@ class TestZeroAmplitudeScenario:
 
 class TestScenarioPlumbing:
     def test_baseline_frequency_matches_gain_inversion(self, design):
-        f_cur = baseline_frequency(design, LoadSpec.current(0.5), 12.0)
-        f_res = baseline_frequency(design, LoadSpec.resistance(24.0), 12.0)
+        f_cur = baseline_frequency(design, LoadSpec.current(0.5), 12.0, 48.0)
+        f_res = baseline_frequency(design, LoadSpec.resistance(24.0), 12.0,
+                                   48.0)
         assert abs(f_cur - 111035.102) < 0.01
         assert abs(f_cur - f_res) < 1e-6
+        # a lower input needs more gain, which sits lower on the branch
+        assert baseline_frequency(design, LoadSpec.current(0.5), 12.0,
+                                  39.0) < f_cur
 
     def test_unreachable_baseline_is_rejected(self, design, ctrl):
         # load alone can't make the start point unsolvable: any Q curve

@@ -46,3 +46,10 @@ def test_every_all_entry_exists(module):
     stale = [name for name in getattr(mod, "__all__", ())
              if not hasattr(mod, name)]
     assert not stale, f"llckit.{module}.__all__ names missing {stale}"
+
+
+def test_load_spec_is_one_class():
+    # LoadSpec lives in tank; the simulator module still binds it for the
+    # callers that take it from there
+    from llckit import sim, tank
+    assert sim.LoadSpec is tank.LoadSpec is llckit.LoadSpec

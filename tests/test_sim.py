@@ -82,6 +82,14 @@ class TestLoadSpec:
         with pytest.raises(ValueError, match=f"load {field} must be finite"):
             LoadSpec.profile("current", [(0.0, 0.1), point])
 
+    @pytest.mark.parametrize("t_switch", [0.0, -1e-3])
+    def test_rejects_switch_at_or_before_zero(self, t_switch):
+        # the first value is the one in force at t = 0, for the
+        # operating-point solve and the run alike
+        with pytest.raises(ValueError, match="switch times must be positive"):
+            LoadSpec.profile("current", [(t_switch - 1e-3, 0.3),
+                                         (t_switch, 0.5), (1e-3, 0.7)])
+
     def test_value_at_steps(self):
         ld = LoadSpec.profile("current", [(0.0, 0.1), (2e-3, 0.5)])
         assert ld.value_at(-1.0) == 0.1  # first value applies before t0
@@ -712,7 +720,7 @@ class TestSinkCurrent:
                               / "configs" / "reference_design.json")
         design = cli._sim_report(project)
         vin, load, ctrl = cli._sim_inputs(project, design)
-        fsw = baseline_frequency(design, load, ctrl.v_ref)
+        fsw = baseline_frequency(design, load, ctrl.v_ref, vin)
         assert load.value_at(0.0) == 0.5
         cfg = SimConfig(tank=design.tank, vin=vin, fsw=fsw, load=load,
                         t_end=20e-6, record_stride=stride)

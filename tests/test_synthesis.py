@@ -17,7 +17,7 @@ from llckit.synthesis import (
 )
 from llckit.tank import (
     DesignRequirements,
-    derived_quantities,
+    LoadSpec,
     normalize,
     series_resonance,
 )
@@ -85,7 +85,8 @@ class TestSynthesizeTank:
             qe = rng.uniform(0.1, 2.0)
             n = rng.uniform(0.8, 5.0)
             t = synthesize_tank(REQ, n, ln, qe)
-            re = derived_quantities(t, REQ.vout_nom, REQ.iout_max).Re
+            re = LoadSpec.current(REQ.iout_max).effective_load(
+                n, REQ.vout_nom)
             p = normalize(t, re, series_resonance(t))
             assert abs(p.Ln - ln) < 1e-9 * ln
             assert abs(p.Qe - qe) < 1e-9 * qe
@@ -415,7 +416,8 @@ class TestSearchDesignPoint:
         ln, qe = search_design_point(REQ, N_REF, min_headroom=0.2)
         band = gain_band(REQ, N_REF, ln)
         t = synthesize_tank(REQ, N_REF, ln, qe)
-        re = derived_quantities(t, REQ.vout_nom, REQ.iout_max).Re
+        re = LoadSpec.current(REQ.iout_max).effective_load(N_REF,
+                                                           REQ.vout_nom)
         qe_full = normalize(t, re, series_resonance(t)).Qe
         _, mg_peak = peak_gain(ln, qe_full)
         assert mg_peak >= 1.2 * band.Mg_max

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from llckit.tank import (
-    DerivedQuantities,
     DesignRequirements,
+    LoadSpec,
     NormalizedPoint,
     TankParams,
     char_impedance,
-    derived_quantities,
     effective_load,
     noload_resonance,
     normalize,
@@ -139,20 +138,23 @@ class TestNormalization:
             assert abs(lm2 - t.Lm) < 1e-12 * t.Lm
 
 
-class TestDerivedQuantities:
+class TestLoadEffectiveLoad:
     def test_reference_full_load(self):
-        d = derived_quantities(make_ref_tank(), 12.0, 0.5)
-        assert abs(d.RL - 24.0) < 1e-12
-        assert abs(d.Re - RE_REF) < 1e-9
-        assert d.fp < d.f0
+        re = LoadSpec.current(0.5).effective_load(REF_N, 12.0)
+        assert abs(re - RE_REF) < 1e-9
 
     def test_no_load(self):
-        d = derived_quantities(make_ref_tank(), 12.0, 0.0)
-        assert d.RL == math.inf and d.Re == math.inf
+        assert LoadSpec.current(0.0).effective_load(REF_N, 12.0) == math.inf
 
-    def test_fp_below_f0_enforced(self):
-        with pytest.raises(ValueError):
-            DerivedQuantities(f0=1e5, fp=1.2e5, Re=65.0, RL=24.0)
+    def test_resistance_is_its_own_rl(self):
+        # a resistor draws what it draws at any output voltage
+        for vout in (1e-3, 12.0, 1e3):
+            re = LoadSpec.resistance(REF_RL).effective_load(REF_N, vout)
+            assert re == effective_load(REF_N, REF_RL)
+
+    def test_reads_the_first_value(self):
+        ld = LoadSpec.profile("current", [(0.0, 0.5), (1e-3, 0.0)])
+        assert ld.effective_load(REF_N, 12.0) == effective_load(REF_N, REF_RL)
 
 
 class TestValidation:
